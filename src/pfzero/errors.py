@@ -3,7 +3,8 @@
 Exit-code contract of the command line tool:
   1  usage errors (bad input syntax, missing arguments, invalid parameters)
   2  mathematical degeneracies (the requested object provably does not exist
-     or the instance lies outside the generic stratum the constructions need)
+     or the instance lies outside the generic stratum the constructions need),
+     and exact objects that fail their defining identity (CertificateFailed)
   3  numeric failures (a floating-point procedure could not certify its result)
 """
 
@@ -72,6 +73,12 @@ class DecompositionFailed(MathematicalDegeneracy):
 
 class DegenerateK(MathematicalDegeneracy):
     """Coefficient matrix of the period system is singular over the rational functions."""
+
+
+class CertificateFailed(PfzeroError):
+    """An exact object failed the identity that defines it; an internal fault."""
+
+    exit_code = 2
 
 
 class NumericFailure(PfzeroError):

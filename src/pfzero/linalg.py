@@ -6,16 +6,17 @@ elimination over rationals used for small systems. `solve_sparse_exact` is an
 integer cross-multiplication eliminator with row-content stripping for the
 large, very sparse coefficient-matching systems that the decomposition
 routines produce; it is exact and deterministic but chooses pivots by fill,
-not by a fixed column sweep.
+not by a fixed column sweep. Over polynomial rings, `PolyMatrix.adjugate` and
+`first_dependence` are fraction-free Bareiss eliminations sharing one step.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .errors import DivisionByZeroPolynomial, Inconsistent
+from .errors import CertificateFailed, DegenerateInput, DivisionByZeroPolynomial, Inconsistent
 from .poly import MultiPoly, poly_gcd, _bareiss_det_poly
 
 
@@ -338,107 +339,100 @@ class PolyMatrix:
             return MultiPoly.const(1)
         return _bareiss_det_poly(self.entries)
 
-    def minor(self, drop_row: int, drop_col: int) -> "PolyMatrix":
-        return PolyMatrix(
-            [
-                [e for j, e in enumerate(row) if j != drop_col]
-                for i, row in enumerate(self.entries)
-                if i != drop_row
-            ]
-        )
-
     def adjugate(self) -> "PolyMatrix":
-        """Transposed cofactor matrix: adj(M) * M = det(M) * Id, exactly."""
+        """Transposed cofactor matrix: adj(M) * M = det(M) * Id, exactly.
+
+        One fraction-free (Bareiss) Gauss-Jordan elimination of [M | Id]; every
+        division is exact. The left block ends as D * Id with D the last
+        pivot, and the right block as D * M^(-1) = sign * adj(M), where sign
+        is the parity of the row swaps. Requires det(M) != 0: a singular
+        matrix raises DegenerateInput.
+        """
         n = self.rows
         if n != self.cols:
             raise ValueError("adjugate of a non-square matrix")
-        if n == 1:
-            return PolyMatrix([[MultiPoly.const(1)]])
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                c = self.minor(i, j).determinant()
-                if (i + j) % 2:
-                    c = -c
-                out[j][i] = c
-        return PolyMatrix(out)
+        zero, one = MultiPoly.zero(), MultiPoly.const(1)
+        m = [self.row(i) + [one if j == i else zero for j in range(n)] for i in range(n)]
+        sign = 1
+        prev = one
+        for k in range(n):
+            sel = next((i for i in range(k, n) if not m[i][k].is_zero), None)
+            if sel is None:
+                raise DegenerateInput("adjugate of a singular matrix")
+            if sel != k:
+                m[k], m[sel] = m[sel], m[k]
+                sign = -sign
+            for i in range(n):
+                if i != k:
+                    _bareiss_step(m[i], m[k], k, prev, range(k + 1, 2 * n))
+            prev = m[k][k]
+        return PolyMatrix([[e if sign == 1 else -e for e in row[n:]] for row in m])
 
 
-def poly_matrix_rank(rows: list[list[MultiPoly]]) -> int:
-    """Exact rank over the fraction field, fraction-free elimination."""
-    m = [row[:] for row in rows]
-    nr = len(m)
-    if nr == 0:
-        return 0
-    nc = len(m[0])
-    prev = MultiPoly.const(1)
-    r = 0
-    for col in range(nc):
-        sel = None
-        for i in range(r, nr):
-            if not m[i][col].is_zero:
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != r:
-            m[r], m[sel] = m[sel], m[r]
-        for i in range(r + 1, nr):
-            for j in range(col + 1, nc):
-                num = m[r][col] * m[i][j] - m[i][col] * m[r][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][col] = MultiPoly.zero()
-        prev = m[r][col]
-        r += 1
-        if r == nr:
-            break
-    return r
+def _bareiss_step(vec, pivot_vec, k, prev, idx) -> None:
+    """vec[i] = (p * vec[i] - vec[k] * pivot_vec[i]) / prev for i in idx, in
+    place, with p = pivot_vec[k]; exact when prev is the pivot before p."""
+    p, f = pivot_vec[k], vec[k]
+    for i in idx:
+        a, b = vec[i], pivot_vec[i]
+        if f.is_zero or b.is_zero:
+            if not a.is_zero:
+                vec[i] = (p * a).exact_div(prev)
+        else:
+            vec[i] = (p * a - f * b).exact_div(prev)
 
 
-def solve_poly_linear(rows: list[list[MultiPoly]], rhs: list[MultiPoly]) -> list["RatFunc"]:
-    """Solve a full-column-rank polynomial system over the rational functions.
+def first_dependence(
+    vectors: Iterable[Sequence[MultiPoly]],
+) -> tuple[int, MultiPoly, list[MultiPoly]] | None:
+    """First vector that depends on the vectors before it over the fraction field.
 
-    Fraction-free forward elimination, then back substitution in RatFunc
-    arithmetic. Raises Inconsistent when the system has no solution.
+    One incremental fraction-free (Bareiss) elimination of the matrix whose
+    columns are the vectors r_0, r_1, ...: each arriving column goes through
+    the elimination steps taken so far and either gives a new pivot or, at
+    the first dependent r_k, stops the scan. Fraction-free back-substitution
+    over the pivot rows, with the last pivot D as common denominator, then
+    gives every c_l = D w_l of r_k = sum_{l<k} w_l r_l by exact division. The
+    relation D r_k = sum_l c_l r_l is checked exactly (CertificateFailed).
+    Returns (k, D, [c_0, ..., c_{k-1}]), or None when the vectors run out and
+    all of them are independent.
     """
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    m = [rows[i][:] + [rhs[i]] for i in range(nr)]
-    prev = MultiPoly.const(1)
-    piv: list[tuple[int, int]] = []
-    r = 0
-    for col in range(nc):
-        sel = None
-        for i in range(r, nr):
-            if not m[i][col].is_zero:
-                sel = i
-                break
-        if sel is None:
+    seen: list[list[MultiPoly]] = []  # the vectors as given
+    cols: list[list[MultiPoly]] = []  # column l after elimination steps 0..l-1
+    piv_rows: list[int] = []  # pivot row of each step
+    for k, r in enumerate(vectors):
+        r = list(r)
+        seen.append(r)
+        n = len(r)
+        col = list(r)
+        prev = MultiPoly.const(1)
+        for s, p_row in enumerate(piv_rows):
+            below = [i for i in range(n) if i not in piv_rows[: s + 1]]
+            _bareiss_step(col, cols[s], p_row, prev, below)
+            prev = cols[s][p_row]
+        cols.append(col)
+        sel = next((i for i in range(n) if i not in piv_rows and not col[i].is_zero), None)
+        if sel is not None:
+            piv_rows.append(sel)
             continue
-        if sel != r:
-            m[r], m[sel] = m[sel], m[r]
-        for i in range(r + 1, nr):
-            for j in range(col + 1, nc + 1):
-                num = m[r][col] * m[i][j] - m[i][col] * m[r][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][col] = MultiPoly.zero()
-        prev = m[r][col]
-        piv.append((r, col))
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if all(m[i][j].is_zero for j in range(nc)) and not m[i][nc].is_zero:
-            raise Inconsistent("no solution over the rational functions")
-    sol: list[RatFunc] = [RatFunc.zero()] * nc
-    for k in range(len(piv) - 1, -1, -1):
-        i, col = piv[k]
-        acc = RatFunc.from_poly(m[i][nc])
-        for j in range(col + 1, nc):
-            if not m[i][j].is_zero and not sol[j].is_zero:
-                acc = acc - RatFunc.from_poly(m[i][j]) * sol[j]
-        sol[col] = acc / RatFunc.from_poly(m[i][col])
-    return sol
+        D = prev
+        c: list[MultiPoly] = [MultiPoly.zero()] * k
+        for l in range(k - 1, -1, -1):
+            row = piv_rows[l]
+            acc = D * col[row]
+            for m in range(l + 1, k):
+                if not cols[m][row].is_zero and not c[m].is_zero:
+                    acc = acc - cols[m][row] * c[m]
+            c[l] = acc.exact_div(cols[l][row])
+        for i in range(n):
+            acc = MultiPoly.zero()
+            for cl, rl in zip(c, seen):
+                if not cl.is_zero and not rl[i].is_zero:
+                    acc = acc + cl * rl[i]
+            if acc != D * r[i]:
+                raise CertificateFailed(f"vector {k} is not the combination the elimination found")
+        return k, D, c
+    return None
 
 
 # -- rational functions in t -----------------------------------------------------

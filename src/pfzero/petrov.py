@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DecompositionFailed, Inconsistent, NotInIdeal
+from .errors import CertificateFailed, DecompositionFailed, Inconsistent, NotInIdeal
 from .hamiltonian import Hamiltonian
 from .linalg import RHS, solve_sparse_exact
 from .poly import MultiPoly, grevlex_key
@@ -138,7 +138,8 @@ def ideal_representation(
         for (u, v), coef in zip(monos, sol[len(monos) :]):
             if coef:
                 a = a + MultiPoly.monomial(coef, x=u, y=v)
-        assert (hx * b - hy * a) == g, "ideal representation residual"
+        if hx * b - hy * a != g:
+            raise CertificateFailed("ideal representation residual is not zero")
         return a, b
 
 
@@ -172,7 +173,8 @@ def petrov_decompose(
                 coeffs=tuple(coeffs), A=A, B=B, ansatz_degree=max(A.degree(), B.degree(), 0)
             )
             recon = dec.reconstruct(H, forms)
-            assert (recon.P == omega.P) and (recon.Q == omega.Q), "reconstruction residual"
+            if recon.P != omega.P or recon.Q != omega.Q:
+                raise CertificateFailed("Petrov reconstruction residual is not zero")
             return dec
         if m_B + d >= hard_cap:
             raise DecompositionFailed(

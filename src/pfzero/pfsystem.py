@@ -3,12 +3,15 @@
 Row l of the system comes from decomposing (x Hx + y Hy)^2 omega_l (matrix K)
 and the derivative-of-period form of the same integrand (matrix L); then
 A / a = K^(-1) (L - K') over the rational functions, cleared to a polynomial
-matrix over a single monic denominator a(t).
+matrix over a single monic denominator a(t). The result is certified by the
+polynomial identity K A = a (L - K').
 
 Scalar equations for single components use the iterated rows
-a^j I^(j) = (row of A_j) I with A_0 = Id and
-A_{j+1} = a A_j' + A_j (A - j a' Id); the first linear dependence over the
-rational functions yields the monic equation. Appending the row
+a^j I_m^(j) = r_j I, generated lazily by the row recurrence r_0 = e_m,
+r_{j+1} = a r_j' + r_j (A - j a' Id) (row m of the matrix recurrence; the
+other rows are never needed). One incremental fraction-free elimination
+stops at the first row that depends on the earlier ones over the rational
+functions and yields the monic equation. Appending the row
 I0' = mu^T (A/a) I gives the equation satisfied by an arbitrary combination
 of the basis periods, whose solutions always include the constants.
 """
@@ -17,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
-from .errors import DegenerateK
+from .errors import CertificateFailed, DegenerateK
 from .hamiltonian import (
     CriticalValue,
     Hamiltonian,
@@ -28,7 +32,7 @@ from .hamiltonian import (
     isolate_roots,
     monomial_basis,
 )
-from .linalg import PolyMatrix, RatFunc, poly_lcm, poly_matrix_rank, solve_poly_linear
+from .linalg import PolyMatrix, RatFunc, first_dependence, poly_lcm
 from .petrov import OneForm, ideal_representation, petrov_decompose
 from .poly import MultiPoly, poly_gcd
 
@@ -138,10 +142,12 @@ def assemble_pf_system(
 ) -> PFSystem:
     """Build the polynomial system a(t) I' = A(t) I for the basis periods.
 
-    K^(-1) goes through the exact adjugate over Q[t]; the common polynomial
-    content of det K and the numerator matrix is cancelled and a(t) is made
-    monic. forms_override exists for diagnostics (a rank-deficient K from
-    duplicated forms must surface as DegenerateK).
+    K^(-1) goes through the exact adjugate over Q[t] (one fraction-free
+    Gauss-Jordan elimination); the common polynomial content of det K and the
+    numerator matrix is cancelled and a(t) is made monic. The result is
+    checked against K A = a (L - K') and a failure raises CertificateFailed.
+    forms_override exists for diagnostics (a rank-deficient K from duplicated
+    forms must surface as DegenerateK).
     """
     basis = monomial_basis(H)
     forms = list(forms_override) if forms_override is not None else make_basis_forms(basis)
@@ -167,7 +173,8 @@ def assemble_pf_system(
     detK = K.determinant()
     if detK.is_zero:
         raise DegenerateK("period coefficient matrix is singular")
-    M = K.adjugate() * (L - K.derive("t"))
+    rhs = L - K.derive("t")
+    M = K.adjugate() * rhs
     # cancel the common polynomial content, then normalize a to monic
     g = detK
     for i in range(n):
@@ -186,6 +193,8 @@ def assemble_pf_system(
     lc = detK.leading_coeff()
     a = detK.monic()
     A = PolyMatrix([[M[i, j] * MultiPoly.const(Fraction(1) / lc) for j in range(n)] for i in range(n)])
+    if K * A != rhs.scale(a):
+        raise CertificateFailed("the period system fails K A = a (L - K')")
     singular = critical_values(H)
     return PFSystem(
         dim=n,
@@ -207,27 +216,29 @@ def _as_tpoly(p: MultiPoly) -> MultiPoly:
     return p
 
 
-def _iterated_rows(A: PolyMatrix, a: MultiPoly, m_index: int, jmax: int) -> list[list[MultiPoly]]:
-    """Rows alpha_{j,m} of A_j for j = 0..jmax, where a^j I_m^(j) = alpha_{j,m} I."""
+def _iterated_rows(
+    A: PolyMatrix, a: MultiPoly, m_index: int, jmax: int | None = None
+) -> Iterator[list[MultiPoly]]:
+    """Rows r_j with a^j I_m^(j) = r_j I for j = 0..jmax (unbounded when jmax
+    is None), generated lazily: r_0 = e_m, r_{j+1} = a r_j' + r_j (A - j a' Id)."""
     n = A.rows
-    rows = []
-    Aj = PolyMatrix.identity(n)
     ap = a.derive("t")
-    for j in range(jmax + 1):
-        rows.append(Aj.row(m_index))
+    r = [MultiPoly.const(1 if i == m_index else 0) for i in range(n)]
+    j = 0
+    while True:
+        yield r
         if j == jmax:
-            break
-        shift = PolyMatrix(
-            [
-                [
-                    A[i, k] - (ap * MultiPoly.const(j) if i == k else MultiPoly.zero())
-                    for k in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
-        Aj = Aj.derive("t").scale(a) + Aj * shift
-    return rows
+            return
+        jap = ap * MultiPoly.const(j)
+        nxt = []
+        for c in range(n):
+            acc = a * r[c].derive("t") - jap * r[c]
+            for i in range(n):
+                if not r[i].is_zero and not A[i, c].is_zero:
+                    acc = acc + r[i] * A[i, c]
+            nxt.append(acc)
+        r = nxt
+        j += 1
 
 
 def _scalar_from_matrix(
@@ -236,28 +247,13 @@ def _scalar_from_matrix(
     m_index: int,
     singular: SingularSet | None,
 ) -> ScalarODE:
-    n = A.rows
-    rows = _iterated_rows(A, a, m_index, n)
-    k = None
-    for j in range(1, n + 1):
-        if poly_matrix_rank(rows[: j + 1]) <= j:
-            k = j
-            break
-    if k is None:
-        raise AssertionError("no dependence found up to the dimension")
-    # solve alpha_k = sum_{l<k} w_l alpha_l over the rational functions
-    sys_rows = [[rows[l][i] for l in range(k)] for i in range(n)]
-    rhs = [rows[k][i] for i in range(n)]
-    w = solve_poly_linear(sys_rows, rhs)
+    # D r_k = sum_l num_l r_l, so I^(k) = sum_l (num_l / (D a^(k-l))) I^(l)
+    k, D, num = first_dependence(_iterated_rows(A, a, m_index))
     coeffs = []
-    a_rf = RatFunc.from_poly(a)
-    for i in range(k):
-        l = k - 1 - i
-        denom_power = k - l
-        c = -w[l]
-        for _ in range(denom_power):
-            c = c / a_rf
-        coeffs.append(c)
+    a_power = a
+    for l in range(k - 1, -1, -1):
+        coeffs.append(RatFunc(-num[l], D * a_power))
+        a_power = a_power * a
     pole_poly = a
     for c in coeffs:
         pole_poly = poly_lcm(pole_poly, c.den) if not c.is_zero else pole_poly

@@ -93,7 +93,6 @@ class MultiPoly:
 
     @staticmethod
     def monomial(c, **powers) -> "MultiPoly":
-        names = tuple(v for v in CANONICAL_VARS if powers.get(v, 0) or v in powers)
         names = tuple(v for v in CANONICAL_VARS if v in powers)
         expo = tuple(int(powers[v]) for v in names)
         return MultiPoly(names, {expo: _as_fraction(c)})

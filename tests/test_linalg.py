@@ -3,17 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from pfzero.errors import DivisionByZeroPolynomial, Inconsistent
+from pfzero.errors import DegenerateInput, DivisionByZeroPolynomial, Inconsistent
 from pfzero.linalg import (
     RHS,
     PolyMatrix,
     RatFunc,
     bareiss_determinant,
     exact_linear_solve,
+    first_dependence,
     poly_lcm,
-    poly_matrix_rank,
     ratfunc_normalize,
-    solve_poly_linear,
     solve_sparse_exact,
 )
 from pfzero.poly import MultiPoly, parse_polynomial
@@ -126,18 +125,35 @@ class TestPolyMatrix:
                 for j in range(n):
                     assert prod[i, j] == (det if i == j else MultiPoly.zero())
 
+    def test_adjugate_with_row_swap(self):
+        # the zero top-left entry forces a swap; adj [[0, t], [1, 1]] = [[1, -t], [-1, 0]]
+        one, zero = MultiPoly.const(1), MultiPoly.zero()
+        M = PolyMatrix([[zero, t], [one, one]])
+        assert M.adjugate() == PolyMatrix([[one, -t], [-one, zero]])
+        prod = M.adjugate() * M
+        det = M.determinant()
+        assert det == -t
+        assert prod == PolyMatrix([[det, zero], [zero, det]])
+
+    def test_adjugate_of_singular_matrix_raises(self):
+        with pytest.raises(DegenerateInput):
+            PolyMatrix([[t, t + 1], [2 * t, 2 * t + 2]]).adjugate()
+
     def test_rank(self):
-        assert poly_matrix_rank([[x, y], [x, y]]) == 1
-        assert poly_matrix_rank([[x, y], [y, x]]) == 2
+        # rank 1: the second row is the first again; rank 2: no dependence at all
+        assert first_dependence([[x, y], [x, y]])[0] == 1
+        assert first_dependence([[x, y], [y, x]]) is None
 
-    def test_solve_poly_linear(self):
-        sol = solve_poly_linear([[t, MultiPoly.const(1)], [MultiPoly.zero(), t]], [t * t + 1, t])
-        assert sol[0] == RatFunc.from_poly(t)
-        assert sol[1] == RatFunc.one()
+    def test_dependence_solves_for_the_last_row(self):
+        # t*w0 + w1 = t^2 + 1 and t*w1 = t: (t^2 + 1, t) = t*(t, 0) + 1*(1, t)
+        one, zero = MultiPoly.const(1), MultiPoly.zero()
+        k, D, num = first_dependence([[t, zero], [one, t], [t * t + 1, t]])
+        assert k == 2
+        assert [RatFunc(c, D) for c in num] == [RatFunc.from_poly(t), RatFunc.one()]
 
-    def test_solve_poly_linear_inconsistent(self):
-        with pytest.raises(Inconsistent):
-            solve_poly_linear([[t], [t]], [t, t + 1])
+    def test_no_dependence_when_inconsistent(self):
+        # t*w = t and t*w = t + 1 have no common solution w
+        assert first_dependence([[t, t], [t, t + 1]]) is None
 
 
 def test_poly_lcm():

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from pfzero.errors import DegenerateK
+from pfzero.errors import CertificateFailed, DegenerateK
 from pfzero.hamiltonian import Hamiltonian, monomial_basis
-from pfzero.linalg import RatFunc
+from pfzero.linalg import PolyMatrix, RatFunc
 from pfzero.petrov import OneForm
 from pfzero.pfsystem import (
     assemble_pf_system,
@@ -107,6 +107,13 @@ class TestD2Pipeline:
         with pytest.raises(DegenerateK):
             assemble_pf_system(H, forms_override=[f, f])
 
+    def test_wrong_inverse_fails_the_certificate(self, d2, monkeypatch):
+        # K = (4 t^2), so adj K = (1); a wrong adjugate breaks K A = a (L - K')
+        H, _ = d2
+        monkeypatch.setattr(PolyMatrix, "adjugate", lambda self: PolyMatrix([[MultiPoly.const(2)]]))
+        with pytest.raises(CertificateFailed):
+            assemble_pf_system(H)
+
 
 class TestD3System:
     def test_shape_and_poles(self, d3):
@@ -154,6 +161,17 @@ class TestD3System:
             degs = [e.degree() for e in row if not e.is_zero]
             if degs:
                 assert max(degs) <= j * bound
+
+
+class TestD4System:
+    def test_quartic_system_and_component_1(self):
+        sys4 = assemble_pf_system(Hamiltonian.from_poly(P("x^4 + 2*x^2*y^2 + 2*y^4 + x - 2*y")))
+        K = sys4.K
+        assert sys4.dim == 9 and sys4.a.degree() == 9
+        assert K.adjugate() * K == PolyMatrix.identity(9).scale(K.determinant())
+        assert K * sys4.A == (sys4.L - K.derive("t")).scale(sys4.a)
+        # component 1 (form x dy) has order 6 here, below (d-1)(d-2)+1 = 7
+        assert derive_scalar_ode(sys4, 1).order == 6
 
 
 class TestRandomSystems:
