@@ -31,7 +31,7 @@ def main():
     aug = augment_and_reduce(sysm, [Fraction(1)])
     print("augmented equation (mu = 1):", aug.to_text())
 
-    cyc = trace_cycle(H, 1.0, (1.0, 0.0))
+    cyc = trace_cycle(H, 1.0, (1.0, 0.0), sing)
     v = period_quadrature(cyc, sysm.forms[0])
     print(f"quadrature period at t=1: {v:.12f} (pi = {math.pi:.12f})")
     out = integrate_pf_numeric(

@@ -298,7 +298,7 @@ def _cmd_count_zeros(cfg: JobConfig) -> dict:
         else:
             path = list(region.vertices) + [region.vertices[0]]
         t0 = complex(path[0])
-        cyc = make_cycle(H, t0.real if abs(t0.imag) < 1e-12 else t0)
+        cyc = make_cycle(H, t0.real if abs(t0.imag) < 1e-12 else t0, sysm.singular)
         init = periods_of_system(sysm, cyc)
         f = continuation_callable(sysm, path, init)
         comp = 0 if cfg.mu is not None else cfg.component - 1
@@ -366,7 +366,7 @@ def _cmd_periods(cfg: JobConfig) -> str:
     header.append("error")
     rows.append(",".join(header))
     for t in samples:
-        cyc = make_cycle(H, t)
+        cyc = make_cycle(H, t, sysm.singular)
         sample = periods_of_system(sysm, cyc)
         cells = [repr(float(t)), repr(0.0)]
         for v in sample.periods:

@@ -1,6 +1,7 @@
 """Numeric oracle: cycles on level curves, period integrals, continuation.
 
-Cycles are closed polylines on {H = t} in C^2. Two constructors exist:
+Cycles are closed polylines on {H = t} in C^2, stored as an (N, 2) complex
+array of points (columns x and y). Two constructors exist:
 
 * `trace_cycle` follows a compact real oval with a predictor-corrector
   marcher (points have zero imaginary part).
@@ -12,7 +13,10 @@ Cycles are closed polylines on {H = t} in C^2. Two constructors exist:
 
 Periods are computed chord-wise with Gauss-Legendre nodes (exact for the
 polygon) and Richardson extrapolation over dyadic refinements of the
-polyline, which converges to the curve integral with an error estimate.
+polyline, which converges to the curve integral with an error estimate. A
+cycle is refined once per level and every basis form is integrated on that
+refinement; each form's Richardson column stops at the first level that
+meets the tolerance, and the refinement stops when every column has.
 Continuation of period vectors in complex t integrates the polynomial system
 with an adaptive high-order Runge-Kutta method.
 """
@@ -34,7 +38,7 @@ from .errors import (
     PathTooClose,
     StiffnessFailure,
 )
-from .hamiltonian import Hamiltonian, SingularSet, critical_values
+from .hamiltonian import Hamiltonian, SingularSet
 from .petrov import OneForm
 from .pfsystem import PFSystem
 from .poly import MultiPoly
@@ -59,27 +63,38 @@ class QuadConfig:
     min_points: int = 64
 
 
-@dataclass(frozen=True)
+def _polyline(X, Y) -> np.ndarray:
+    """(N, 2) complex array with columns X and Y, each contiguous in memory."""
+    pts = np.empty((len(X), 2), dtype=complex, order="F")
+    pts[:, 0] = X
+    pts[:, 1] = Y
+    return pts
+
+
+@dataclass(frozen=True, eq=False)
 class CyclePolyline:
     """Closed polyline on {H = t}; the edge from the last point back to the
-    first is implicit. closure_gap records the mismatch of the traced loop
-    before it was snapped shut."""
+    first is implicit. points is an (N, 2) complex array of (x, y) rows;
+    thetas holds the contour parameter of each point of a branch lift.
+    closure_gap records the mismatch of the traced loop before it was snapped
+    shut."""
 
-    points: tuple[tuple[complex, complex], ...]
+    points: np.ndarray
     closure_gap: float
     level: complex
     hamiltonian: Hamiltonian
     kind: str = "real"  # "real" oval or "branch" lift
     contour: tuple | None = None  # (center, rot, semi_a, semi_b) for branch lifts
-    thetas: tuple[float, ...] | None = None
+    thetas: np.ndarray | None = None
 
     def reversed(self) -> "CyclePolyline":
-        pts = (self.points[0],) + tuple(self.points[1:][::-1])
+        order = np.r_[0, len(self.points) - 1 : 0 : -1]
         th = None
         if self.thetas is not None:
-            th = (self.thetas[0],) + tuple(2 * math.pi - s for s in self.thetas[1:][::-1])
+            th = self.thetas[order]
+            th[1:] = 2 * math.pi - th[1:]
         return CyclePolyline(
-            points=pts,
+            points=_polyline(self.points[order, 0], self.points[order, 1]),
             closure_gap=self.closure_gap,
             level=self.level,
             hamiltonian=self.hamiltonian,
@@ -96,19 +111,19 @@ class PeriodSample:
     error_estimate: float
 
 
-@functools.lru_cache(maxsize=64)
-def _cached_critical_values(H: Hamiltonian) -> SingularSet:
-    return critical_values(H)
-
-
 @functools.lru_cache(maxsize=4096)
 def _poly_term_arrays(p: MultiPoly):
     ext = p.extended(("x", "y"))
     return [(float(c.numerator) / float(c.denominator), e[0], e[1]) for e, c in ext.items()]
 
 
+def _level_terms(H: Hamiltonian):
+    """Term arrays of H, H_x and H_y, built once per cycle construction."""
+    return _poly_term_arrays(H.poly), _poly_term_arrays(H.hx()), _poly_term_arrays(H.hy())
+
+
 def _eval_terms(terms, X, Y):
-    acc = np.zeros_like(X)
+    acc = 0.0
     for c, a, b in terms:
         v = c
         if a:
@@ -122,10 +137,8 @@ def _eval_terms(terms, X, Y):
 # -- real oval tracing ----------------------------------------------------------
 
 
-def _newton_to_curve(H: Hamiltonian, t: float, x: float, y: float, tol: float):
-    hx = _poly_term_arrays(H.hx())
-    hy = _poly_term_arrays(H.hy())
-    hp = _poly_term_arrays(H.poly)
+def _newton_to_curve(terms, t: float, x: float, y: float, tol: float):
+    hp, hx, hy = terms
     for _ in range(80):
         f = _eval_terms(hp, np.float64(x), np.float64(y)) - t
         if abs(f) <= tol:
@@ -141,23 +154,28 @@ def _newton_to_curve(H: Hamiltonian, t: float, x: float, y: float, tol: float):
 
 
 def trace_cycle(
-    H: Hamiltonian, t: float, seed: tuple[float, float], config: TraceConfig = TraceConfig()
+    H: Hamiltonian,
+    t: float,
+    seed: tuple[float, float],
+    singular: SingularSet,
+    config: TraceConfig = TraceConfig(),
 ) -> CyclePolyline:
     """Trace the compact real oval of {H = t} through the seed's component.
 
-    Raises NearCritical when t sits inside the isolation disc of a critical
-    value (or the marcher runs into a vanishing gradient), and
-    NotCompactComponent when the branch escapes the tracing box.
+    singular is the critical-value set of H (`PFSystem.singular`, or
+    `critical_values(H)` without a system). Raises NearCritical when t sits
+    inside the isolation disc of a critical value (or the marcher runs into a
+    vanishing gradient), and NotCompactComponent when the branch escapes the
+    tracing box.
     """
-    sing = _cached_critical_values(H)
-    for v in sing.values:
+    for v in singular.values:
         if abs(complex(t) - v.value) <= max(v.radius, 1e-9):
             raise NearCritical(f"t = {t} is within the isolation radius of a critical value")
     scale = max(1.0, abs(t))
     tol = config.on_curve_tol * scale
     box = max(config.bbox_floor, 4.0 * (1.0 + abs(t)) ** (1.0 / H.degree))
-    hx_terms = _poly_term_arrays(H.hx())
-    hy_terms = _poly_term_arrays(H.hy())
+    terms = _level_terms(H)
+    _hp, hx_terms, hy_terms = terms
 
     def grad(x, y):
         return (
@@ -165,7 +183,7 @@ def trace_cycle(
             float(_eval_terms(hy_terms, np.float64(x), np.float64(y))),
         )
 
-    x, y = _newton_to_curve(H, t, seed[0], seed[1], tol)
+    x, y = _newton_to_curve(terms, t, seed[0], seed[1], tol)
     gx, gy = grad(x, y)
     gn = math.hypot(gx, gy)
     if gn < 1e-12:
@@ -178,7 +196,7 @@ def trace_cycle(
     for _ in range(config.max_steps):
         # predictor along the tangent, corrector back onto the curve
         xa, ya = x + h * tx, y + h * ty
-        xn, yn = _newton_to_curve(H, t, xa, ya, tol)
+        xn, yn = _newton_to_curve(terms, t, xa, ya, tol)
         gx, gy = grad(xn, yn)
         gn = math.hypot(gx, gy)
         if gn < 1e-12:
@@ -200,13 +218,14 @@ def trace_cycle(
             if d < 1.5 * h:
                 s = (x - x0) * tx0 + (y - y0) * ty0
                 if abs(s) < h:
-                    gap = _closure_gap(H, t, (x, y), (x0, y0), (tx0, ty0), tol)
+                    gap = _closure_gap(terms, t, (x, y), (x0, y0), (tx0, ty0), tol)
                     if gap > 1e-9 * scale:
                         raise NumericFailure("oval failed to close within tolerance")
                     pts.pop()  # the landing point duplicates the start
+                    xy = np.array(pts)
                     return _orient_ccw(
                         CyclePolyline(
-                            points=tuple((complex(a), complex(b)) for a, b in pts),
+                            points=_polyline(xy[:, 0], xy[:, 1]),
                             closure_gap=gap,
                             level=complex(t),
                             hamiltonian=H,
@@ -217,8 +236,9 @@ def trace_cycle(
     raise NotCompactComponent("tracing budget exhausted before the oval closed")
 
 
-def _closure_gap(H, t, p, p0, t0, tol):
+def _closure_gap(terms, t, p, p0, t0, tol):
     """Walk the last point along the curve onto the section through p0."""
+    _hp, hx, hy = terms
     x, y = p
     x0, y0 = p0
     tx0, ty0 = t0
@@ -226,30 +246,23 @@ def _closure_gap(H, t, p, p0, t0, tol):
         s = (x - x0) * tx0 + (y - y0) * ty0
         if abs(s) < 1e-14:
             break
-        gx = float(_eval_terms(_poly_term_arrays(H.hx()), np.float64(x), np.float64(y)))
-        gy = float(_eval_terms(_poly_term_arrays(H.hy()), np.float64(x), np.float64(y)))
+        gx = float(_eval_terms(hx, np.float64(x), np.float64(y)))
+        gy = float(_eval_terms(hy, np.float64(x), np.float64(y)))
         gn = math.hypot(gx, gy)
         tx, ty = -gy / gn, gx / gn
         denom = tx * tx0 + ty * ty0
         if abs(denom) < 1e-8:
             break
         x, y = x - s / denom * tx, y - s / denom * ty
-        x, y = _newton_to_curve(H, t, x, y, tol)
+        x, y = _newton_to_curve(terms, t, x, y, tol)
     return math.hypot(x - x0, y - y0)
 
 
-def _polyline_signed_area(pts) -> float:
-    area = 0.0
-    n = len(pts)
-    for i in range(n):
-        x0, y0 = pts[i][0].real, pts[i][1].real
-        x1, y1 = pts[(i + 1) % n][0].real, pts[(i + 1) % n][1].real
-        area += x0 * y1 - x1 * y0
-    return area / 2.0
-
-
 def _orient_ccw(cycle: CyclePolyline) -> CyclePolyline:
-    if cycle.kind == "real" and _polyline_signed_area(cycle.points) < 0:
+    """The real oval with positive signed area, i.e. counterclockwise."""
+    X = cycle.points[:, 0].real
+    Y = cycle.points[:, 1].real
+    if np.sum(X * np.roll(Y, -1) - np.roll(X, -1) * Y) < 0:
         return cycle.reversed()
     return cycle
 
@@ -333,6 +346,39 @@ def _inside_ellipse(z, contour, margin: float = 1.0) -> bool:
     return (w.real / (sa * margin)) ** 2 + (w.imag / (sb * margin)) ** 2 <= 1.0
 
 
+def _continue_branch(d: np.ndarray, first_sign: float = 1.0) -> np.ndarray:
+    """Square-root values d with signs flipped along the array so that each
+    one stays closer to its predecessor than its negative does.
+
+    The flip decision compares |d_i + d_(i-1)| with |d_i - d_(i-1)| on the raw
+    neighbours; flips compose, so a cumulative product of the decisions gives
+    every sign at once. first_sign is the sign chosen for d_0.
+    """
+    flip = np.abs(d[1:] + d[:-1]) < np.abs(d[1:] - d[:-1])
+    sign = np.cumprod(np.r_[first_sign, np.where(flip, -1.0, 1.0)])
+    return np.where(sign < 0, -d, d)
+
+
+def _branch_lift(H: Hamiltonian, t: complex, contour, thetas, y_first=None):
+    """Points (X, Y) of the branch lift over the contour at the given angles,
+    with the square root continued along them; the branch at the first angle
+    is the one whose y lies closest to y_first, when given."""
+    center, rot, sa, sb = contour
+    c2, c1, c0 = _y_quadratic(H)
+    X = center + rot * (sa * np.cos(thetas) + 1j * sb * np.sin(thetas))
+    a2 = _eval_x(c2, X)
+    a1 = _eval_x(c1, X)
+    a0 = _eval_x(c0, X) - t
+    disc = np.sqrt(a1 * a1 - 4 * a2 * a0)
+    first_sign = 1.0
+    if y_first is not None:
+        d0 = disc[0]
+        if abs((-a1[0] - d0) / (2 * a2[0]) - y_first) > abs((-a1[0] + d0) / (2 * a2[0]) - y_first):
+            first_sign = -1.0
+    disc = _continue_branch(disc, first_sign)
+    return X, disc, (-a1 - disc) / (2 * a2)
+
+
 def branch_point_cycle(
     H: Hamiltonian, t: complex, contour=None, n_points: int = 256
 ) -> CyclePolyline:
@@ -343,32 +389,19 @@ def branch_point_cycle(
     """
     if contour is None:
         contour = branch_cycle_contour(H, t)
-    center, rot, sa, sb = contour
-    c2, c1, c0 = _y_quadratic(H)
     while n_points <= 65536:
         thetas = np.linspace(0.0, 2 * math.pi, n_points, endpoint=False)
-        X = center + rot * (sa * np.cos(thetas) + 1j * sb * np.sin(thetas))
-        a2 = _eval_x(c2, X)
-        a1 = _eval_x(c1, X)
-        a0 = _eval_x(c0, X) - t
-        disc = np.sqrt(a1 * a1 - 4 * a2 * a0)
-        # continuous branch of the square root along the contour
-        for i in range(1, n_points):
-            if abs(-disc[i] - disc[i - 1]) < abs(disc[i] - disc[i - 1]):
-                disc[i] = -disc[i]
+        X, disc, Y = _branch_lift(H, t, contour, thetas)
         closes = abs(disc[0] - disc[-1]) < abs(disc[0] + disc[-1])
-        jumps = np.max(np.abs(np.diff(disc))) if n_points > 1 else 0.0
-        Y = (-a1 - disc) / (2 * a2)
         if closes and np.all(np.isfinite(Y)):
-            pts = tuple((complex(x), complex(y)) for x, y in zip(X, Y))
             cyc = CyclePolyline(
-                points=pts,
+                points=_polyline(X, Y),
                 closure_gap=0.0,
                 level=complex(t),
                 hamiltonian=H,
                 kind="branch",
                 contour=contour,
-                thetas=tuple(float(s) for s in thetas),
+                thetas=thetas,
             )
             _assert_on_curve(cyc)
             return cyc
@@ -387,13 +420,10 @@ def _eval_x(p: MultiPoly, X):
 
 
 def _assert_on_curve(cycle: CyclePolyline, tol: float = 1e-9):
-    H = cycle.hamiltonian
     t = cycle.level
     scale = max(1.0, abs(t))
-    terms = _poly_term_arrays(H.poly)
-    X = np.array([p[0] for p in cycle.points])
-    Y = np.array([p[1] for p in cycle.points])
-    resid = np.max(np.abs(_eval_terms(terms, X, Y) - t))
+    terms = _poly_term_arrays(cycle.hamiltonian.poly)
+    resid = np.max(np.abs(_eval_terms(terms, cycle.points[:, 0], cycle.points[:, 1]) - t))
     if resid > tol * scale:
         raise NumericFailure(f"cycle points off the level curve by {resid:.2e}")
 
@@ -407,14 +437,14 @@ def _gl_nodes(n: int):
     return (xs + 1.0) / 2.0, ws / 2.0
 
 
-def _polygon_integral(X, Y, omega: OneForm) -> complex:
+def _polygon_integral(points: np.ndarray, omega: OneForm) -> complex:
     """Exact integral of P dx + Q dy over the closed polygon through the points."""
     deg = max(omega.P.degree(), omega.Q.degree(), 1)
     nodes, weights = _gl_nodes(deg // 2 + 2)
-    X1 = np.roll(X, -1)
-    Y1 = np.roll(Y, -1)
-    dX = X1 - X
-    dY = Y1 - Y
+    X = points[:, 0]
+    Y = points[:, 1]
+    dX = np.roll(X, -1) - X
+    dY = np.roll(Y, -1) - Y
     termsP = _poly_term_arrays(omega.P)
     termsQ = _poly_term_arrays(omega.Q)
     total = 0j
@@ -435,48 +465,29 @@ def refine_cycle(cycle: CyclePolyline) -> CyclePolyline:
     H = cycle.hamiltonian
     t = cycle.level
     if cycle.kind == "branch":
-        center, rot, sa, sb = cycle.contour
-        th = np.array(cycle.thetas)
-        th_mid = th + np.diff(np.append(th, th[0] + 2 * math.pi)) / 2.0
+        th = cycle.thetas
         new_th = np.empty(2 * len(th))
         new_th[0::2] = th
-        new_th[1::2] = th_mid
-        c2, c1, c0 = _y_quadratic(H)
-        X = center + rot * (sa * np.cos(new_th) + 1j * sb * np.sin(new_th))
-        a2 = _eval_x(c2, X)
-        a1 = _eval_x(c1, X)
-        a0 = _eval_x(c0, X) - t
-        disc = np.sqrt(a1 * a1 - 4 * a2 * a0)
-        # align the branch with the existing points
-        y_old0 = cycle.points[0][1]
-        d0 = disc[0]
-        if abs((-a1[0] - d0) / (2 * a2[0]) - y_old0) > abs((-a1[0] + d0) / (2 * a2[0]) - y_old0):
-            disc[0] = -disc[0]
-        for i in range(1, len(X)):
-            if abs(-disc[i] - disc[i - 1]) < abs(disc[i] - disc[i - 1]):
-                disc[i] = -disc[i]
-        Y = (-a1 - disc) / (2 * a2)
-        pts = tuple((complex(x), complex(y)) for x, y in zip(X, Y))
+        new_th[1::2] = th + np.diff(np.append(th, th[0] + 2 * math.pi)) / 2.0
+        X, _disc, Y = _branch_lift(H, t, cycle.contour, new_th, y_first=cycle.points[0, 1])
         out = CyclePolyline(
-            points=pts,
+            points=_polyline(X, Y),
             closure_gap=cycle.closure_gap,
             level=t,
             hamiltonian=H,
             kind="branch",
             contour=cycle.contour,
-            thetas=tuple(float(s) for s in new_th),
+            thetas=new_th,
         )
         _assert_on_curve(out)
         return out
     # real oval: project chord midpoints back onto the curve, as one batch
     tol = TraceConfig().on_curve_tol * max(1.0, abs(t))
-    X = np.array([p[0].real for p in cycle.points])
-    Y = np.array([p[1].real for p in cycle.points])
+    X = cycle.points[:, 0].real
+    Y = cycle.points[:, 1].real
     mx = (X + np.roll(X, -1)) / 2
     my = (Y + np.roll(Y, -1)) / 2
-    hp = _poly_term_arrays(H.poly)
-    hx = _poly_term_arrays(H.hx())
-    hy = _poly_term_arrays(H.hy())
+    hp, hx, hy = _level_terms(H)
     for _ in range(60):
         f = _eval_terms(hp, mx, my) - t.real
         if np.max(np.abs(f)) <= tol:
@@ -490,12 +501,12 @@ def refine_cycle(cycle: CyclePolyline) -> CyclePolyline:
         my = my - gy * f / g2
     else:
         raise NumericFailure("midpoint projection onto the oval did not converge")
-    out_pts = []
-    for i in range(len(X)):
-        out_pts.append((complex(X[i]), complex(Y[i])))
-        out_pts.append((complex(mx[i]), complex(my[i])))
+    pts = np.empty((2 * len(X), 2), dtype=complex, order="F")
+    pts[0::2] = cycle.points
+    pts[1::2, 0] = mx
+    pts[1::2, 1] = my
     return CyclePolyline(
-        points=tuple(out_pts),
+        points=pts,
         closure_gap=cycle.closure_gap,
         level=t,
         hamiltonian=H,
@@ -503,38 +514,49 @@ def refine_cycle(cycle: CyclePolyline) -> CyclePolyline:
     )
 
 
-def period_quadrature_with_error(
-    cycle: CyclePolyline, omega: OneForm, config: QuadConfig = QuadConfig()
-) -> tuple[complex, float]:
-    """Curve integral of the form over the cycle with Richardson extrapolation.
+def _richardson_periods(
+    cycle: CyclePolyline, forms, config: QuadConfig
+) -> tuple[list[complex], list[float]]:
+    """Curve integrals of the forms over the cycle, with their error estimates.
 
     The polygon value has an even-power error expansion in the mesh size, so
-    each dyadic refinement cancels another order; iteration stops when the
-    extrapolated increment is below the relative tolerance.
+    each dyadic refinement cancels another order. The cycle is refined once
+    per level and every form whose extrapolated increment still exceeds
+    max(rel_tol |value|, abs_tol) gets one more row of its Richardson table;
+    a form that meets the tolerance keeps the value of that level.
     """
     work = cycle
     while len(work.points) < config.min_points:
         work = refine_cycle(work)
-    X = np.array([p[0] for p in work.points])
-    Y = np.array([p[1] for p in work.points])
-    table = [[_polygon_integral(X, Y, omega)]]
-    best = table[0][0]
-    err = float("inf")
+    rows = [[_polygon_integral(work.points, w)] for w in forms]  # last row of each table
+    best = [row[0] for row in rows]
+    err = [float("inf")] * len(forms)
+    open_cols = list(range(len(forms)))
     for level in range(1, config.max_levels + 1):
+        if not open_cols:
+            break
         work = refine_cycle(work)
-        X = np.array([p[0] for p in work.points])
-        Y = np.array([p[1] for p in work.points])
-        row = [_polygon_integral(X, Y, omega)]
-        for j in range(1, level + 1):
-            factor = 4.0**j
-            row.append((factor * row[j - 1] - table[level - 1][j - 1]) / (factor - 1.0))
-        table.append(row)
-        new_best = row[-1]
-        err = abs(new_best - best)
-        best = new_best
-        if err <= max(config.rel_tol * abs(best), config.abs_tol):
-            return best, err
+        still_open = []
+        for m in open_cols:
+            row = [_polygon_integral(work.points, forms[m])]
+            for j in range(1, level + 1):
+                factor = 4.0**j
+                row.append((factor * row[j - 1] - rows[m][j - 1]) / (factor - 1.0))
+            rows[m] = row
+            err[m] = abs(row[-1] - best[m])
+            best[m] = row[-1]
+            if err[m] > max(config.rel_tol * abs(best[m]), config.abs_tol):
+                still_open.append(m)
+        open_cols = still_open
     return best, err
+
+
+def period_quadrature_with_error(
+    cycle: CyclePolyline, omega: OneForm, config: QuadConfig = QuadConfig()
+) -> tuple[complex, float]:
+    """Curve integral of the form over the cycle with Richardson extrapolation."""
+    (value,), (err,) = _richardson_periods(cycle, [omega], config)
+    return value, err
 
 
 def period_quadrature(
@@ -547,40 +569,69 @@ def period_quadrature(
 def periods_of_system(
     sys: PFSystem, cycle: CyclePolyline, config: QuadConfig = QuadConfig()
 ) -> PeriodSample:
-    vals = []
-    err = 0.0
-    for w in sys.forms:
-        v, e = period_quadrature_with_error(cycle, w, config)
-        vals.append(v)
-        err = max(err, e)
-    return PeriodSample(t=cycle.level, periods=tuple(vals), error_estimate=err)
+    """All basis periods on one shared refinement of the cycle; the error
+    estimate is the largest over the forms."""
+    vals, errs = _richardson_periods(cycle, sys.forms, config)
+    return PeriodSample(t=cycle.level, periods=tuple(vals), error_estimate=max([0.0, *errs]))
 
 
 # -- continuation of the period system ---------------------------------------------
 
 
 def _matrix_evaluator(sys: PFSystem):
+    """t -> A(t) / a(t). The entries of A sit in one zero-padded (deg+1, n, n)
+    coefficient tensor, highest power first, evaluated by Horner's rule in
+    np.polyval's order."""
     n = sys.dim
     acoef = np.array([complex(c) for c in sys.a.univariate_coeffs("t")][::-1], dtype=complex)
-    Acoefs = [
-        [
-            np.array([complex(c) for c in sys.A[i, j].univariate_coeffs("t")][::-1], dtype=complex)
-            if not sys.A[i, j].is_zero
-            else np.array([0j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    deg = max(sys.A.max_degree(), 0)
+    coefs = np.zeros((deg + 1, n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            if not sys.A[i, j].is_zero:
+                for k, c in enumerate(sys.A[i, j].univariate_coeffs("t")):
+                    coefs[deg - k, i, j] = complex(c)
 
     def rhs_matrix(t: complex):
-        denom = np.polyval(acoef, t)
-        M = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                M[i, j] = np.polyval(Acoefs[i][j], t)
-        return M / denom
+        M = np.zeros((n, n), dtype=complex)
+        for c in coefs:
+            M = M * t + c
+        return M / np.polyval(acoef, t)
 
     return rhs_matrix
+
+
+def _continue_segments(sys: PFSystem, path, periods, margin: float, rtol: float, dense: bool):
+    """DOP853 solutions of the period system along each segment of the path,
+    each parametrised by s in [0, 1], with the scale of the period vector at
+    the segment's start. Raises PathTooClose when a segment comes within
+    margin of a pole of the system and StiffnessFailure when the integrator
+    gives up."""
+    poles = [cv.value for cv in sys.pole_candidates()]
+    for k in range(len(path) - 1):
+        a, b = complex(path[k]), complex(path[k + 1])
+        for p in poles:
+            if _dist_to_segment(p, a, b) < margin:
+                raise PathTooClose(f"path segment {k} passes within {margin} of a pole")
+    rhs_matrix = _matrix_evaluator(sys)
+    out = []
+    yvec = np.array(periods, dtype=complex)
+    for k in range(len(path) - 1):
+        a, b = complex(path[k]), complex(path[k + 1])
+        dt = b - a
+
+        def rhs(s, y, a=a, dt=dt):
+            return dt * (rhs_matrix(a + s * dt) @ y)
+
+        scale = float(np.max(np.abs(yvec))) or 1.0
+        sol = solve_ivp(
+            rhs, (0.0, 1.0), yvec, method="DOP853", rtol=rtol, atol=rtol * scale * 1e-2, dense_output=dense
+        )
+        if not sol.success:
+            raise StiffnessFailure(f"integrator failed on segment {k}: {sol.message}")
+        out.append((sol, scale))
+        yvec = sol.y[:, -1]
+    return out
 
 
 def integrate_pf_numeric(
@@ -600,38 +651,15 @@ def integrate_pf_numeric(
         raise ValueError("path needs at least two vertices")
     if abs(complex(path[0]) - complex(initial.t)) > 1e-12 * max(1.0, abs(initial.t)):
         raise ValueError("initial sample must sit on the first path vertex")
-    poles = [cv.value for cv in sys.pole_candidates()]
-    for k in range(len(path) - 1):
-        a, b = complex(path[k]), complex(path[k + 1])
-        for p in poles:
-            if _dist_to_segment(p, a, b) < margin:
-                raise PathTooClose(f"path segment {k} passes within {margin} of a pole")
-    rhs_matrix = _matrix_evaluator(sys)
     out = [initial]
-    yvec = np.array(initial.periods, dtype=complex)
     err_acc = initial.error_estimate
-    for k in range(len(path) - 1):
-        a, b = complex(path[k]), complex(path[k + 1])
-        dt = b - a
-
-        def rhs(s, y):
-            t = a + s * dt
-            return dt * (rhs_matrix(t) @ y)
-
-        scale = float(np.max(np.abs(yvec))) or 1.0
-        sol = solve_ivp(
-            rhs,
-            (0.0, 1.0),
-            yvec,
-            method="DOP853",
-            rtol=rtol,
-            atol=rtol * scale * 1e-2,
-        )
-        if not sol.success:
-            raise StiffnessFailure(f"integrator failed on segment {k}: {sol.message}")
-        yvec = sol.y[:, -1]
+    for k, (sol, scale) in enumerate(_continue_segments(sys, path, initial.periods, margin, rtol, dense=False)):
         err_acc = err_acc + rtol * scale * len(path)
-        out.append(PeriodSample(t=b, periods=tuple(complex(v) for v in yvec), error_estimate=err_acc))
+        out.append(
+            PeriodSample(
+                t=complex(path[k + 1]), periods=tuple(complex(v) for v in sol.y[:, -1]), error_estimate=err_acc
+            )
+        )
     return out
 
 
@@ -640,30 +668,7 @@ def continuation_callable(
 ):
     """Dense continuation along the path; returns f(s) for s in [0, 1] mapped
     over the whole polyline by arc position, for winding-number use."""
-    poles = [cv.value for cv in sys.pole_candidates()]
-    for k in range(len(path) - 1):
-        a, b = complex(path[k]), complex(path[k + 1])
-        for p in poles:
-            if _dist_to_segment(p, a, b) < margin:
-                raise PathTooClose(f"path segment {k} passes within {margin} of a pole")
-    rhs_matrix = _matrix_evaluator(sys)
-    sols = []
-    yvec = np.array(initial.periods, dtype=complex)
-    for k in range(len(path) - 1):
-        a, b = complex(path[k]), complex(path[k + 1])
-        dt = b - a
-
-        def rhs(s, y, a=a, dt=dt):
-            return dt * (rhs_matrix(a + s * dt) @ y)
-
-        scale = float(np.max(np.abs(yvec))) or 1.0
-        sol = solve_ivp(
-            rhs, (0.0, 1.0), yvec, method="DOP853", rtol=rtol, atol=rtol * scale * 1e-2, dense_output=True
-        )
-        if not sol.success:
-            raise StiffnessFailure(f"integrator failed on segment {k}: {sol.message}")
-        sols.append(sol)
-        yvec = sol.y[:, -1]
+    sols = [sol for sol, _scale in _continue_segments(sys, path, initial.periods, margin, rtol, dense=True)]
     nseg = len(sols)
 
     def f(s: float) -> np.ndarray:
@@ -685,7 +690,7 @@ class ResidualReport:
     cycle_kind: str
 
 
-def _find_real_oval(H: Hamiltonian, t: float) -> CyclePolyline | None:
+def _find_real_oval(H: Hamiltonian, t: float, singular: SingularSet) -> CyclePolyline | None:
     """Look for a compact real oval by seeding from axis crossings."""
     seeds = []
     for var in ("x", "y"):
@@ -703,22 +708,22 @@ def _find_real_oval(H: Hamiltonian, t: float) -> CyclePolyline | None:
                 seeds.append((r.real, 0.0) if var == "x" else (0.0, r.real))
     for s in seeds:
         try:
-            return trace_cycle(H, t, s)
+            return trace_cycle(H, t, s, singular)
         except (NearCritical, NotCompactComponent, NumericFailure):
             continue
     return None
 
 
-def make_cycle(H: Hamiltonian, t, contour=None) -> CyclePolyline:
+def make_cycle(H: Hamiltonian, t, singular: SingularSet, contour=None) -> CyclePolyline:
     """Real oval when one exists through an axis seed, else a branch lift.
 
     Real tracing only applies at real levels; complex t goes straight to the
-    branch-point construction."""
+    branch-point construction. singular is the critical-value set of H."""
     if contour is not None:
         return branch_point_cycle(H, t, contour=contour)
     tc = complex(t)
     if abs(tc.imag) < 1e-12:
-        cyc = _find_real_oval(H, tc.real)
+        cyc = _find_real_oval(H, tc.real, singular)
         if cyc is not None:
             return cyc
     return branch_point_cycle(H, tc)
@@ -742,15 +747,15 @@ def residual_check(
     for t in t_samples:
         if sys.singular.is_near(complex(t)):
             raise NearCritical(f"sample {t} is a singular value")
-        base = make_cycle(H, t)
+        base = make_cycle(H, t, sys.singular)
         h = fd_scale * max(1.0, abs(t))
         if base.kind == "branch":
             cyc_p = branch_point_cycle(H, t + h, contour=base.contour)
             cyc_m = branch_point_cycle(H, t - h, contour=base.contour)
         else:
-            seed = (base.points[0][0].real, base.points[0][1].real)
-            cyc_p = trace_cycle(H, t + h, seed)
-            cyc_m = trace_cycle(H, t - h, seed)
+            seed = (float(base.points[0, 0].real), float(base.points[0, 1].real))
+            cyc_p = trace_cycle(H, t + h, seed, sys.singular)
+            cyc_m = trace_cycle(H, t - h, seed, sys.singular)
         sample = periods_of_system(sys, base, cfg)
         sample_p = periods_of_system(sys, cyc_p, cfg)
         sample_m = periods_of_system(sys, cyc_m, cfg)

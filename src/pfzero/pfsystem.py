@@ -162,7 +162,7 @@ def assemble_pf_system(
         dec_k = petrov_decompose(forms[ell].scale(f2), H, forms)
         for c in dec_k.coeffs:
             if c.degree_in("t") > d:
-                raise AssertionError("module coefficient exceeds the degree bound")
+                raise CertificateFailed("module coefficient exceeds the degree bound")
         k_rows.append([_as_tpoly(c) for c in dec_k.coeffs])
         alpha = gelfand_leray_rhs(H, forms[ell])
         gl_degrees.append(alpha.degree)
@@ -212,7 +212,7 @@ def assemble_pf_system(
 
 def _as_tpoly(p: MultiPoly) -> MultiPoly:
     if any(v not in ("t",) for v in p.vars):
-        raise AssertionError("module coefficient involves x or y")
+        raise CertificateFailed("module coefficient involves x or y")
     return p
 
 
@@ -294,5 +294,5 @@ def augment_and_reduce(sys: PFSystem, mu: list[Fraction]) -> ScalarODE:
     ode = _scalar_from_matrix(Ahat, sys.a, 0, sys.singular)
     const_coeff = ode.coeffs[-1]
     if not const_coeff.is_zero:
-        raise AssertionError("constants are not annihilated by the augmented equation")
+        raise CertificateFailed("constants are not annihilated by the augmented equation")
     return ode

@@ -13,6 +13,7 @@ from pfzero.pfsystem import (
     euler_multiplier,
     gelfand_leray_rhs,
     make_basis_forms,
+    _as_tpoly,
     _iterated_rows,
 )
 from pfzero.poly import MultiPoly, parse_polynomial
@@ -113,6 +114,11 @@ class TestD2Pipeline:
         monkeypatch.setattr(PolyMatrix, "adjugate", lambda self: PolyMatrix([[MultiPoly.const(2)]]))
         with pytest.raises(CertificateFailed):
             assemble_pf_system(H)
+
+    def test_module_coefficient_in_x_fails_the_certificate(self):
+        # module coefficients of the period system are polynomials in t alone
+        with pytest.raises(CertificateFailed):
+            _as_tpoly(P("x*t + 1"))
 
 
 class TestD3System:
