@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 from pfzero.hamiltonian import Hamiltonian, critical_values, monomial_basis
-from pfzero.numerics import PeriodSample, integrate_pf_numeric, period_quadrature, trace_cycle
+from pfzero.numerics import PeriodSample, integrate_pf_numeric, period_quadrature_with_error, trace_cycle
 from pfzero.pfsystem import assemble_pf_system, augment_and_reduce, derive_scalar_ode
 from pfzero.poly import parse_polynomial
 
@@ -32,7 +32,7 @@ def main():
     print("augmented equation (mu = 1):", aug.to_text())
 
     cyc = trace_cycle(H, 1.0, (1.0, 0.0), sing)
-    v = period_quadrature(cyc, sysm.forms[0])
+    v, _err = period_quadrature_with_error(cyc, sysm.forms[0])
     print(f"quadrature period at t=1: {v:.12f} (pi = {math.pi:.12f})")
     out = integrate_pf_numeric(
         sysm, [1.0, 4.0], PeriodSample(t=1.0, periods=(v,), error_estimate=0.0)

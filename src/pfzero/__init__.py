@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .errors import PfzeroError
 from .poly import MultiPoly, parse_polynomial, poly_gcd, resultant
-from .linalg import PolyMatrix, RatFunc, exact_linear_solve, ratfunc_normalize
+from .linalg import PolyMatrix, RatFunc
 from .hamiltonian import (
     Hamiltonian,
     MonomialBasis,
@@ -31,7 +31,7 @@ from .numerics import (
     branch_point_cycle,
     integrate_pf_numeric,
     make_cycle,
-    period_quadrature,
+    period_quadrature_with_error,
     residual_check,
     trace_cycle,
 )

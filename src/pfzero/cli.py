@@ -12,7 +12,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,10 +92,11 @@ def _c2j(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-def _singular_to_json(s) -> list:
+def _values_to_json(values) -> list:
+    """Critical values or poles as {re, im, radius} records."""
     return [
         {"re": float(v.value.real), "im": float(v.value.imag), "radius": float(v.radius)}
-        for v in s.values
+        for v in values
     ]
 
 
@@ -110,11 +110,8 @@ def _ode_to_json(ode: ScalarODE) -> dict:
         "order": ode.order,
         "coeffs": [_ratfunc_to_json(c) for c in ode.coeffs],
         "ode_text": ode.to_text(),
-        "pole_set": [
-            {"re": float(v.value.real), "im": float(v.value.imag), "radius": float(v.radius)}
-            for v in ode.pole_set
-        ],
-        "true_singularities": _singular_to_json(ode.true_singularities)
+        "pole_set": _values_to_json(ode.pole_set),
+        "true_singularities": _values_to_json(ode.true_singularities.values)
         if ode.true_singularities is not None
         else None,
     }
@@ -134,20 +131,27 @@ def emit(payload: dict, output: str | None):
 # -- input parsing --------------------------------------------------------------
 
 
+def _floats(text: str, what: str) -> list[float]:
+    try:
+        return [float(p) for p in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{what} takes comma separated numbers, got {text!r}") from None
+
+
 def _parse_domain(spec: str, rho: float, sigma, rays_spec: str, relaxed: bool) -> SimpleDomain:
     if spec.startswith("disc:"):
-        parts = spec[5:].split(",")
+        parts = _floats(spec[5:], "disc domain")
         if len(parts) != 3:
             raise UsageError("disc domain takes disc:cx,cy,r")
-        cx, cy, r = (float(p) for p in parts)
+        cx, cy, r = parts
         region = Disc(complex(cx, cy), r)
     elif spec.startswith("poly:"):
         verts = []
         for pair in spec[5:].split(";"):
-            xy = pair.split(",")
+            xy = _floats(pair, "polygon vertex")
             if len(xy) != 2:
                 raise UsageError("polygon vertices are x,y pairs separated by ';'")
-            verts.append(complex(float(xy[0]), float(xy[1])))
+            verts.append(complex(xy[0], xy[1]))
         if len(verts) < 3:
             raise UsageError("polygon needs at least three vertices")
         region = Polygon(tuple(verts))
@@ -184,7 +188,7 @@ def _parse_domain(spec: str, rho: float, sigma, rays_spec: str, relaxed: bool) -
             raise last_err or InvalidRays("no admissible common ray direction found")
         dirs = []
     elif rays_spec.startswith("angles:"):
-        angles = [float(a) for a in rays_spec[7:].split(",")]
+        angles = _floats(rays_spec[7:], "ray angles")
         if len(angles) != len(pts):
             raise UsageError("need one ray angle per singular point")
         dirs = [cmath.exp(1j * a) for a in angles]
@@ -211,7 +215,7 @@ def _cmd_analyze(cfg: JobConfig) -> dict:
         "kind": "analysis",
         "degree": H.degree,
         "regular_at_infinity": regular,
-        "critical_values": _singular_to_json(sing),
+        "critical_values": _values_to_json(sing.values),
         "critical_point_count": sing.count_with_multiplicity,
         "atypical_warning": sing.may_miss_atypical,
     }
@@ -250,11 +254,8 @@ def _cmd_pf_system(cfg: JobConfig) -> dict:
         "K_entries": [[sysm.K[i, j].to_text() for j in range(sysm.dim)] for i in range(sysm.dim)],
         "L_entries": [[sysm.L[i, j].to_text() for j in range(sysm.dim)] for i in range(sysm.dim)],
         "basis": [{"a": a, "b": b} for a, b in sysm.basis.monomials],
-        "pole_set": [
-            {"re": float(v.value.real), "im": float(v.value.imag), "radius": float(v.radius)}
-            for v in sysm.pole_candidates()
-        ],
-        "true_singularities": _singular_to_json(sysm.singular),
+        "pole_set": _values_to_json(sysm.pole_candidates()),
+        "true_singularities": _values_to_json(sysm.singular.values),
         "gl_cofactor_degrees": list(sysm.gl_cofactor_degrees),
         "gl_degree_heuristic_exceeded_rows": sysm.gl_degree_overruns(),
     }
@@ -494,8 +495,14 @@ def config_from_args(argv) -> JobConfig:
     ns = parser.parse_args(argv)
     if ns.config:
         with open(ns.config) as fh:
-            data = json.load(fh)
-        return JobConfig(**data)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise UsageError(f"config file {ns.config} is not valid JSON: {e}") from None
+        try:
+            return JobConfig(**data)
+        except TypeError as e:
+            raise UsageError(f"bad config file {ns.config}: {e}") from None
     if not ns.command:
         raise UsageError("a subcommand (or --config) is required")
     kw = {"command": ns.command}
@@ -522,7 +529,7 @@ def config_from_args(argv) -> JobConfig:
     if getattr(ns, "mu", None):
         kw["mu"] = [s.strip() for s in ns.mu.split(",")]
     if getattr(ns, "t_samples", None):
-        kw["t_samples"] = [float(s) for s in ns.t_samples.split(",")]
+        kw["t_samples"] = _floats(ns.t_samples, "--t-samples")
     if getattr(ns, "relaxed_bounds", False):
         kw["relaxed_bounds"] = True
     return JobConfig(**kw)
@@ -531,13 +538,6 @@ def config_from_args(argv) -> JobConfig:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    env_bits = os.environ.get("PFZERO_PRECISION_BITS")
-    if env_bits is not None:
-        try:
-            int(env_bits)
-        except ValueError:
-            print(f"error: PFZERO_PRECISION_BITS must be an integer, got {env_bits!r}", file=sys.stderr)
-            return 1
     try:
         cfg = config_from_args(argv)
         return run(cfg)

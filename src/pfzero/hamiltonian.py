@@ -75,16 +75,6 @@ class SingularSet:
     def points(self) -> list[complex]:
         return [v.value for v in self.values]
 
-    def min_distance(self, z: complex) -> float:
-        if not self.values:
-            return float("inf")
-        return min(abs(z - v.value) for v in self.values)
-
-    def nearest_radius(self, z: complex) -> float:
-        if not self.values:
-            return 0.0
-        return min(self.values, key=lambda v: abs(z - v.value)).radius
-
     def is_near(self, z: complex) -> bool:
         return any(abs(z - v.value) <= v.radius for v in self.values)
 
@@ -96,9 +86,6 @@ class MonomialBasis:
     monomials: tuple[tuple[int, int], ...]
     leading_term_diagram: tuple[tuple[int, int], ...]
     degree: int  # degree of the Hamiltonian this basis belongs to
-
-    def size(self) -> int:
-        return len(self.monomials)
 
 
 # -- highest part and regularity --------------------------------------------
@@ -136,10 +123,6 @@ def is_regular_at_infinity(H: Hamiltonian) -> bool:
 
 
 # -- Buchberger ----------------------------------------------------------------
-
-
-def _lt(p: MultiPoly):
-    return p.leading()
 
 
 def _mono_divides(a, b) -> bool:
@@ -322,14 +305,13 @@ def _newton_polish(coeffs: np.ndarray, z: complex, steps: int = 40) -> complex:
     return z
 
 
-def isolate_roots(
-    p: MultiPoly, var: str = "t", default_radius: float = DEFAULT_ISOLATION_RADIUS
-) -> list[CriticalValue]:
+def isolate_roots(p: MultiPoly, var: str = "t") -> list[CriticalValue]:
     """Numeric root isolation with per-root radii; overlapping discs merge.
 
     Roots of each squarefree factor come from the companion matrix, get a
     Newton polish, and receive the radius deg * |p(z)/p'(z)| (a disc of that
-    radius around z always contains a root), floored at `default_radius`.
+    radius around z always contains a root), floored at
+    DEFAULT_ISOLATION_RADIUS.
     """
     if p.is_zero or p.is_constant():
         return []
@@ -345,9 +327,9 @@ def isolate_roots(
             z = _newton_polish(coeffs, complex(z))
             pv = np.polyval(coeffs[::-1], z)
             dv = np.polyval(dcoeffs[::-1], z)
-            rad = default_radius
+            rad = DEFAULT_ISOLATION_RADIUS
             if dv != 0:
-                rad = max(default_radius, deg * abs(pv / dv))
+                rad = max(DEFAULT_ISOLATION_RADIUS, deg * abs(pv / dv))
             found.append(CriticalValue(value=z, radius=rad, multiplicity=mult))
     return merge_close_values(found)
 
@@ -373,16 +355,11 @@ def merge_close_values(values: list[CriticalValue]) -> list[CriticalValue]:
 # -- critical values ------------------------------------------------------------
 
 
-def _resultant_or_power(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """resultant() with the degenerate degree-zero conventions inlined."""
-    return resultant(f, g, var)
-
-
 def _numeric_critical_points(H: Hamiltonian, tol: float = 1e-8) -> list[tuple[complex, complex]]:
     hx, hy = H.hx(), H.hy()
-    g1 = _resultant_or_power(hx, hy, "y")
+    g1 = resultant(hx, hy, "y")
     if g1.is_zero:
-        g1 = _resultant_or_power(hx, hy, "x")
+        g1 = resultant(hx, hy, "x")
         if g1.is_zero:
             raise NonIsolatedCritical("partials share a common curve")
         swapped = True
@@ -446,9 +423,7 @@ def _newton_2d(H: Hamiltonian, pt: dict, steps: int = 60):
     return (x, y)
 
 
-def critical_values(
-    H: Hamiltonian, default_radius: float = DEFAULT_ISOLATION_RADIUS
-) -> SingularSet:
+def critical_values(H: Hamiltonian) -> SingularSet:
     """All complex critical values of H, by elimination plus verification.
 
     Route: Res_y(H - t, Hy) and the critical-x polynomial Res_y(Hx, Hy) are
@@ -467,16 +442,16 @@ def critical_values(
     Ht = H.poly - MultiPoly.var("t")
     candidates: list[CriticalValue] = []
     for main, other in (("x", "y"), ("y", "x")):
-        g1 = _resultant_or_power(hx, hy, other)
+        g1 = resultant(hx, hy, other)
         if g1.is_zero or g1.is_constant():
             continue
-        A = _resultant_or_power(Ht, hy if other == "y" else hx, other)
+        A = resultant(Ht, hy if other == "y" else hx, other)
         if A.is_zero:
             continue
-        T = _resultant_or_power(A, g1, main)
+        T = resultant(A, g1, main)
         if T.is_zero or T.degree_in("t") <= 0:
             continue
-        candidates = isolate_roots(T, "t", default_radius)
+        candidates = isolate_roots(T, "t")
         break
     pts = _numeric_critical_points(H)
     values = [H.eval(x, y) for (x, y) in pts]
@@ -489,7 +464,7 @@ def critical_values(
     # happen; kept as a safety net)
     for v in values:
         if not any(abs(v - cv.value) <= max(cv.radius * 4, 1e-7 * (1 + abs(v))) for cv in kept):
-            kept.append(CriticalValue(v, default_radius, 1))
+            kept.append(CriticalValue(v, DEFAULT_ISOLATION_RADIUS, 1))
     merged = merge_close_values(kept)
     return SingularSet(
         values=tuple(merged),

@@ -1,13 +1,13 @@
-"""Exact linear algebra: fraction-free elimination, polynomial matrices,
+"""Exact linear algebra: the sparse rational solver, polynomial matrices,
 rational functions in t.
 
-Two solver engines live here. `exact_linear_solve` is the dense Bareiss
-elimination over rationals used for small systems. `solve_sparse_exact` is an
-integer cross-multiplication eliminator with row-content stripping for the
-large, very sparse coefficient-matching systems that the decomposition
-routines produce; it is exact and deterministic but chooses pivots by fill,
-not by a fixed column sweep. Over polynomial rings, `PolyMatrix.adjugate` and
-`first_dependence` are fraction-free Bareiss eliminations sharing one step.
+`solve_sparse_exact` is an integer cross-multiplication eliminator with
+row-content stripping for the large, very sparse coefficient-matching systems
+that the decomposition routines produce; it is exact and deterministic but
+chooses pivots by fill, not by a fixed column sweep. Over polynomial rings,
+`PolyMatrix.determinant`, `PolyMatrix.adjugate` and `first_dependence` are
+fraction-free Bareiss eliminations that share the one update step
+`poly._bareiss_step`.
 """
 
 from __future__ import annotations
@@ -17,122 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CertificateFailed, DegenerateInput, DivisionByZeroPolynomial, Inconsistent
-from .poly import MultiPoly, poly_gcd, _bareiss_det_poly
-
-
-# -- dense Bareiss over Q ------------------------------------------------------
-
-
-def _to_fraction_rows(M):
-    rows = []
-    for row in M:
-        out = []
-        for v in row:
-            if isinstance(v, MultiPoly):
-                out.append(v.constant_value())
-            else:
-                out.append(Fraction(v))
-        rows.append(out)
-    return rows
-
-
-def exact_linear_solve(M, v: Sequence) -> tuple[list[Fraction], int]:
-    """Solve M u = v exactly. Returns (solution, rank).
-
-    Fraction-free Bareiss elimination after clearing denominators, so all
-    intermediate entries are integers. Free variables are set to zero, which
-    yields the minimal-support solution for the canonical column order.
-    Raises Inconsistent when no solution exists.
-    """
-    rows = _to_fraction_rows(M)
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    rhs = [Fraction(x) for x in v]
-    if len(rhs) != nrows:
-        raise ValueError("rhs length mismatch")
-    # clear denominators row by row; the system is unchanged
-    im = []
-    for row, b in zip(rows, rhs):
-        den = 1
-        for c in list(row) + [b]:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        im.append([int(c * den) for c in row] + [int(b * den)])
-    # Bareiss forward elimination with partial pivoting by canonical column order
-    piv_rows: list[int] = []
-    piv_cols: list[int] = []
-    prev = 1
-    r = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if im[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != r:
-            im[r], im[sel] = im[sel], im[r]
-        for i in range(r + 1, nrows):
-            if all(im[i][j] == 0 for j in range(col, ncols + 1)):
-                continue
-            for j in range(ncols + 1):
-                if j <= col:
-                    continue
-                im[i][j] = (im[r][col] * im[i][j] - im[i][col] * im[r][j]) // prev
-            im[i][col] = 0
-        prev = im[r][col]
-        piv_rows.append(r)
-        piv_cols.append(col)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if any(im[i][j] != 0 for j in range(ncols)):
-            raise AssertionError("elimination left unreduced row")
-        if im[i][ncols] != 0:
-            raise Inconsistent("no solution")
-    sol = [Fraction(0)] * ncols
-    for k in range(len(piv_cols) - 1, -1, -1):
-        i, col = piv_rows[k], piv_cols[k]
-        acc = Fraction(im[i][ncols])
-        for j in range(col + 1, ncols):
-            if im[i][j]:
-                acc -= Fraction(im[i][j]) * sol[j]
-        sol[col] = acc / im[i][col]
-    return sol, len(piv_cols)
-
-
-def bareiss_determinant(M) -> Fraction:
-    """Exact determinant of a rational matrix (fraction-free internally)."""
-    rows = _to_fraction_rows(M)
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    den = Fraction(1)
-    im = []
-    for row in rows:
-        d = 1
-        for c in row:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        den *= d
-        im.append([int(c * d) for c in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if im[k][k] == 0:
-            for i in range(k + 1, n):
-                if im[i][k] != 0:
-                    im[k], im[i] = im[i], im[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                im[i][j] = (im[k][k] * im[i][j] - im[i][k] * im[k][j]) // prev
-            im[i][k] = 0
-        prev = im[k][k]
-    return Fraction(sign * im[n - 1][n - 1]) / den
+from .poly import MultiPoly, poly_gcd, _bareiss_det_poly, _bareiss_step
 
 
 # -- sparse exact solver --------------------------------------------------------
@@ -220,7 +105,7 @@ def solve_sparse_exact(rows: list[dict], ncols: int, col_order=None):
         if set(row) <= {RHS} and row.get(RHS, 0) != 0:
             raise Inconsistent("no solution")
         if any(j != RHS for j in row):
-            raise AssertionError("unswept column left nonzero")
+            raise CertificateFailed("unswept column left nonzero")
     sol = [Fraction(0)] * ncols
     for piv, col in reversed(pivots):
         row = work[piv]
@@ -259,11 +144,6 @@ class PolyMatrix:
     def identity(n: int) -> "PolyMatrix":
         one, zero = MultiPoly.const(1), MultiPoly.zero()
         return PolyMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(r: int, c: int) -> "PolyMatrix":
-        z = MultiPoly.zero()
-        return PolyMatrix([[z for _ in range(c)] for _ in range(r)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -335,8 +215,6 @@ class PolyMatrix:
     def determinant(self) -> MultiPoly:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        if self.rows == 0:
-            return MultiPoly.const(1)
         return _bareiss_det_poly(self.entries)
 
     def adjugate(self) -> "PolyMatrix":
@@ -367,19 +245,6 @@ class PolyMatrix:
                     _bareiss_step(m[i], m[k], k, prev, range(k + 1, 2 * n))
             prev = m[k][k]
         return PolyMatrix([[e if sign == 1 else -e for e in row[n:]] for row in m])
-
-
-def _bareiss_step(vec, pivot_vec, k, prev, idx) -> None:
-    """vec[i] = (p * vec[i] - vec[k] * pivot_vec[i]) / prev for i in idx, in
-    place, with p = pivot_vec[k]; exact when prev is the pivot before p."""
-    p, f = pivot_vec[k], vec[k]
-    for i in idx:
-        a, b = vec[i], pivot_vec[i]
-        if f.is_zero or b.is_zero:
-            if not a.is_zero:
-                vec[i] = (p * a).exact_div(prev)
-        else:
-            vec[i] = (p * a - f * b).exact_div(prev)
 
 
 def first_dependence(
@@ -549,11 +414,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.to_text()!r})"
-
-
-def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
-    """Public constructor enforcing the reduced, monic-denominator form."""
-    return RatFunc(num, den)
 
 
 def poly_lcm(a: MultiPoly, b: MultiPoly) -> MultiPoly:

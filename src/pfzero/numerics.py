@@ -44,23 +44,27 @@ from .pfsystem import PFSystem
 from .poly import MultiPoly
 
 
-@dataclass(frozen=True)
-class TraceConfig:
-    turn_target: float = 0.06  # radians of tangent turn per step
-    h_init: float = 1e-3
-    h_min: float = 1e-10
-    h_max: float = 0.2
-    max_steps: int = 200_000
-    on_curve_tol: float = 1e-12
-    bbox_floor: float = 10.0
+# real oval marcher
+TURN_TARGET = 0.06  # radians of tangent turn per step
+H_INIT = 1e-3
+H_MIN = 1e-10
+H_MAX = 0.2
+MAX_STEPS = 200_000
+ON_CURVE_TOL = 1e-12
+BBOX_FLOOR = 10.0
 
+# Richardson quadrature
+ABS_TOL = 1e-12  # floor for periods that vanish identically
+MAX_LEVELS = 14
+MIN_POINTS = 64
+RESIDUAL_REL_TOL = 1e-12  # periods behind the residual check
+FD_STEP = 1e-5  # central-difference step of the residual check, relative to max(1, |t|)
 
-@dataclass(frozen=True)
-class QuadConfig:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12  # floor for periods that vanish identically
-    max_levels: int = 14
-    min_points: int = 64
+BRANCH_LIFT_POINTS = 256  # first sample count of a branch lift
+
+# continuation
+PATH_MARGIN = 1e-3  # least distance from a path segment to a pole
+ODE_RTOL = 1e-10
 
 
 def _polyline(X, Y) -> np.ndarray:
@@ -158,7 +162,6 @@ def trace_cycle(
     t: float,
     seed: tuple[float, float],
     singular: SingularSet,
-    config: TraceConfig = TraceConfig(),
 ) -> CyclePolyline:
     """Trace the compact real oval of {H = t} through the seed's component.
 
@@ -172,8 +175,8 @@ def trace_cycle(
         if abs(complex(t) - v.value) <= max(v.radius, 1e-9):
             raise NearCritical(f"t = {t} is within the isolation radius of a critical value")
     scale = max(1.0, abs(t))
-    tol = config.on_curve_tol * scale
-    box = max(config.bbox_floor, 4.0 * (1.0 + abs(t)) ** (1.0 / H.degree))
+    tol = ON_CURVE_TOL * scale
+    box = max(BBOX_FLOOR, 4.0 * (1.0 + abs(t)) ** (1.0 / H.degree))
     terms = _level_terms(H)
     _hp, hx_terms, hy_terms = terms
 
@@ -191,9 +194,9 @@ def trace_cycle(
     tx, ty = -gy / gn, gx / gn  # counterclockwise for growing H outward
     x0, y0, tx0, ty0 = x, y, tx, ty
     pts = [(x, y)]
-    h = config.h_init
+    h = H_INIT
     arc = 0.0
-    for _ in range(config.max_steps):
+    for _ in range(MAX_STEPS):
         # predictor along the tangent, corrector back onto the curve
         xa, ya = x + h * tx, y + h * ty
         xn, yn = _newton_to_curve(terms, t, xa, ya, tol)
@@ -203,8 +206,8 @@ def trace_cycle(
             raise NearCritical("ran into a critical point while tracing")
         txn, tyn = -gy / gn, gx / gn
         turn = abs(math.atan2(tx * tyn - ty * txn, tx * txn + ty * tyn))
-        if turn > 4.0 * config.turn_target and h > config.h_min:
-            h = max(config.h_min, h * 0.4)
+        if turn > 4.0 * TURN_TARGET and h > H_MIN:
+            h = max(H_MIN, h * 0.4)
             continue
         step = math.hypot(xn - x, yn - y)
         arc += step
@@ -232,7 +235,7 @@ def trace_cycle(
                             kind="real",
                         )
                     )
-        h = min(config.h_max, max(config.h_min, h * min(2.0, max(0.3, config.turn_target / max(turn, 1e-12)))))
+        h = min(H_MAX, max(H_MIN, h * min(2.0, max(0.3, TURN_TARGET / max(turn, 1e-12)))))
     raise NotCompactComponent("tracing budget exhausted before the oval closed")
 
 
@@ -379,9 +382,7 @@ def _branch_lift(H: Hamiltonian, t: complex, contour, thetas, y_first=None):
     return X, disc, (-a1 - disc) / (2 * a2)
 
 
-def branch_point_cycle(
-    H: Hamiltonian, t: complex, contour=None, n_points: int = 256
-) -> CyclePolyline:
+def branch_point_cycle(H: Hamiltonian, t: complex, contour=None) -> CyclePolyline:
     """Closed cycle on {H = t} lifting an x-contour around two branch points.
 
     The same contour can be reused at nearby t, which keeps finite-difference
@@ -389,6 +390,7 @@ def branch_point_cycle(
     """
     if contour is None:
         contour = branch_cycle_contour(H, t)
+    n_points = BRANCH_LIFT_POINTS
     while n_points <= 65536:
         thetas = np.linspace(0.0, 2 * math.pi, n_points, endpoint=False)
         X, disc, Y = _branch_lift(H, t, contour, thetas)
@@ -482,7 +484,7 @@ def refine_cycle(cycle: CyclePolyline) -> CyclePolyline:
         _assert_on_curve(out)
         return out
     # real oval: project chord midpoints back onto the curve, as one batch
-    tol = TraceConfig().on_curve_tol * max(1.0, abs(t))
+    tol = ON_CURVE_TOL * max(1.0, abs(t))
     X = cycle.points[:, 0].real
     Y = cycle.points[:, 1].real
     mx = (X + np.roll(X, -1)) / 2
@@ -514,25 +516,23 @@ def refine_cycle(cycle: CyclePolyline) -> CyclePolyline:
     )
 
 
-def _richardson_periods(
-    cycle: CyclePolyline, forms, config: QuadConfig
-) -> tuple[list[complex], list[float]]:
+def _richardson_periods(cycle: CyclePolyline, forms, rel_tol: float) -> tuple[list[complex], list[float]]:
     """Curve integrals of the forms over the cycle, with their error estimates.
 
     The polygon value has an even-power error expansion in the mesh size, so
     each dyadic refinement cancels another order. The cycle is refined once
     per level and every form whose extrapolated increment still exceeds
-    max(rel_tol |value|, abs_tol) gets one more row of its Richardson table;
+    max(rel_tol |value|, ABS_TOL) gets one more row of its Richardson table;
     a form that meets the tolerance keeps the value of that level.
     """
     work = cycle
-    while len(work.points) < config.min_points:
+    while len(work.points) < MIN_POINTS:
         work = refine_cycle(work)
     rows = [[_polygon_integral(work.points, w)] for w in forms]  # last row of each table
     best = [row[0] for row in rows]
     err = [float("inf")] * len(forms)
     open_cols = list(range(len(forms)))
-    for level in range(1, config.max_levels + 1):
+    for level in range(1, MAX_LEVELS + 1):
         if not open_cols:
             break
         work = refine_cycle(work)
@@ -545,33 +545,24 @@ def _richardson_periods(
             rows[m] = row
             err[m] = abs(row[-1] - best[m])
             best[m] = row[-1]
-            if err[m] > max(config.rel_tol * abs(best[m]), config.abs_tol):
+            if err[m] > max(rel_tol * abs(best[m]), ABS_TOL):
                 still_open.append(m)
         open_cols = still_open
     return best, err
 
 
 def period_quadrature_with_error(
-    cycle: CyclePolyline, omega: OneForm, config: QuadConfig = QuadConfig()
+    cycle: CyclePolyline, omega: OneForm, rel_tol: float = 1e-9
 ) -> tuple[complex, float]:
     """Curve integral of the form over the cycle with Richardson extrapolation."""
-    (value,), (err,) = _richardson_periods(cycle, [omega], config)
+    (value,), (err,) = _richardson_periods(cycle, [omega], rel_tol)
     return value, err
 
 
-def period_quadrature(
-    cycle: CyclePolyline, omega: OneForm, config: QuadConfig = QuadConfig()
-) -> complex:
-    value, _err = period_quadrature_with_error(cycle, omega, config)
-    return value
-
-
-def periods_of_system(
-    sys: PFSystem, cycle: CyclePolyline, config: QuadConfig = QuadConfig()
-) -> PeriodSample:
+def periods_of_system(sys: PFSystem, cycle: CyclePolyline, rel_tol: float = 1e-9) -> PeriodSample:
     """All basis periods on one shared refinement of the cycle; the error
     estimate is the largest over the forms."""
-    vals, errs = _richardson_periods(cycle, sys.forms, config)
+    vals, errs = _richardson_periods(cycle, sys.forms, rel_tol)
     return PeriodSample(t=cycle.level, periods=tuple(vals), error_estimate=max([0.0, *errs]))
 
 
@@ -601,18 +592,18 @@ def _matrix_evaluator(sys: PFSystem):
     return rhs_matrix
 
 
-def _continue_segments(sys: PFSystem, path, periods, margin: float, rtol: float, dense: bool):
+def _continue_segments(sys: PFSystem, path, periods, dense: bool):
     """DOP853 solutions of the period system along each segment of the path,
     each parametrised by s in [0, 1], with the scale of the period vector at
     the segment's start. Raises PathTooClose when a segment comes within
-    margin of a pole of the system and StiffnessFailure when the integrator
-    gives up."""
+    PATH_MARGIN of a pole of the system and StiffnessFailure when the
+    integrator gives up."""
     poles = [cv.value for cv in sys.pole_candidates()]
     for k in range(len(path) - 1):
         a, b = complex(path[k]), complex(path[k + 1])
         for p in poles:
-            if _dist_to_segment(p, a, b) < margin:
-                raise PathTooClose(f"path segment {k} passes within {margin} of a pole")
+            if _dist_to_segment(p, a, b) < PATH_MARGIN:
+                raise PathTooClose(f"path segment {k} passes within {PATH_MARGIN} of a pole")
     rhs_matrix = _matrix_evaluator(sys)
     out = []
     yvec = np.array(periods, dtype=complex)
@@ -625,7 +616,7 @@ def _continue_segments(sys: PFSystem, path, periods, margin: float, rtol: float,
 
         scale = float(np.max(np.abs(yvec))) or 1.0
         sol = solve_ivp(
-            rhs, (0.0, 1.0), yvec, method="DOP853", rtol=rtol, atol=rtol * scale * 1e-2, dense_output=dense
+            rhs, (0.0, 1.0), yvec, method="DOP853", rtol=ODE_RTOL, atol=ODE_RTOL * scale * 1e-2, dense_output=dense
         )
         if not sol.success:
             raise StiffnessFailure(f"integrator failed on segment {k}: {sol.message}")
@@ -634,18 +625,12 @@ def _continue_segments(sys: PFSystem, path, periods, margin: float, rtol: float,
     return out
 
 
-def integrate_pf_numeric(
-    sys: PFSystem,
-    path: list[complex],
-    initial: PeriodSample,
-    margin: float = 1e-3,
-    rtol: float = 1e-10,
-) -> list[PeriodSample]:
+def integrate_pf_numeric(sys: PFSystem, path: list[complex], initial: PeriodSample) -> list[PeriodSample]:
     """Continue a period vector along a polyline in complex t.
 
     Returns one sample per path vertex (the first one echoes the input).
-    Raises PathTooClose when a segment comes within `margin` of a pole of the
-    system and StiffnessFailure when the integrator gives up.
+    Raises PathTooClose when a segment comes within PATH_MARGIN of a pole of
+    the system and StiffnessFailure when the integrator gives up.
     """
     if len(path) < 2:
         raise ValueError("path needs at least two vertices")
@@ -653,8 +638,8 @@ def integrate_pf_numeric(
         raise ValueError("initial sample must sit on the first path vertex")
     out = [initial]
     err_acc = initial.error_estimate
-    for k, (sol, scale) in enumerate(_continue_segments(sys, path, initial.periods, margin, rtol, dense=False)):
-        err_acc = err_acc + rtol * scale * len(path)
+    for k, (sol, scale) in enumerate(_continue_segments(sys, path, initial.periods, dense=False)):
+        err_acc = err_acc + ODE_RTOL * scale * len(path)
         out.append(
             PeriodSample(
                 t=complex(path[k + 1]), periods=tuple(complex(v) for v in sol.y[:, -1]), error_estimate=err_acc
@@ -663,12 +648,10 @@ def integrate_pf_numeric(
     return out
 
 
-def continuation_callable(
-    sys: PFSystem, path: list[complex], initial: PeriodSample, margin: float = 1e-3, rtol: float = 1e-10
-):
+def continuation_callable(sys: PFSystem, path: list[complex], initial: PeriodSample):
     """Dense continuation along the path; returns f(s) for s in [0, 1] mapped
     over the whole polyline by arc position, for winding-number use."""
-    sols = [sol for sol, _scale in _continue_segments(sys, path, initial.periods, margin, rtol, dense=True)]
+    sols = [sol for sol, _scale in _continue_segments(sys, path, initial.periods, dense=True)]
     nseg = len(sols)
 
     def f(s: float) -> np.ndarray:
@@ -714,13 +697,11 @@ def _find_real_oval(H: Hamiltonian, t: float, singular: SingularSet) -> CyclePol
     return None
 
 
-def make_cycle(H: Hamiltonian, t, singular: SingularSet, contour=None) -> CyclePolyline:
+def make_cycle(H: Hamiltonian, t, singular: SingularSet) -> CyclePolyline:
     """Real oval when one exists through an axis seed, else a branch lift.
 
     Real tracing only applies at real levels; complex t goes straight to the
     branch-point construction. singular is the critical-value set of H."""
-    if contour is not None:
-        return branch_point_cycle(H, t, contour=contour)
     tc = complex(t)
     if abs(tc.imag) < 1e-12:
         cyc = _find_real_oval(H, tc.real, singular)
@@ -729,26 +710,20 @@ def make_cycle(H: Hamiltonian, t, singular: SingularSet, contour=None) -> CycleP
     return branch_point_cycle(H, tc)
 
 
-def residual_check(
-    sys: PFSystem,
-    H: Hamiltonian,
-    t_samples: list[float],
-    quad_rel_tol: float = 1e-12,
-    fd_scale: float = 1e-5,
-) -> list[ResidualReport]:
+def residual_check(sys: PFSystem, H: Hamiltonian, t_samples: list[float]) -> list[ResidualReport]:
     """Check a(t) I' = A(t) I against quadrature periods at real samples.
 
-    Derivatives come from central differences with step 1e-5 * max(1, |t|),
-    each stencil point using the same continuously varying cycle.
+    Periods are computed to relative tolerance RESIDUAL_REL_TOL. Derivatives
+    come from central differences with step FD_STEP * max(1, |t|), each
+    stencil point using the same continuously varying cycle.
     """
-    cfg = QuadConfig(rel_tol=quad_rel_tol)
     n = sys.dim
     reports = []
     for t in t_samples:
         if sys.singular.is_near(complex(t)):
             raise NearCritical(f"sample {t} is a singular value")
         base = make_cycle(H, t, sys.singular)
-        h = fd_scale * max(1.0, abs(t))
+        h = FD_STEP * max(1.0, abs(t))
         if base.kind == "branch":
             cyc_p = branch_point_cycle(H, t + h, contour=base.contour)
             cyc_m = branch_point_cycle(H, t - h, contour=base.contour)
@@ -756,9 +731,9 @@ def residual_check(
             seed = (float(base.points[0, 0].real), float(base.points[0, 1].real))
             cyc_p = trace_cycle(H, t + h, seed, sys.singular)
             cyc_m = trace_cycle(H, t - h, seed, sys.singular)
-        sample = periods_of_system(sys, base, cfg)
-        sample_p = periods_of_system(sys, cyc_p, cfg)
-        sample_m = periods_of_system(sys, cyc_m, cfg)
+        sample = periods_of_system(sys, base, RESIDUAL_REL_TOL)
+        sample_p = periods_of_system(sys, cyc_p, RESIDUAL_REL_TOL)
+        sample_m = periods_of_system(sys, cyc_m, RESIDUAL_REL_TOL)
         I = np.array(sample.periods)
         Ip = (np.array(sample_p.periods) - np.array(sample_m.periods)) / (2 * h)
         aval = complex(sys.a.eval_complex({"t": t}))

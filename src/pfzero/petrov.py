@@ -87,12 +87,6 @@ def _monomials_upto(deg: int) -> list[tuple[int, int]]:
     return out
 
 
-def _poly_to_row_entries(p: MultiPoly):
-    """Map (u, v) exponent over (x, y) -> Fraction coefficient."""
-    ext = p.extended(("x", "y"))
-    return ext
-
-
 def ideal_representation(
     g: MultiPoly, H: Hamiltonian, deg_cap: int
 ) -> tuple[MultiPoly, MultiPoly]:
@@ -112,14 +106,14 @@ def ideal_representation(
         ncols = 2 * len(monos)
         cols: list[dict] = []
         for u, v in monos:  # b block first
-            cols.append(_poly_to_row_entries(hx * MultiPoly.monomial(1, x=u, y=v)))
+            cols.append((hx * MultiPoly.monomial(1, x=u, y=v)).extended(("x", "y")))
         for u, v in monos:  # a block, negated
-            cols.append(_poly_to_row_entries(-hy * MultiPoly.monomial(1, x=u, y=v)))
+            cols.append((-hy * MultiPoly.monomial(1, x=u, y=v)).extended(("x", "y")))
         rows: dict[tuple, dict] = {}
         for j, col in enumerate(cols):
             for e, c in col.items():
                 rows.setdefault(e, {})[j] = c
-        for e, c in _poly_to_row_entries(g).items():
+        for e, c in g.extended(("x", "y")).items():
             rows.setdefault(e, {})[RHS] = c
         try:
             sol, _rank = solve_sparse_exact(list(rows.values()), ncols)
@@ -194,12 +188,12 @@ def _try_decompose(omega, H, forms, caps, m_B, rhs_poly):
         for r in range(caps[i] + 1):
             while len(hpowers) <= r:
                 hpowers.append(hpowers[-1] * H.poly)
-            columns.append(_poly_to_row_entries(hpowers[r] * w.Q))
+            columns.append((hpowers[r] * w.Q).extended(("x", "y")))
             meta.append(("c", i, r))
     for u, v in _monomials_upto(m_B):
         mono = MultiPoly.monomial(1, x=u, y=v)
         col = hy * mono - (hx * mono).integrate("x").derive("y")
-        columns.append(_poly_to_row_entries(col))
+        columns.append(col.extended(("x", "y")))
         meta.append(("B", u, v))
     m_phi = max(rhs_poly.degree_in("y"), m_B + d, 1) + 1
     for k in range(1, m_phi + 1):
@@ -209,7 +203,7 @@ def _try_decompose(omega, H, forms, caps, m_B, rhs_poly):
     for j, col in enumerate(columns):
         for e, c in col.items():
             rows.setdefault(e, {})[j] = c
-    for e, c in _poly_to_row_entries(rhs_poly).items():
+    for e, c in rhs_poly.extended(("x", "y")).items():
         rows.setdefault(e, {})[RHS] = c
     try:
         sol, _rank = solve_sparse_exact(list(rows.values()), len(columns))

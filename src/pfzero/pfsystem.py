@@ -48,7 +48,6 @@ class PFSystem:
     forms: tuple[OneForm, ...]
     hamiltonian: Hamiltonian
     singular: SingularSet
-    normalized: bool = True
     # cofactor degrees of the derivative forms per row; the classical d(d-1)
     # heuristic is only a starting point and overruns are flagged in reports
     gl_cofactor_degrees: tuple[int, ...] = ()
@@ -94,9 +93,6 @@ class ScalarODE:
             else:
                 out += f" + ({pos}) {dname(k)}"
         return out + " = 0"
-
-    def coefficient_values(self, tval: complex) -> list[complex]:
-        return [c.eval_complex(tval) for c in self.coeffs]
 
     def residual_of(self, derivs: list[complex], tval: complex) -> complex:
         """y^(n) + sum coeffs * lower derivatives at tval; derivs = [y, y', ...]."""
@@ -216,19 +212,15 @@ def _as_tpoly(p: MultiPoly) -> MultiPoly:
     return p
 
 
-def _iterated_rows(
-    A: PolyMatrix, a: MultiPoly, m_index: int, jmax: int | None = None
-) -> Iterator[list[MultiPoly]]:
-    """Rows r_j with a^j I_m^(j) = r_j I for j = 0..jmax (unbounded when jmax
-    is None), generated lazily: r_0 = e_m, r_{j+1} = a r_j' + r_j (A - j a' Id)."""
+def _iterated_rows(A: PolyMatrix, a: MultiPoly, m_index: int) -> Iterator[list[MultiPoly]]:
+    """Rows r_j with a^j I_m^(j) = r_j I for j = 0, 1, ..., generated lazily
+    and without end: r_0 = e_m, r_{j+1} = a r_j' + r_j (A - j a' Id)."""
     n = A.rows
     ap = a.derive("t")
     r = [MultiPoly.const(1 if i == m_index else 0) for i in range(n)]
     j = 0
     while True:
         yield r
-        if j == jmax:
-            return
         jap = ap * MultiPoly.const(j)
         nxt = []
         for c in range(n):

@@ -19,15 +19,12 @@ Example: ``3*x^2*y - 1/2*y^3 + t``.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateInput, ParseError
 
 CANONICAL_VARS = ("x", "y", "t")
-
-_PRECISION_ENV = "PFZERO_PRECISION_BITS"
 
 
 def _as_fraction(c) -> Fraction:
@@ -266,17 +263,6 @@ class MultiPoly:
     def from_univariate_coeffs(var: str, coeffs: Iterable) -> "MultiPoly":
         return MultiPoly((var,), {(i,): _as_fraction(c) for i, c in enumerate(coeffs) if c})
 
-    def content(self) -> Fraction:
-        """Positive rational content; 0 for the zero polynomial."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = math.gcd(num, c.numerator)
-            den = (den * c.denominator) // math.gcd(den, c.denominator)
-        return Fraction(num, den)
-
     def monic(self) -> "MultiPoly":
         """Divide by the grevlex-leading coefficient."""
         if not self.terms:
@@ -332,40 +318,23 @@ class MultiPoly:
 
     # -- evaluation ------------------------------------------------------------
 
-    def eval_complex(self, point: Mapping[str, complex], precision_bits: int | None = None):
-        """Evaluate at a complex point, nested Horner over the sparse support.
-
-        `precision_bits` above 53 switches to mpmath arithmetic; the default may
-        also be raised through the PFZERO_PRECISION_BITS environment variable.
-        """
-        if precision_bits is None:
-            env = os.environ.get(_PRECISION_ENV)
-            precision_bits = int(env) if env else 53
+    def eval_complex(self, point: Mapping[str, complex]) -> complex:
+        """Evaluate at a complex point, nested Horner over the sparse support."""
         for v in self.vars:
             if v not in point:
                 raise ValueError(f"unbound variable {v}")
-        if precision_bits > 53:
-            import mpmath
+        return self._horner({v: complex(point[v]) for v in self.vars})
 
-            with mpmath.workprec(precision_bits):
-                vals = {v: mpmath.mpmathify(point[v]) for v in self.vars}
-                res = self._horner(vals, mpmath.mpf(0))
-                return complex(res)
-        vals = {v: complex(point[v]) for v in self.vars}
-        return self._horner(vals, 0j)
-
-    def _horner(self, vals, zero):
+    def _horner(self, vals) -> complex:
         if not self.terms:
-            return zero
+            return 0j
         if not self.vars:
-            return zero + complex(self.constant_value()) if isinstance(zero, complex) else zero + self.constant_value()
+            return 0j + complex(self.constant_value())
         var = self.vars[0]
-        n = self.degree_in(var)
-        acc = zero
+        acc = 0j
         x = vals[var]
-        for k in range(n, -1, -1):
-            coef = self.coeff_in_var(var, k)
-            acc = acc * x + coef._horner(vals, zero)
+        for k in range(self.degree_in(var), -1, -1):
+            acc = acc * x + self.coeff_in_var(var, k)._horner(vals)
         return acc
 
     # -- exact division ----------------------------------------------------------
@@ -706,26 +675,39 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     return _bareiss_det_poly(rows)
 
 
+def _bareiss_step(vec, pivot_vec, k, prev, idx) -> None:
+    """vec[i] = (p * vec[i] - vec[k] * pivot_vec[i]) / prev for i in idx, in
+    place, with p = pivot_vec[k]; exact when prev is the pivot before p.
+
+    The one fraction-free (Bareiss) update of the exact core: determinants,
+    the adjugate and the first dependence all run through it."""
+    p, f = pivot_vec[k], vec[k]
+    for i in idx:
+        a, b = vec[i], pivot_vec[i]
+        if f.is_zero or b.is_zero:
+            if not a.is_zero:
+                vec[i] = (p * a).exact_div(prev)
+        else:
+            vec[i] = (p * a - f * b).exact_div(prev)
+
+
 def _bareiss_det_poly(rows: list[list[MultiPoly]]) -> MultiPoly:
-    """Fraction-free determinant over the polynomial ring."""
+    """Fraction-free determinant over the polynomial ring; 1 for 0 x 0."""
     n = len(rows)
+    if n == 0:
+        return MultiPoly.const(1)
     m = [row[:] for row in rows]
     sign = 1
     prev = MultiPoly.const(1)
     for k in range(n - 1):
-        if m[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return MultiPoly.zero()
+        sel = next((i for i in range(k, n) if not m[i][k].is_zero), None)
+        if sel is None:
+            return MultiPoly.zero()
+        if sel != k:
+            m[k], m[sel] = m[sel], m[k]
+            sign = -sign
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = MultiPoly.zero()
+            _bareiss_step(m[i], m[k], k, prev, range(k + 1, n))
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det

@@ -52,11 +52,6 @@ class Disc:
     def dist_to_point(self, z: complex) -> float:
         return max(0.0, abs(z - self.center) - self.radius)
 
-    def boundary_points(self, n: int):
-        return [
-            self.center + self.radius * cmath.exp(2j * math.pi * k / n) for k in range(n)
-        ]
-
     def max_abs(self) -> float:
         return abs(self.center) + self.radius
 
@@ -89,17 +84,6 @@ class Polygon:
                 if xc > z.real:
                     cnt ^= 1
         return bool(cnt)
-
-    def boundary_points(self, n: int):
-        verts = list(self.vertices)
-        m = len(verts)
-        per = max(2, n // m)
-        out = []
-        for i in range(m):
-            a, b = verts[i], verts[(i + 1) % m]
-            for k in range(per):
-                out.append(a + (b - a) * k / per)
-        return out
 
     def max_abs(self) -> float:
         return max(abs(v) for v in self.vertices)
@@ -210,9 +194,6 @@ class SegmentSet:
     segments: tuple[tuple[complex, complex], ...]
     clearance_to_poles: float
     provenance: dict
-
-    def total_length(self) -> float:
-        return sum(abs(b - a) for a, b in self.segments)
 
 
 def _free_value(span_lo, span_hi, blocked, prefer_lo=True):
@@ -343,13 +324,13 @@ def decompose_simple_domain(dom: SimpleDomain, poles: list[complex]) -> SegmentS
 
     cap = SEGMENT_COUNT_CONSTANT * max(1, len(pts) ** 2)
     if len(segments) > cap:
-        raise AssertionError(f"segment count {len(segments)} exceeds the cap {cap}")
+        raise InfeasibleClearance(f"segment count {len(segments)} exceeds the cap {cap}")
     min_clear = float("inf")
     for a, b in segments:
         for p in poles:
             min_clear = min(min_clear, _dist_point_segment(p, a, b))
     if poles and min_clear < delta * (1 - 1e-9):
-        raise AssertionError(
+        raise InfeasibleClearance(
             f"segment clearance {min_clear:.3e} below rho/(4|Z|) = {delta:.3e}"
         )
     fx0, fx1, fy0, fy1 = frame
@@ -357,7 +338,7 @@ def decompose_simple_domain(dom: SimpleDomain, poles: list[complex]) -> SegmentS
         for z in (a, b):
             dframe = min(z.real - fx0, fx1 - z.real, z.imag - fy0, fy1 - z.imag)
             if dframe < rho / 2 - 1e-12:
-                raise AssertionError("segment too close to the outer frame")
+                raise InfeasibleClearance("segment too close to the outer frame")
     return SegmentSet(
         segments=tuple(segments),
         clearance_to_poles=min_clear if poles else float("inf"),

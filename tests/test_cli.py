@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pfzero.cli import main
 
 
@@ -36,6 +38,44 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "verify", "-H", "x^2+y^2", "--t-samples", "0")
         assert code == 3
         assert "NearCritical" in err
+
+    def test_cover_too_close_to_the_frame_is_3(self, capsys):
+        # a critical value near the edge of the covering rectangle
+        code, _, err = run_cli(
+            capsys,
+            "count-zeros",
+            "-H",
+            "x^3 - x*y^2 + y",
+            "-m",
+            "1",
+            "--domain",
+            "disc:-0.2284,-0.3359,0.2548",
+            "--rho",
+            "0.1",
+        )
+        assert code == 3
+        assert err.splitlines() == ["error[InfeasibleClearance]: segment too close to the outer frame"]
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (("count-zeros", "-H", "x^2+y^2", "--domain", "disc:a,0,0.3", "--rho", "0.1"), None),
+            (("verify", "-H", "x^2+y^2", "--t-samples", "abc"), None),
+            ((), '{"command": "bounds", "degree": 2, "bogus": 1}'),
+            ((), '{"command": "bounds", "degree": 2'),
+        ],
+        ids=["domain", "t-samples", "config-key", "config-json"],
+    )
+    def test_malformed_input_is_a_usage_error(self, capsys, tmp_path, argv, config):
+        if config is not None:
+            path = tmp_path / "job.json"
+            path.write_text(config)
+            argv = ("--config", str(path))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[UsageError]: ")
+        assert "Traceback" not in err
 
 
 class TestReports:

@@ -8,11 +8,8 @@ from pfzero.linalg import (
     RHS,
     PolyMatrix,
     RatFunc,
-    bareiss_determinant,
-    exact_linear_solve,
     first_dependence,
     poly_lcm,
-    ratfunc_normalize,
     solve_sparse_exact,
 )
 from pfzero.poly import MultiPoly, parse_polynomial
@@ -22,20 +19,60 @@ t = MultiPoly.var("t")
 x, y = MultiPoly.var("x"), MultiPoly.var("y")
 
 
+def sparse_rows(M, v):
+    """Dense rows and right-hand side as the sparse rows of solve_sparse_exact."""
+    return [{j: Fraction(c) for j, c in enumerate(r) if c} | {RHS: Fraction(b)} for r, b in zip(M, v)]
+
+
+def const_matrix(M):
+    return PolyMatrix([[MultiPoly.const(c) for c in r] for r in M])
+
+
+def laplace_det(M):
+    """Reference determinant: cofactor expansion along the first row."""
+    if not M:
+        return MultiPoly.const(1)
+    acc = MultiPoly.zero()
+    for j, e in enumerate(M[0]):
+        term = e * laplace_det([row[:j] + row[j + 1 :] for row in M[1:]])
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+tpolys = st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)), max_size=3).map(
+    lambda cs: MultiPoly.from_univariate_coeffs("t", cs)
+)
+
+
+@st.composite
+def tpoly_matrices(draw):
+    """Square 2x2 to 4x4 matrices over Q[t]; optionally with a zero first
+    pivot (a row swap) or a last row that combines the others (singular)."""
+    n = draw(st.integers(2, 4))
+    M = [[draw(tpolys) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        M[0][0] = MultiPoly.zero()
+    if draw(st.booleans()):
+        c = [draw(tpolys) for _ in range(n - 1)]
+        M[-1] = [sum((c[i] * M[i][j] for i in range(n - 1)), MultiPoly.zero()) for j in range(n)]
+    return M
+
+
 class TestExactSolve:
     def test_scalar(self):
-        sol, rank = exact_linear_solve([[2]], [4])
+        sol, rank = solve_sparse_exact(sparse_rows([[2]], [4]), 1)
         assert sol == [Fraction(2)] and rank == 1
 
     def test_2x2_determinant(self):
-        assert bareiss_determinant([[1, 2], [3, 4]]) == Fraction(-2)
+        assert const_matrix([[1, 2], [3, 4]]).determinant() == MultiPoly.const(-2)
+        assert const_matrix([[Fraction(1, 2), 1], [3, 4]]).determinant() == MultiPoly.const(-1)
 
     def test_rank_deficient_inconsistent(self):
         with pytest.raises(Inconsistent):
-            exact_linear_solve([[1, 1], [2, 2]], [1, 3])
+            solve_sparse_exact(sparse_rows([[1, 1], [2, 2]], [1, 3]), 2)
 
     def test_underdetermined_minimal_support(self):
-        sol, rank = exact_linear_solve([[1, 1]], [5])
+        sol, rank = solve_sparse_exact(sparse_rows([[1, 1]], [5]), 2)
         assert sol == [Fraction(5), Fraction(0)] and rank == 1
 
     @given(st.integers(1, 4), st.data())
@@ -46,7 +83,7 @@ class TestExactSolve:
         ]
         u = [Fraction(data.draw(st.integers(-3, 3))) for _ in range(n)]
         v = [sum(row[j] * u[j] for j in range(n)) for row in M]
-        sol, _ = exact_linear_solve(M, v)
+        sol, _ = solve_sparse_exact(sparse_rows(M, v), n)
         for row, b in zip(M, v):
             assert sum(c * s for c, s in zip(row, sol)) == b
 
@@ -59,12 +96,7 @@ class TestSparseSolver:
             M = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
             u = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
             v = [sum(r[j] * u[j] for j in range(n)) for r in M]
-            rows = [
-                {j: c for j, c in enumerate(r) if c} | {RHS: b}
-                for r, b in zip(M, v)
-                if any(r) or b
-            ]
-            sol, _ = solve_sparse_exact(rows, n)
+            sol, _ = solve_sparse_exact(sparse_rows(M, v), n)
             for r, b in zip(M, v):
                 assert sum(c * s for c, s in zip(r, sol)) == b
 
@@ -76,28 +108,28 @@ class TestSparseSolver:
 
 class TestRatFunc:
     def test_cancel_common_factor(self):
-        r = ratfunc_normalize(2 * t**2 + 2 * t, 2 * t)
+        r = RatFunc(2 * t**2 + 2 * t, 2 * t)
         assert r.num == t + 1 and r.den == MultiPoly.const(1)
 
     def test_identity_cancellation(self):
-        r = ratfunc_normalize(t, t)
+        r = RatFunc(t, t)
         assert r.num == MultiPoly.const(1) and r.den == MultiPoly.const(1)
 
     def test_gcd_reduction_monic_denominator(self):
         # (t^2-1)/(2t-2) reduces by t-1; the denominator is normalized monic
-        r = ratfunc_normalize(t**2 - 1, 2 * t - 2)
+        r = RatFunc(t**2 - 1, 2 * t - 2)
         assert r.den == MultiPoly.const(1)
         assert r.num == Fraction(1, 2) * t + Fraction(1, 2)
         assert r.eval_complex(3.0) == pytest.approx(2.0)
 
     def test_normalize_idempotent(self):
-        r = ratfunc_normalize(t**2 - 1, 2 * t - 2)
-        again = ratfunc_normalize(r.num, r.den)
+        r = RatFunc(t**2 - 1, 2 * t - 2)
+        again = RatFunc(r.num, r.den)
         assert again == r
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(DivisionByZeroPolynomial):
-            ratfunc_normalize(t, MultiPoly.zero())
+            RatFunc(t, MultiPoly.zero())
 
     def test_arithmetic(self):
         a = RatFunc(MultiPoly.const(1), t)
@@ -109,6 +141,10 @@ class TestRatFunc:
 
 
 class TestPolyMatrix:
+    @given(tpoly_matrices())
+    def test_determinant_matches_laplace_expansion(self, M):
+        assert PolyMatrix(M).determinant() == laplace_det(M)
+
     def test_adjugate_identity(self, rng):
         from tests.conftest import random_poly
 

@@ -8,13 +8,11 @@ from pfzero.errors import NearCritical, NotCompactComponent, PathTooClose
 from pfzero.hamiltonian import Hamiltonian, critical_values
 from pfzero.numerics import (
     PeriodSample,
-    QuadConfig,
     branch_point_cycle,
     _continue_branch,
     continuation_callable,
     integrate_pf_numeric,
     make_cycle,
-    period_quadrature,
     period_quadrature_with_error,
     periods_of_system,
     refine_cycle,
@@ -73,35 +71,35 @@ class TestTraceCycle:
 class TestPeriodQuadrature:
     def test_area_period(self, circle, circle_sing):
         cyc = trace_cycle(circle, 1.0, (1.0, 0.0), circle_sing)
-        v = period_quadrature(cyc, X_DY)
+        v = period_quadrature_with_error(cyc, X_DY)[0]
         assert abs(v - math.pi) <= 1e-9
 
     def test_odd_symmetry_kills_x2dy(self, circle, circle_sing):
         cyc = trace_cycle(circle, 1.0, (1.0, 0.0), circle_sing)
-        assert abs(period_quadrature(cyc, OneForm(ZERO, P("x^2")))) <= 1e-9
+        assert abs(period_quadrature_with_error(cyc, OneForm(ZERO, P("x^2")))[0]) <= 1e-9
 
     def test_ydx_is_minus_area(self, circle, circle_sing):
         cyc = trace_cycle(circle, 1.0, (1.0, 0.0), circle_sing)
-        v = period_quadrature(cyc, OneForm(P("y"), ZERO))
+        v = period_quadrature_with_error(cyc, OneForm(P("y"), ZERO))[0]
         assert abs(v + math.pi) <= 1e-9
 
     def test_refinement_convergence(self, circle, circle_sing):
         cyc = trace_cycle(circle, 1.0, (1.0, 0.0), circle_sing)
-        v1, _ = period_quadrature_with_error(cyc, X_DY, QuadConfig(rel_tol=1e-9))
-        v2, _ = period_quadrature_with_error(cyc, X_DY, QuadConfig(rel_tol=1e-12))
+        v1, _ = period_quadrature_with_error(cyc, X_DY, rel_tol=1e-9)
+        v2, _ = period_quadrature_with_error(cyc, X_DY, rel_tol=1e-12)
         assert abs(v1 - v2) <= 1e-10 * max(1.0, abs(v2))
 
     def test_orientation_reversal_negates(self, circle, circle_sing):
         cyc = trace_cycle(circle, 1.0, (1.0, 0.0), circle_sing)
-        v = period_quadrature(cyc, X_DY)
-        w = period_quadrature(cyc.reversed(), X_DY)
+        v = period_quadrature_with_error(cyc, X_DY)[0]
+        w = period_quadrature_with_error(cyc.reversed(), X_DY)[0]
         assert abs(v + w) <= 1e-12 * max(1.0, abs(v))
 
     def test_branch_cycle_matches_real_cycle(self, circle, circle_sing):
         # the lift around the two branch points of y^2 = t - x^2 is the circle
-        real_v = period_quadrature(trace_cycle(circle, 1.0, (1.0, 0.0), circle_sing), X_DY)
+        real_v = period_quadrature_with_error(trace_cycle(circle, 1.0, (1.0, 0.0), circle_sing), X_DY)[0]
         branch = branch_point_cycle(circle, 1.0)
-        v = period_quadrature(branch, X_DY)
+        v = period_quadrature_with_error(branch, X_DY)[0]
         assert abs(abs(v) - abs(real_v)) <= 1e-8
 
 
@@ -161,9 +159,9 @@ class TestResiduals:
             )
             dec = petrov_decompose(omega, circle, list(forms))
             assert all(c.is_zero for c in dec.coeffs)
-            assert abs(period_quadrature(cyc, omega)) <= 1e-8
+            assert abs(period_quadrature_with_error(cyc, omega)[0]) <= 1e-8
         # and a basis form itself has a nonzero period on the traced cycle
-        assert abs(period_quadrature(cyc, forms[0])) > 1e-3
+        assert abs(period_quadrature_with_error(cyc, forms[0])[0]) > 1e-3
 
 
 # a real oval of the circle and a branch-point cycle of a saddles-only cubic
@@ -188,9 +186,8 @@ class TestSharedOracle:
         sysm = assemble_pf_system(H)
         cyc = make_cycle(H, t, sysm.singular)
         assert cyc.kind == kind
-        cfg = QuadConfig(rel_tol=1e-12)
-        sample = periods_of_system(sysm, cyc, cfg)
-        per_form = [period_quadrature_with_error(cyc, w, cfg) for w in sysm.forms]
+        sample = periods_of_system(sysm, cyc, rel_tol=1e-12)
+        per_form = [period_quadrature_with_error(cyc, w, rel_tol=1e-12) for w in sysm.forms]
         assert sample.periods == tuple(v for v, _ in per_form)
         assert sample.error_estimate == max(e for _, e in per_form)
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -162,7 +163,7 @@ class TestD3System:
         _, sys3 = d3
         bound = max(sys3.a.degree(), sys3.A.max_degree())
         n = sys3.dim
-        rows = _iterated_rows(sys3.A, sys3.a, 0, n + 1)
+        rows = itertools.islice(_iterated_rows(sys3.A, sys3.a, 0), n + 2)  # r_0 .. r_{n+1}
         for j, row in enumerate(rows):
             degs = [e.degree() for e in row if not e.is_zero]
             if degs:
