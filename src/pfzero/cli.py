@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import json
 import math
 import sys
+import types
+import typing
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,6 +77,14 @@ class JobConfig:
     relaxed_bounds: bool = False
 
     def validate(self):
+        hints = typing.get_type_hints(JobConfig)
+        for fld in dataclasses.fields(self):
+            value = getattr(self, fld.name)
+            if not _conforms(value, hints[fld.name]):
+                raise UsageError(f"{fld.name} must be of type {hints[fld.name]}, got {value!r}")
+        numbers = [self.tol, self.const_c, self.const_cp, *(self.t_samples or [])]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
+            raise UsageError("tolerances, constants and samples must be finite numbers")
         needs_h = {"analyze", "decompose", "pf-system", "scalar-ode", "count-zeros", "verify", "periods"}
         if self.command in needs_h and not self.hamiltonian:
             raise UsageError(f"{self.command} requires a Hamiltonian (-H)")
@@ -83,6 +94,17 @@ class JobConfig:
             raise UsageError("bounds requires the degree (-d)")
         if self.tol <= 0:
             raise UsageError("tolerance must be positive")
+
+
+def _conforms(value, hint) -> bool:
+    """Whether value has the JobConfig field type hint; an int passes as a float."""
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_conforms(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_conforms(v, typing.get_args(hint)[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 # -- serialization helpers ----------------------------------------------------
@@ -133,19 +155,22 @@ def emit(payload: dict, output: str | None):
 
 def _floats(text: str, what: str) -> list[float]:
     try:
-        return [float(p) for p in text.split(",")]
+        values = [float(p) for p in text.split(",")]
+        if all(math.isfinite(v) for v in values):
+            return values
     except ValueError:
-        raise UsageError(f"{what} takes comma separated numbers, got {text!r}") from None
+        pass
+    raise UsageError(f"{what} takes comma separated finite numbers, got {text!r}")
 
 
-def _parse_domain(spec: str, rho: float, sigma, rays_spec: str, relaxed: bool) -> SimpleDomain:
+def _parse_region(spec: str) -> Disc | Polygon:
     if spec.startswith("disc:"):
         parts = _floats(spec[5:], "disc domain")
         if len(parts) != 3:
             raise UsageError("disc domain takes disc:cx,cy,r")
         cx, cy, r = parts
-        region = Disc(complex(cx, cy), r)
-    elif spec.startswith("poly:"):
+        return Disc(complex(cx, cy), r)
+    if spec.startswith("poly:"):
         verts = []
         for pair in spec[5:].split(";"):
             xy = _floats(pair, "polygon vertex")
@@ -154,11 +179,28 @@ def _parse_domain(spec: str, rho: float, sigma, rays_spec: str, relaxed: bool) -
             verts.append(complex(xy[0], xy[1]))
         if len(verts) < 3:
             raise UsageError("polygon needs at least three vertices")
-        region = Polygon(tuple(verts))
-    else:
-        raise UsageError(f"unknown domain spec {spec!r}")
-    pts = sigma.points()
+        return Polygon(tuple(verts))
+    raise UsageError(f"unknown domain spec {spec!r}")
+
+
+def _parse_rays(rays_spec: str) -> list[float] | None:
+    """The angles of `angles:a1,a2,...`, or None for `auto`."""
     if rays_spec == "auto":
+        return None
+    if rays_spec.startswith("angles:"):
+        return _floats(rays_spec[7:], "ray angles")
+    raise UsageError(f"unknown rays spec {rays_spec!r}")
+
+
+def _parse_domain(spec: str, rho: float, sigma, rays_spec: str, relaxed: bool) -> SimpleDomain:
+    return _simple_domain(_parse_region(spec), _parse_rays(rays_spec), rho, sigma, relaxed)
+
+
+def _simple_domain(region, angles, rho: float, sigma, relaxed: bool) -> SimpleDomain:
+    """The domain over region with one cut per singular value: along the given
+    angles, or (angles None) along a common direction found by a sweep."""
+    pts = sigma.points()
+    if angles is None:
         # parallel rays never intersect each other when the common direction
         # is not parallel to any difference of cut points; sweep candidate
         # angles deterministically until the rays also miss the region
@@ -187,13 +229,10 @@ def _parse_domain(spec: str, rho: float, sigma, rays_spec: str, relaxed: bool) -
         if pts:
             raise last_err or InvalidRays("no admissible common ray direction found")
         dirs = []
-    elif rays_spec.startswith("angles:"):
-        angles = _floats(rays_spec[7:], "ray angles")
+    else:
         if len(angles) != len(pts):
             raise UsageError("need one ray angle per singular point")
         dirs = [cmath.exp(1j * a) for a in angles]
-    else:
-        raise UsageError(f"unknown rays spec {rays_spec!r}")
     return simple_domain(sigma, dirs, region, rho, relaxed_bounds=relaxed)
 
 
@@ -289,8 +328,10 @@ def _cmd_count_zeros(cfg: JobConfig) -> dict:
         )
     domain_spec = cfg.domain or DEFAULT_DOMAIN
     rho = float(_parse_fraction(cfg.rho)) if cfg.rho else DEFAULT_RHO
+    region = _parse_region(domain_spec)
+    angles = _parse_rays(cfg.rays)
     H, sysm, ode = _make_ode(cfg)
-    dom = _parse_domain(domain_spec, rho, ode.true_singularities, cfg.rays, cfg.relaxed_bounds)
+    dom = _simple_domain(region, angles, rho, ode.true_singularities, cfg.relaxed_bounds)
     numeric_fn = None
     if cfg.mode in ("numeric", "both"):
         region = dom.region

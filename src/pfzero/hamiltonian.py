@@ -37,10 +37,7 @@ class Hamiltonian:
 
     @staticmethod
     def from_poly(p: MultiPoly) -> "Hamiltonian":
-        d = p.degree()
-        if d < 2:
-            raise UnsupportedDegree(f"degree {d} < 2")
-        return Hamiltonian(poly=p, degree=d, highest_part=p.homogeneous_part(d))
+        return Hamiltonian(poly=p, degree=p.degree(), highest_part=highest_part(p))
 
     def hx(self) -> MultiPoly:
         return self.poly.derive("x")
@@ -109,17 +106,11 @@ def is_regular_at_infinity(H: Hamiltonian) -> bool:
     hp = H.highest_part
     d = H.degree
     p = hp.substitute("x", MultiPoly.const(1))  # polynomial in y
-    degp = p.degree_in("y") if not p.is_zero else -1
     if p.is_zero:
         return False
-    mult_x_line = d - max(degp, 0)
-    if mult_x_line > 1:
+    if d - p.degree_in("y") > 1:  # multiplicity of the line x = 0
         return False
-    if degp <= 0:
-        return True  # top form is c * x^d with d... only reachable when d - 0 <= 1
-    dp = p.derive("y")
-    g = poly_gcd(p, dp)
-    return g.is_constant()
+    return poly_gcd(p, p.derive("y")).is_constant()
 
 
 # -- Buchberger ----------------------------------------------------------------
@@ -286,11 +277,6 @@ def yun_squarefree_decomposition(p: MultiPoly, var: str) -> list[tuple[MultiPoly
     return out
 
 
-def _poly_complex_coeffs(p: MultiPoly, var: str) -> np.ndarray:
-    coeffs = p.univariate_coeffs(var)
-    return np.array([complex(c) for c in coeffs], dtype=complex)
-
-
 def _newton_polish(coeffs: np.ndarray, z: complex, steps: int = 40) -> complex:
     dcoeffs = np.array([k * coeffs[k] for k in range(1, len(coeffs))], dtype=complex)
     for _ in range(steps):
@@ -320,7 +306,7 @@ def isolate_roots(p: MultiPoly, var: str = "t") -> list[CriticalValue]:
         deg = factor.degree_in(var)
         if deg <= 0:
             continue
-        coeffs = _poly_complex_coeffs(factor, var)
+        coeffs = np.array([complex(c) for c in factor.univariate_coeffs(var)], dtype=complex)
         roots = np.roots(coeffs[::-1])
         dcoeffs = np.array([k * coeffs[k] for k in range(1, len(coeffs))], dtype=complex)
         for z in roots:
@@ -355,27 +341,19 @@ def merge_close_values(values: list[CriticalValue]) -> list[CriticalValue]:
 # -- critical values ------------------------------------------------------------
 
 
-def _numeric_critical_points(H: Hamiltonian, tol: float = 1e-8) -> list[tuple[complex, complex]]:
+def _numeric_critical_points(
+    H: Hamiltonian, res_y: MultiPoly, tol: float = 1e-8
+) -> list[tuple[complex, complex]]:
+    """Critical points of H, polished by Newton from the roots x* of
+    res_y = Res_y(Hx, Hy) and the roots in y of Hx(x*, y) and Hy(x*, y)."""
     hx, hy = H.hx(), H.hy()
-    g1 = resultant(hx, hy, "y")
-    if g1.is_zero:
-        g1 = resultant(hx, hy, "x")
-        if g1.is_zero:
-            raise NonIsolatedCritical("partials share a common curve")
-        swapped = True
-    else:
-        swapped = False
-    main, other = ("y", "x") if swapped else ("x", "y")
-    xs = [cv.value for cv in isolate_roots(g1, main)]
+    xs = [cv.value for cv in isolate_roots(res_y, "x")]
     pts: list[tuple[complex, complex]] = []
     for xv in xs:
         cands: set[complex] = set()
         for q in (hy, hx):
-            # roots of q(x*, .) in the other variable
-            qc = [
-                q.coeff_in_var(other, k).eval_complex({main: xv})
-                for k in range(q.degree_in(other) + 1)
-            ]
+            # roots of q(x*, .) in y
+            qc = [q.coeff_in_var("y", k).eval_complex({"x": xv}) for k in range(q.degree_in("y") + 1)]
             arr = np.array(qc, dtype=complex)
             if np.allclose(arr, 0):
                 continue
@@ -386,8 +364,7 @@ def _numeric_critical_points(H: Hamiltonian, tol: float = 1e-8) -> list[tuple[co
             for yv in np.roots(arr[::-1]):
                 cands.add(complex(yv))
         for yv in cands:
-            pt = {main: xv, other: yv}
-            xr, yr = _newton_2d(H, pt)
+            xr, yr = _newton_2d(H, {"x": xv, "y": yv})
             scale = 1.0 + abs(xr) ** max(H.degree - 1, 1) + abs(yr) ** max(H.degree - 1, 1)
             if (
                 abs(hx.eval_complex({"x": xr, "y": yr})) <= tol * scale
@@ -426,24 +403,28 @@ def _newton_2d(H: Hamiltonian, pt: dict, steps: int = 60):
 def critical_values(H: Hamiltonian) -> SingularSet:
     """All complex critical values of H, by elimination plus verification.
 
-    Route: Res_y(H - t, Hy) and the critical-x polynomial Res_y(Hx, Hy) are
-    crossed through Res_x into a univariate polynomial in t; its isolated
-    roots are kept when they match the value of H at a numerically polished
-    critical point, which prunes the spurious combinations resultants allow.
+    Res_y(Hx, Hy) and Res_x(Hx, Hy) are formed once. Either one vanishes
+    identically iff Hx and Hy share a factor of positive degree in the
+    eliminated variable, so a zero one means the critical set is not
+    isolated. Route: Res_y(H - t, Hy) and the critical-x polynomial
+    Res_y(Hx, Hy) are crossed through Res_x into a univariate polynomial in
+    t; its isolated roots are kept when they match the value of H at a
+    numerically polished critical point, which prunes the spurious
+    combinations resultants allow.
     """
     hx, hy = H.hx(), H.hy()
     if hx.is_zero or hy.is_zero:
         raise NonIsolatedCritical("a partial derivative vanishes identically")
-    g = poly_gcd(hx, hy)
-    if not g.is_constant():
+    res = {v: resultant(hx, hy, v) for v in ("y", "x")}
+    if res["y"].is_zero or res["x"].is_zero:
         raise NonIsolatedCritical("partials share a nonconstant factor")
     warn = not is_regular_at_infinity(H)
 
     Ht = H.poly - MultiPoly.var("t")
     candidates: list[CriticalValue] = []
     for main, other in (("x", "y"), ("y", "x")):
-        g1 = resultant(hx, hy, other)
-        if g1.is_zero or g1.is_constant():
+        g1 = res[other]
+        if g1.is_constant():
             continue
         A = resultant(Ht, hy if other == "y" else hx, other)
         if A.is_zero:
@@ -453,7 +434,7 @@ def critical_values(H: Hamiltonian) -> SingularSet:
             continue
         candidates = isolate_roots(T, "t")
         break
-    pts = _numeric_critical_points(H)
+    pts = _numeric_critical_points(H, res["y"])
     values = [H.eval(x, y) for (x, y) in pts]
     kept: list[CriticalValue] = []
     for cv in candidates:

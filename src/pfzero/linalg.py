@@ -46,10 +46,7 @@ def solve_sparse_exact(rows: list[dict], ncols: int, col_order=None):
     """
     work = []
     for row in rows:
-        den = 1
-        for c in row.values():
-            c = Fraction(c)
-            den = den * c.denominator // math.gcd(den, c.denominator)
+        den = math.lcm(*(Fraction(c).denominator for c in row.values()))
         introw = {j: int(Fraction(c) * den) for j, c in row.items() if Fraction(c) != 0}
         if introw:
             work.append(_strip_row(introw))
@@ -140,11 +137,6 @@ class PolyMatrix:
     def __setattr__(self, *a):
         raise AttributeError("PolyMatrix is immutable")
 
-    @staticmethod
-    def identity(n: int) -> "PolyMatrix":
-        one, zero = MultiPoly.const(1), MultiPoly.zero()
-        return PolyMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -164,14 +156,6 @@ class PolyMatrix:
             )
         )
 
-    def __add__(self, other):
-        return PolyMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
     def __sub__(self, other):
         return PolyMatrix(
             [
@@ -180,27 +164,23 @@ class PolyMatrix:
             ]
         )
 
-    def __mul__(self, other):
-        if isinstance(other, PolyMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch")
-            out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    acc = MultiPoly.zero()
-                    for k in range(self.cols):
-                        a = self.entries[i][k]
-                        b = other.entries[k][j]
-                        if a.is_zero or b.is_zero:
-                            continue
-                        acc = acc + a * b
-                    row.append(acc)
-                out.append(row)
-            return PolyMatrix(out)
-        return PolyMatrix([[e * other for e in row] for row in self.entries])
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch")
+        out = []
+        for i in range(self.rows):
+            row = []
+            for j in range(other.cols):
+                acc = MultiPoly.zero()
+                for k in range(self.cols):
+                    a = self.entries[i][k]
+                    b = other.entries[k][j]
+                    if a.is_zero or b.is_zero:
+                        continue
+                    acc = acc + a * b
+                row.append(acc)
+            out.append(row)
+        return PolyMatrix(out)
 
     def scale(self, p: MultiPoly) -> "PolyMatrix":
         return PolyMatrix([[e * p for e in row] for row in self.entries])
@@ -304,7 +284,12 @@ def first_dependence(
 
 
 class RatFunc:
-    """Reduced rational function in t: gcd(num, den) = 1, den monic."""
+    """Reduced rational function in t: gcd(num, den) = 1, den monic.
+
+    A container for the coefficients of the scalar equations, which the
+    pipeline only compares, negates, evaluates and prints; it has no other
+    arithmetic.
+    """
 
     __slots__ = ("num", "den")
 
@@ -331,32 +316,11 @@ class RatFunc:
     def __setattr__(self, *a):
         raise AttributeError("RatFunc is immutable")
 
-    @staticmethod
-    def zero() -> "RatFunc":
-        return RatFunc(MultiPoly.zero(), MultiPoly.const(1))
-
-    @staticmethod
-    def one() -> "RatFunc":
-        return RatFunc(MultiPoly.const(1), MultiPoly.const(1))
-
-    @staticmethod
-    def from_poly(p: MultiPoly) -> "RatFunc":
-        return RatFunc(p, MultiPoly.const(1))
-
-    @staticmethod
-    def from_const(c) -> "RatFunc":
-        return RatFunc(MultiPoly.const(c), MultiPoly.const(1))
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.from_const(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -364,43 +328,8 @@ class RatFunc:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __add__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc.from_const(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
     def __neg__(self):
         return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc.from_const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return RatFunc.from_const(other) - self
-
-    def __mul__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc.from_const(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc.from_const(other)
-        if other.is_zero:
-            raise DivisionByZeroPolynomial("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def derivative(self) -> "RatFunc":
-        return RatFunc(
-            self.num.derive("t") * self.den - self.num * self.den.derive("t"),
-            self.den * self.den,
-        )
 
     def eval_complex(self, tval: complex) -> complex:
         den = self.den.eval_complex({"t": tval})
@@ -411,9 +340,6 @@ class RatFunc:
         if self.den == MultiPoly.const(1):
             return self.num.to_text()
         return f"({self.num.to_text()}) / ({self.den.to_text()})"
-
-    def __repr__(self):
-        return f"RatFunc({self.to_text()!r})"
 
 
 def poly_lcm(a: MultiPoly, b: MultiPoly) -> MultiPoly:

@@ -42,6 +42,7 @@ from .hamiltonian import Hamiltonian, SingularSet
 from .petrov import OneForm
 from .pfsystem import PFSystem
 from .poly import MultiPoly
+from .zerocount import _dist_point_segment
 
 
 # real oval marcher
@@ -307,7 +308,7 @@ def branch_cycle_contour(H: Hamiltonian, t: complex):
         A, B = complex(branch[i]), complex(branch[j])
         others = [complex(z) for k, z in enumerate(branch) if k not in (i, j)]
         others += [complex(z) for z in degen]
-        dmin = min((_dist_to_segment(z, A, B) for z in others), default=float("inf"))
+        dmin = min((_dist_point_segment(z, A, B) for z in others), default=float("inf"))
         if dmin < 1e-9:
             continue
         sb = 0.45 * min(dmin, abs(B - A) + 1.0)
@@ -333,14 +334,6 @@ def _subst_t_numeric(p: MultiPoly, t: complex):
     while len(out) > 1 and out[0] == 0:
         out.pop(0)
     return np.array(out, dtype=complex)
-
-
-def _dist_to_segment(z, A, B):
-    if A == B:
-        return abs(z - A)
-    u = (z - A) / (B - A)
-    s = min(1.0, max(0.0, u.real))
-    return abs(z - (A + s * (B - A)))
 
 
 def _inside_ellipse(z, contour, margin: float = 1.0) -> bool:
@@ -602,7 +595,7 @@ def _continue_segments(sys: PFSystem, path, periods, dense: bool):
     for k in range(len(path) - 1):
         a, b = complex(path[k]), complex(path[k + 1])
         for p in poles:
-            if _dist_to_segment(p, a, b) < PATH_MARGIN:
+            if _dist_point_segment(p, a, b) < PATH_MARGIN:
                 raise PathTooClose(f"path segment {k} passes within {PATH_MARGIN} of a pole")
     rhs_matrix = _matrix_evaluator(sys)
     out = []

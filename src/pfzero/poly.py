@@ -488,21 +488,12 @@ def parse_polynomial(text: str) -> MultiPoly:
 # -- gcd ---------------------------------------------------------------------
 
 
-def _int_gcd_list(values):
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-    return g
-
-
 def _univ_int_coeffs(p: MultiPoly, var: str):
     """Clear denominators: integer coefficient list of a univariate polynomial."""
     coeffs = p.univariate_coeffs(var)
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
-    g = _int_gcd_list(ints)
+    g = math.gcd(*ints)
     if g > 1:
         ints = [c // g for c in ints]
     return ints
@@ -532,14 +523,11 @@ def _int_poly_prem(a, b):
 
 
 def _univariate_gcd(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
-    """Monic gcd via the subresultant polynomial remainder sequence."""
+    """Monic gcd via the subresultant polynomial remainder sequence over Z."""
     a = _univ_int_coeffs(p, var)
     b = _univ_int_coeffs(q, var)
     if len(a) < len(b):
         a, b = b, a
-    if not any(b):
-        out = MultiPoly.from_univariate_coeffs(var, a)
-        return out.monic()
     g, h = 1, 1
     while True:
         delta = (len(a) - 1) - (len(b) - 1)
@@ -552,37 +540,19 @@ def _univariate_gcd(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
         a, b = b, [c // divisor for c in r]
         g = a[-1]
         h = h if delta == 0 else (g**delta) // (h ** (delta - 1)) if delta > 1 else g
-    cont = _int_gcd_list(b)
+    cont = math.gcd(*b)
     b = [c // cont for c in b]
     return MultiPoly.from_univariate_coeffs(var, b).monic()
 
 
-def _main_var(p: MultiPoly, q: MultiPoly):
-    for v in CANONICAL_VARS:
-        if p.degree_in(v) > 0 or q.degree_in(v) > 0:
-            return v
-    return None
-
-
-def _poly_content_in(p: MultiPoly, var: str) -> MultiPoly:
-    """gcd of the coefficients of p viewed as univariate in var."""
-    coeffs = [p.coeff_in_var(var, k) for k in range(p.degree_in(var) + 1)]
-    coeffs = [c for c in coeffs if not c.is_zero]
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        g = poly_gcd(g, c)
-        if g.is_constant():
-            return MultiPoly.const(1)
-    return g.monic()
-
-
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Monic greatest common divisor; gcd(a, 0) is a normalized to monic.
-
-    Univariate inputs run through the subresultant remainder sequence; the
-    small multivariate cases reduce recursively through contents and a
-    primitive remainder sequence.
+    """Monic greatest common divisor of two polynomials in one shared
+    variable; gcd(a, 0) is a made monic and gcd(a, c) = 1 for a nonzero
+    constant c. Input in more than one variable raises ValueError.
     """
+    variables = set(a.vars) | set(b.vars)
+    if len(variables) > 1:
+        raise ValueError(f"poly_gcd takes polynomials in one shared variable, got {sorted(variables)}")
     if a.is_zero and b.is_zero:
         raise DegenerateInput("gcd(0, 0) is undefined")
     if a.is_zero:
@@ -591,51 +561,7 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return a.monic()
     if a.is_constant() or b.is_constant():
         return MultiPoly.const(1)
-    var = _main_var(a, b)
-    others_a = [v for v in a.vars if v != var and a.degree_in(v) > 0]
-    others_b = [v for v in b.vars if v != var and b.degree_in(v) > 0]
-    if not others_a and not others_b:
-        if a.degree_in(var) == 0 or b.degree_in(var) == 0:
-            return MultiPoly.const(1)
-        return _univariate_gcd(a, b, var)
-    # multivariate: recurse on contents, primitive PRS in the main variable
-    if a.degree_in(var) == 0:
-        return poly_gcd(a, _poly_content_in(b, var))
-    if b.degree_in(var) == 0:
-        return poly_gcd(_poly_content_in(a, var), b)
-    ca = _poly_content_in(a, var)
-    cb = _poly_content_in(b, var)
-    cont = poly_gcd(ca, cb) if not (ca.is_constant() and cb.is_constant()) else MultiPoly.const(1)
-    pa = a.exact_div(ca) if not ca.is_constant() else a
-    pb = b.exact_div(cb) if not cb.is_constant() else b
-    if pa.degree_in(var) < pb.degree_in(var):
-        pa, pb = pb, pa
-    while True:
-        r = _pseudo_rem_multivar(pa, pb, var)
-        if r.is_zero:
-            g = pb
-            break
-        if r.degree_in(var) == 0:
-            g = MultiPoly.const(1)
-            break
-        rc = _poly_content_in(r, var)
-        pa, pb = pb, (r.exact_div(rc) if not rc.is_constant() else r)
-    cg = _poly_content_in(g, var)
-    if not cg.is_constant():
-        g = g.exact_div(cg)
-    return (cont * g).monic()
-
-
-def _pseudo_rem_multivar(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
-    da, db = a.degree_in(var), b.degree_in(var)
-    lb = b.coeff_in_var(var, db)
-    r = a
-    x = MultiPoly.var(var)
-    while not r.is_zero and r.degree_in(var) >= db:
-        dr = r.degree_in(var)
-        lr = r.coeff_in_var(var, dr)
-        r = lb * r - lr * b * x ** (dr - db)
-    return r
+    return _univariate_gcd(a, b, variables.pop())
 
 
 # -- resultant -----------------------------------------------------------------
@@ -712,13 +638,3 @@ def _bareiss_det_poly(rows: list[list[MultiPoly]]) -> MultiPoly:
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
 
-
-def squarefree_part(p: MultiPoly, var: str) -> MultiPoly:
-    """p / gcd(p, dp/dvar), monic."""
-    dp = p.derive(var)
-    if dp.is_zero:
-        return p.monic()
-    g = poly_gcd(p, dp)
-    if g.is_constant():
-        return p.monic()
-    return p.exact_div(g).monic()

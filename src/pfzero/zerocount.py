@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -609,28 +610,45 @@ def winding_count(
 # -- asymptotic calculators -----------------------------------------------------------
 
 
-_EXACT_DIGIT_CAP = 20_000
+_EXACT_DIGIT_CAP = 20_000  # digits of an exact value when the interpreter sets no limit
+_EXACT_EXPONENT_LOG10 = 10**6  # E is formed as an int only below 10^(10^6)
+_FLOAT_LOG10_MAX = 400  # beyond the largest float, about 10^308.25
 
 
-def _log_entry(base_num: int, base_den: int, exponent, lead: int = 1) -> dict:
-    """log10 and exact value (when printable) of lead * (num/den)^exponent."""
-    with mpmath.workprec(250):
-        lb = mpmath.log10(mpmath.mpf(base_num) / mpmath.mpf(base_den))
-        e = mpmath.mpf(exponent)
+def _finite(v) -> float | None:
+    """v as a float, or None (JSON null) where that float would not be finite."""
+    f = math.nan if v is None else float(v)
+    return f if math.isfinite(f) else None
+
+
+def _log_entry(base: Fraction, x: int, y, lead: int = 1) -> dict:
+    """log10, its log10 and the exact value (when printable) of lead * base^E
+    with E = x^y.
+
+    E is formed as an int only when y is a nonnegative int and log10 E is at
+    most 10^6, which is decided before any power is taken; otherwise only
+    log10 E enters. A float that would overflow is reported as None. The
+    caller sets the mpmath working precision.
+    """
+    if base == 1:
+        y = 0  # lead * 1^E = lead for every E
+    lb = mpmath.log10(mpmath.mpf(base.numerator) / mpmath.mpf(base.denominator))
+    log10_e = mpmath.mpf(y) * mpmath.log10(x)
+    exponent = x**y if isinstance(y, int) and y >= 0 and log10_e <= _EXACT_EXPONENT_LOG10 else None
+    if exponent is None and log10_e + mpmath.log10(abs(lb)) > _FLOAT_LOG10_MAX:
+        log10 = None  # |E lb| overflows every float; the lead term is negligible
+        loglog = log10_e + mpmath.log10(lb) if lb > 0 else None
+    else:
+        e = mpmath.mpf(exponent) if exponent is not None else mpmath.power(10, log10_e)
         log10 = e * lb + (mpmath.log10(lead) if lead != 1 else 0)
         loglog = mpmath.log10(log10) if log10 > 0 else None
-        exact = None
-        if (
-            base_den == 1
-            and isinstance(exponent, int)
-            and float(log10) <= _EXACT_DIGIT_CAP
-        ):
-            exact = str(lead * base_num**exponent)
-        return {
-            "exact": exact,
-            "log10": float(log10),
-            "log10_log10": float(loglog) if loglog is not None else None,
-        }
+    exact = None
+    cap = sys.get_int_max_str_digits() or _EXACT_DIGIT_CAP
+    if base.denominator == 1 and exponent is not None and log10 < cap:
+        value = lead * base.numerator**exponent
+        if value < 10**cap:
+            exact = str(value)
+    return {"exact": exact, "log10": _finite(log10), "log10_log10": _finite(loglog)}
 
 
 def asymptotic_bound_calculators(
@@ -662,36 +680,27 @@ def asymptotic_bound_calculators(
         raise InvalidRho(f"rho must lie in (0, 1), got {rho}")
     if d < 2:
         raise UsageError("degree must be at least 2")
-    base = Fraction(2) / rho
     out = {}
-    e_inner = d**c
-    if isinstance(e_inner, int) and e_inner <= 10**6:
-        exp1 = 2**e_inner
-    else:
-        with mpmath.workprec(250):
-            exp1 = mpmath.power(2, e_inner)
-    out["degree_double_exponential"] = {
-        "formula": "(2/rho)^(2^(d^c))",
-        "inputs": {"d": d, "rho": str(rho), "c": c},
-        "note": "theoretical upper bound, not a computed count",
-        **_log_entry(base.numerator, base.denominator, exp1),
-    }
-    if n is not None and M is not None and p is not None:
-        Mq = Fraction(M)
-        ratio = Mq / rho
-        e2_inner = c_p * p**3
-        if isinstance(e2_inner, int) and e2_inner * math.log10(d) <= 10**6:
-            exp2 = d**e2_inner
-        else:
-            with mpmath.workprec(250):
-                exp2 = mpmath.power(d, e2_inner)
-        entry = _log_entry(ratio.numerator, ratio.denominator, exp2, lead=int(n))
-        out["parametric_height"] = {
-            "formula": "n*(M/rho)^(d^(c_p*p^3))",
-            "inputs": {"d": d, "rho": str(rho), "n": n, "M": str(Mq), "p": p, "c_p": c_p},
+    with mpmath.workprec(250):
+        # d^c is formed only up to 10^6, so that 2^(d^c) is formed too
+        small = isinstance(c, int) and 0 <= c < 20 and d**c <= 10**6
+        inner = d**c if small else mpmath.power(d, c)
+        out["degree_double_exponential"] = {
+            "formula": "(2/rho)^(2^(d^c))",
+            "inputs": {"d": d, "rho": str(rho), "c": c},
             "note": "theoretical upper bound, not a computed count",
-            **entry,
+            **_log_entry(Fraction(2) / rho, 2, inner),
         }
+        if n is not None and M is not None and p is not None:
+            Mq = Fraction(M)
+            if n < 1 or Mq <= 0:
+                raise UsageError("the parametric bound needs an order n >= 1 and a height M > 0")
+            out["parametric_height"] = {
+                "formula": "n*(M/rho)^(d^(c_p*p^3))",
+                "inputs": {"d": d, "rho": str(rho), "n": n, "M": str(Mq), "p": p, "c_p": c_p},
+                "note": "theoretical upper bound, not a computed count",
+                **_log_entry(Mq / rho, d, c_p * p**3, lead=int(n)),
+            }
     return out
 
 

@@ -1,0 +1,63 @@
+"""Golden digests of the canonical exact reports.
+
+The JSON of `analysis`, `pf-system`, `scalar-ode` and `petrov-decomposition`
+must stay byte-identical across refactors of the exact core. Each case pins
+the sha256 of the report that `pfzero` prints for one command line.
+"""
+
+import hashlib
+
+import pytest
+
+from pfzero.cli import main
+
+CIRCLE = "x^2+y^2"
+BRANCH_CUBIC = "x^3 - x*y^2 + y"
+OVAL_CUBIC = "x^2 + y^2 + x^3 - 3*x*y^2"
+
+GOLDEN = [
+    (("analyze", "-H", CIRCLE), "8ff63cb4c6e93b23ea9bfb37460d6ce8850e4f9db28ba05405d7b5bfa191d07a"),
+    (("pf-system", "-H", CIRCLE), "26ae709855c2dfcd695851b8d3c11ea0e4f73a4b265d31bf1669aa64c8d3e9a7"),
+    (("scalar-ode", "-H", CIRCLE, "-m", "1"), "e7c4afee077ff01093639ea08e9a451e325eaf73c50c8b3bc0b57c70871510fc"),
+    # the circle's system has dimension 1, so its mu-combination has one entry
+    (("scalar-ode", "-H", CIRCLE, "--mu", "1"), "1f5ae3278e45267f237c625c4047d4c6a48f5c02c26a5c52b84e95751eeeb701"),
+    (
+        ("decompose", "-H", CIRCLE, "-P", "x*y^2", "-Q", "x^3"),
+        "79a16d71c47f63a132d739dace0e3e63961007090ec626e0313d811bf4905ddd",
+    ),
+    (("analyze", "-H", BRANCH_CUBIC), "5a8569a40728d39841ddf3877f5b0535cba8a29289943f2deb6455461f22c9c8"),
+    (("pf-system", "-H", BRANCH_CUBIC), "e8a76c2cb1ab2b28d17dd5c5c98769883ca7046a2952b26314a86d0dbb838692"),
+    (
+        ("scalar-ode", "-H", BRANCH_CUBIC, "-m", "1"),
+        "719601fe0e7a2edb438833aef356c143487db887fd87d0236ef05fc14be2f9cc",
+    ),
+    (
+        ("scalar-ode", "-H", BRANCH_CUBIC, "--mu", "1,0,1,0"),
+        "860f1de50270cb901eb5c183b8d9ac1378e771e915f25198f4d0f541f11be317",
+    ),
+    (
+        ("decompose", "-H", BRANCH_CUBIC, "-P", "x*y^2", "-Q", "x^3"),
+        "82aa9a29f296736711502429ab5f2d9aa62739a4c82cddcd152ed80ef19683e4",
+    ),
+    (("analyze", "-H", OVAL_CUBIC), "318a706ffa38e1b87d27dee6017b42cd24f13dab133b6d8ba432545b502ac993"),
+    (("pf-system", "-H", OVAL_CUBIC), "8f400699512363a5ab5ee82d6f3dc903659e71e6407a17a0a2e548a8f904e525"),
+    (
+        ("scalar-ode", "-H", OVAL_CUBIC, "-m", "1"),
+        "3936a00fb3ce24e81f0a7755db1110b5e186e69225d827bf525c12109474d191",
+    ),
+    (
+        ("scalar-ode", "-H", OVAL_CUBIC, "--mu", "1,0,1,0"),
+        "b1293e9959f23a47ac1d53e0d6f1b4a11e095c5ba8e06429ce39e986ddfc2722",
+    ),
+    (
+        ("decompose", "-H", OVAL_CUBIC, "-P", "x*y^2", "-Q", "x^3"),
+        "71f324384a9035072cd5dc20c1d17a7d037468c41e0e505f19202c5d1eb88f40",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_report_is_byte_identical(capsys, argv, digest):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

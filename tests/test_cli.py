@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 
 import pytest
 
@@ -63,8 +65,35 @@ class TestExitCodes:
             (("verify", "-H", "x^2+y^2", "--t-samples", "abc"), None),
             ((), '{"command": "bounds", "degree": 2, "bogus": 1}'),
             ((), '{"command": "bounds", "degree": 2'),
+            (("verify", "-H", "x^2+y^2", "--t-samples", "nan"), None),
+            (("verify", "-H", "x^2+y^2", "--t-samples", "0.5,inf"), None),
+            (("count-zeros", "-H", "x^2+y^2", "--domain", "disc:nan,0,0.3", "--rho", "0.1"), None),
+            (("count-zeros", "-H", "x^2+y^2", "--domain", "disc:0.5,0,0.3", "--rho", "0.1", "--tol", "nan"), None),
+            (("bounds", "-d", "3", "--rho", "1/3", "-c", "inf"), None),
+            (("bounds", "-d", "3", "--rho", "1/3", "-n", "4", "-M", "-7", "--p-dim", "2"), None),
+            ((), '{"command": "verify", "hamiltonian": "x^2+y^2", "tol": "x"}'),
+            ((), '{"command": "bounds", "degree": "2"}'),
+            ((), '{"command": "analyze", "hamiltonian": 5}'),
+            ((), '{"command": "verify", "hamiltonian": "x^2+y^2", "t_samples": "abc"}'),
+            ((), '{"command": "verify", "hamiltonian": "x^2+y^2", "t_samples": [0.5, NaN]}'),
         ],
-        ids=["domain", "t-samples", "config-key", "config-json"],
+        ids=[
+            "domain",
+            "t-samples",
+            "config-key",
+            "config-json",
+            "t-samples-nan",
+            "t-samples-inf",
+            "domain-nan",
+            "tol-nan",
+            "constant-inf",
+            "negative-height",
+            "config-tol-type",
+            "config-degree-type",
+            "config-hamiltonian-type",
+            "config-t-samples-type",
+            "config-t-samples-nan",
+        ],
     )
     def test_malformed_input_is_a_usage_error(self, capsys, tmp_path, argv, config):
         if config is not None:
@@ -76,6 +105,71 @@ class TestExitCodes:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error[UsageError]: ")
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "domain, rays",
+        [("disc:a,0,0.3", "auto"), ("disc:0.5,0,0.3", "angles:x")],
+        ids=["domain", "rays"],
+    )
+    def test_domain_is_parsed_before_assembly(self, capsys, monkeypatch, domain, rays):
+        def no_assembly(H):
+            raise RuntimeError("the system must not be assembled for malformed input")
+
+        monkeypatch.setattr("pfzero.cli.assemble_pf_system", no_assembly)
+        code, _, err = run_cli(
+            capsys,
+            "count-zeros",
+            "-H",
+            "x^4 + 2*x^2*y^2 + 2*y^4 + x - 2*y",
+            "--domain",
+            domain,
+            "--rays",
+            rays,
+            "--rho",
+            "0.1",
+        )
+        assert code == 1
+        assert err.splitlines()[-1].startswith("error[UsageError]: ")
+
+
+class TestBoundsReport:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("-n", "4", "-M", "7", "--p-dim", "2"),  # an exact value beyond the int-to-str limit
+            ("-c", "30"),  # log10 beyond the float range
+            ("-c", "1e9"),  # d^c far too large to form as an integer
+        ],
+        ids=["digit-limit", "float-overflow", "huge-exponent"],
+    )
+    def test_report_is_strict_json(self, capsys, argv):
+        code, out, err = run_cli(capsys, "bounds", "-d", "3", "--rho", "1/3", *argv)
+        assert code == 0, err
+
+        def reject(name):
+            raise ValueError(f"non-finite constant {name} in the report")
+
+        doc = json.loads(out, parse_constant=reject)
+        for entry in doc["calculators"].values():
+            assert entry["exact"] is None or len(entry["exact"]) <= sys.get_int_max_str_digits()
+            assert entry["log10"] is None or math.isfinite(entry["log10"])
+
+    def test_digit_limit_falls_back_to_logarithms(self, capsys):
+        # 4 * 21^6561 has 8676 digits
+        code, out, _ = run_cli(capsys, "bounds", "-d", "3", "--rho", "1/3", "-n", "4", "-M", "7", "--p-dim", "2")
+        assert code == 0
+        entry = json.loads(out)["calculators"]["parametric_height"]
+        assert entry["exact"] is None
+        assert entry["log10"] == pytest.approx(6561 * math.log10(21) + math.log10(4), rel=1e-12)
+
+    def test_overflowing_log10_is_null(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "-d", "3", "--rho", "1/3", "-c", "30")
+        assert code == 0
+        entry = json.loads(out)["calculators"]["degree_double_exponential"]
+        assert entry["log10"] is None
+        # log10 log10 (6^(2^(3^30))) = 3^30 log10 2 + log10 log10 6
+        assert entry["log10_log10"] == pytest.approx(3**30 * math.log10(2) + math.log10(math.log10(6)), rel=1e-12)
 
 
 class TestReports:

@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from pfzero.errors import NonIsolatedCritical, NotRegularAtInfinity, UnsupportedDegree
 from pfzero.hamiltonian import (
@@ -18,6 +21,16 @@ P = parse_polynomial
 
 def H(text):
     return Hamiltonian.from_poly(P(text))
+
+
+@st.composite
+def small_polys(draw, variables, max_deg):
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        expo = tuple(draw(st.integers(0, max_deg)) for _ in variables)
+        if sum(expo) <= max_deg:
+            terms[expo] = Fraction(draw(st.integers(-3, 3)))
+    return MultiPoly(variables, terms)
 
 
 class TestHighestPart:
@@ -79,6 +92,16 @@ class TestCriticalValues:
     def test_degenerate_gradient(self):
         with pytest.raises(NonIsolatedCritical):
             critical_values(Hamiltonian.from_poly(P("x^2")))
+
+    @given(
+        st.sampled_from([("x",), ("y",), ("x", "y")]).flatmap(lambda v: small_polys(v, 2)),
+        small_polys(("x", "y"), 1),
+    )
+    def test_square_factor_is_not_isolated(self, f, g):
+        # H = f^2 g: f divides both partials, so no critical point is isolated
+        assume(f.degree() >= 1 and not g.is_zero)
+        with pytest.raises(NonIsolatedCritical):
+            critical_values(Hamiltonian.from_poly(f * f * g))
 
     def test_shift_property(self, rng):
         for text in ("x^2+y^2", "x^3 - 3*x + y^2", "x^3 - x*y^2 + y"):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pfzero.errors import DegenerateInput, ParseError
-from pfzero.poly import MultiPoly, parse_polynomial, poly_gcd, resultant, squarefree_part
+from pfzero.poly import MultiPoly, parse_polynomial, poly_gcd, resultant
 
 P = parse_polynomial
 x, y, t = MultiPoly.var("x"), MultiPoly.var("y"), MultiPoly.var("t")
@@ -78,10 +78,10 @@ class TestTextGrammar:
 
 class TestGcd:
     def test_shared_factor(self):
-        assert poly_gcd(P("x^2 - y^2"), P("x - y")) == P("x - y")
+        assert poly_gcd(P("t^2 - 1"), P("t - 1")) == P("t - 1")
 
     def test_coprime(self):
-        assert poly_gcd(2 * x, 2 * y) == MultiPoly.const(1)
+        assert poly_gcd(2 * y, 2 * y + 2) == MultiPoly.const(1)
 
     def test_monomials(self):
         assert poly_gcd(x**3, x**2) == x**2
@@ -92,6 +92,15 @@ class TestGcd:
     def test_both_zero_rejected(self):
         with pytest.raises(DegenerateInput):
             poly_gcd(MultiPoly.zero(), MultiPoly.zero())
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(P("x^2 - y^2"), P("x - y")), (2 * x, 2 * y), (x * t, MultiPoly.zero())],
+        ids=["shared-factor", "distinct-variables", "with-zero"],
+    )
+    def test_more_than_one_variable_rejected(self, a, b):
+        with pytest.raises(ValueError):
+            poly_gcd(a, b)
 
     @given(polys(variables=("t",), max_deg=4), polys(variables=("t",), max_deg=4), polys(variables=("t",), max_deg=3))
     def test_common_factor_detected(self, a, b, g):
@@ -185,7 +194,3 @@ class TestEval:
         vab = (a * b).eval_complex(pt)
         assert abs(vab - va * vb) <= 1e-12 * max(1.0, abs(va * vb))
 
-
-def test_squarefree_part():
-    p = (t - 1) ** 2 * (t + 2)
-    assert squarefree_part(p, "t") == ((t - 1) * (t + 2)).monic()
