@@ -585,8 +585,8 @@ def main(argv=None) -> int:
     except PfzeroError as e:
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
         return type(e).exit_code
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except OSError as e:  # a --config or -o path that cannot be read or written
+        print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
         return 1
 
 

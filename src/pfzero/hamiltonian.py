@@ -63,11 +63,15 @@ class SingularSet:
     `count_with_multiplicity` counts the distinct critical points found in the
     plane; `may_miss_atypical` is raised for Hamiltonians that are not regular
     at infinity, where atypical values can exceed the critical ones.
+    `extrema` lists the real critical points (x, y) whose Hessian determinant
+    is nonnegative up to rounding: the local extrema and degenerate points.
+    No report writes it.
     """
 
     values: tuple[CriticalValue, ...]
     count_with_multiplicity: int
     may_miss_atypical: bool = False
+    extrema: tuple[tuple[float, float], ...] = ()
 
     def points(self) -> list[complex]:
         return [v.value for v in self.values]
@@ -446,9 +450,19 @@ def critical_values(H: Hamiltonian) -> SingularSet:
     for v in values:
         if not any(abs(v - cv.value) <= max(cv.radius * 4, 1e-7 * (1 + abs(v))) for cv in kept):
             kept.append(CriticalValue(v, DEFAULT_ISOLATION_RADIUS, 1))
+    # real critical points with Hxx Hyy - Hxy^2 >= 0 up to rounding: the
+    # extrema, and degenerate points such as the origin of x^4 + y^4
+    hess = (hx.derive("x"), hx.derive("y"), hy.derive("y"))
+    extrema = []
+    for x, y in pts:
+        if abs(x.imag) + abs(y.imag) <= 1e-9 * (1 + abs(x) + abs(y)):
+            a, b, c = (h.eval_complex({"x": x.real, "y": y.real}).real for h in hess)
+            if a * c - b * b >= -1e-9 * (a * a + b * b + c * c):
+                extrema.append((x.real, y.real))
     merged = merge_close_values(kept)
     return SingularSet(
         values=tuple(merged),
         count_with_multiplicity=len(pts),
         may_miss_atypical=warn,
+        extrema=tuple(extrema),
     )

@@ -331,11 +331,6 @@ class RatFunc:
     def __neg__(self):
         return RatFunc(-self.num, self.den)
 
-    def eval_complex(self, tval: complex) -> complex:
-        den = self.den.eval_complex({"t": tval})
-        num = self.num.eval_complex({"t": tval})
-        return num / den
-
     def to_text(self) -> str:
         if self.den == MultiPoly.const(1):
             return self.num.to_text()

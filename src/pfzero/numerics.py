@@ -4,12 +4,18 @@ Cycles are closed polylines on {H = t} in C^2, stored as an (N, 2) complex
 array of points (columns x and y). Two constructors exist:
 
 * `trace_cycle` follows a compact real oval with a predictor-corrector
-  marcher (points have zero imaginary part).
+  marcher (points have zero imaginary part). A compact oval bounds a disc
+  holding a local extremum of H, so `make_cycle` seeds it on the horizontal
+  line through each real extremum.
 * `branch_point_cycle` builds a genuinely complex cycle for Hamiltonians of
   y-degree two, by lifting a closed x-plane contour that encircles exactly
   two branch points of the y-projection. This covers level curves without
-  compact real components (they exist: a real oval must enclose a real local
-  extremum of H, and saddles-only Hamiltonians have none).
+  compact real components, such as those of saddles-only Hamiltonians.
+
+Both kinds share one projector onto a level set: Newton steps of least norm,
+applied to all nodes at once. Refinement projects chord midpoints onto the
+curve, and the cycles at nearby levels t +- h of the residual check are the
+nodes of the base cycle projected onto those levels.
 
 Periods are computed chord-wise with Gauss-Legendre nodes (exact for the
 polygon) and Richardson extrapolation over dyadic refinements of the
@@ -23,6 +29,7 @@ with an adaptive high-order Runge-Kutta method.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -79,8 +86,7 @@ def _polyline(X, Y) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CyclePolyline:
     """Closed polyline on {H = t}; the edge from the last point back to the
-    first is implicit. points is an (N, 2) complex array of (x, y) rows;
-    thetas holds the contour parameter of each point of a branch lift.
+    first is implicit. points is an (N, 2) complex array of (x, y) rows.
     closure_gap records the mismatch of the traced loop before it was snapped
     shut."""
 
@@ -89,24 +95,10 @@ class CyclePolyline:
     level: complex
     hamiltonian: Hamiltonian
     kind: str = "real"  # "real" oval or "branch" lift
-    contour: tuple | None = None  # (center, rot, semi_a, semi_b) for branch lifts
-    thetas: np.ndarray | None = None
 
     def reversed(self) -> "CyclePolyline":
         order = np.r_[0, len(self.points) - 1 : 0 : -1]
-        th = None
-        if self.thetas is not None:
-            th = self.thetas[order]
-            th[1:] = 2 * math.pi - th[1:]
-        return CyclePolyline(
-            points=_polyline(self.points[order, 0], self.points[order, 1]),
-            closure_gap=self.closure_gap,
-            level=self.level,
-            hamiltonian=self.hamiltonian,
-            kind=self.kind,
-            contour=self.contour,
-            thetas=th,
-        )
+        return dataclasses.replace(self, points=_polyline(self.points[order, 0], self.points[order, 1]))
 
 
 @dataclass(frozen=True)
@@ -342,47 +334,35 @@ def _inside_ellipse(z, contour, margin: float = 1.0) -> bool:
     return (w.real / (sa * margin)) ** 2 + (w.imag / (sb * margin)) ** 2 <= 1.0
 
 
-def _continue_branch(d: np.ndarray, first_sign: float = 1.0) -> np.ndarray:
+def _continue_branch(d: np.ndarray) -> np.ndarray:
     """Square-root values d with signs flipped along the array so that each
     one stays closer to its predecessor than its negative does.
 
     The flip decision compares |d_i + d_(i-1)| with |d_i - d_(i-1)| on the raw
     neighbours; flips compose, so a cumulative product of the decisions gives
-    every sign at once. first_sign is the sign chosen for d_0.
+    every sign at once. d_0 keeps its sign.
     """
     flip = np.abs(d[1:] + d[:-1]) < np.abs(d[1:] - d[:-1])
-    sign = np.cumprod(np.r_[first_sign, np.where(flip, -1.0, 1.0)])
+    sign = np.cumprod(np.r_[1.0, np.where(flip, -1.0, 1.0)])
     return np.where(sign < 0, -d, d)
 
 
-def _branch_lift(H: Hamiltonian, t: complex, contour, thetas, y_first=None):
-    """Points (X, Y) of the branch lift over the contour at the given angles,
-    with the square root continued along them; the branch at the first angle
-    is the one whose y lies closest to y_first, when given."""
+def _branch_lift(H: Hamiltonian, t: complex, contour, thetas):
+    """Points X, the continued square roots and Y of the branch lift over the
+    contour at the given angles."""
     center, rot, sa, sb = contour
     c2, c1, c0 = _y_quadratic(H)
     X = center + rot * (sa * np.cos(thetas) + 1j * sb * np.sin(thetas))
     a2 = _eval_x(c2, X)
     a1 = _eval_x(c1, X)
     a0 = _eval_x(c0, X) - t
-    disc = np.sqrt(a1 * a1 - 4 * a2 * a0)
-    first_sign = 1.0
-    if y_first is not None:
-        d0 = disc[0]
-        if abs((-a1[0] - d0) / (2 * a2[0]) - y_first) > abs((-a1[0] + d0) / (2 * a2[0]) - y_first):
-            first_sign = -1.0
-    disc = _continue_branch(disc, first_sign)
+    disc = _continue_branch(np.sqrt(a1 * a1 - 4 * a2 * a0))
     return X, disc, (-a1 - disc) / (2 * a2)
 
 
-def branch_point_cycle(H: Hamiltonian, t: complex, contour=None) -> CyclePolyline:
-    """Closed cycle on {H = t} lifting an x-contour around two branch points.
-
-    The same contour can be reused at nearby t, which keeps finite-difference
-    stencils on one continuously varying cycle.
-    """
-    if contour is None:
-        contour = branch_cycle_contour(H, t)
+def branch_point_cycle(H: Hamiltonian, t: complex) -> CyclePolyline:
+    """Closed cycle on {H = t} lifting an x-contour around two branch points."""
+    contour = branch_cycle_contour(H, t)
     n_points = BRANCH_LIFT_POINTS
     while n_points <= 65536:
         thetas = np.linspace(0.0, 2 * math.pi, n_points, endpoint=False)
@@ -390,13 +370,7 @@ def branch_point_cycle(H: Hamiltonian, t: complex, contour=None) -> CyclePolylin
         closes = abs(disc[0] - disc[-1]) < abs(disc[0] + disc[-1])
         if closes and np.all(np.isfinite(Y)):
             cyc = CyclePolyline(
-                points=_polyline(X, Y),
-                closure_gap=0.0,
-                level=complex(t),
-                hamiltonian=H,
-                kind="branch",
-                contour=contour,
-                thetas=thetas,
+                points=_polyline(X, Y), closure_gap=0.0, level=complex(t), hamiltonian=H, kind="branch"
             )
             _assert_on_curve(cyc)
             return cyc
@@ -455,58 +429,45 @@ def _polygon_integral(points: np.ndarray, omega: OneForm) -> complex:
     return complex(total)
 
 
-def refine_cycle(cycle: CyclePolyline) -> CyclePolyline:
-    """Insert one on-curve point between every pair of consecutive points."""
-    H = cycle.hamiltonian
-    t = cycle.level
-    if cycle.kind == "branch":
-        th = cycle.thetas
-        new_th = np.empty(2 * len(th))
-        new_th[0::2] = th
-        new_th[1::2] = th + np.diff(np.append(th, th[0] + 2 * math.pi)) / 2.0
-        X, _disc, Y = _branch_lift(H, t, cycle.contour, new_th, y_first=cycle.points[0, 1])
-        out = CyclePolyline(
-            points=_polyline(X, Y),
-            closure_gap=cycle.closure_gap,
-            level=t,
-            hamiltonian=H,
-            kind="branch",
-            contour=cycle.contour,
-            thetas=new_th,
-        )
-        _assert_on_curve(out)
-        return out
-    # real oval: project chord midpoints back onto the curve, as one batch
+def _project_to_level(H: Hamiltonian, t: complex, X, Y):
+    """Nodes (X, Y) moved onto {H = t}, all at once, by the Newton steps of
+    least norm (x, y) -= conj(grad H) (H - t) / |grad H|^2. Real nodes at a
+    real level stay real and take the plain real Newton step."""
+    t = complex(t)
+    if not (t.imag or np.any(np.imag(X)) or np.any(np.imag(Y))):
+        t, X, Y = t.real, np.real(X), np.real(Y)
     tol = ON_CURVE_TOL * max(1.0, abs(t))
-    X = cycle.points[:, 0].real
-    Y = cycle.points[:, 1].real
-    mx = (X + np.roll(X, -1)) / 2
-    my = (Y + np.roll(Y, -1)) / 2
     hp, hx, hy = _level_terms(H)
     for _ in range(60):
-        f = _eval_terms(hp, mx, my) - t.real
+        f = _eval_terms(hp, X, Y) - t
         if np.max(np.abs(f)) <= tol:
-            break
-        gx = _eval_terms(hx, mx, my)
-        gy = _eval_terms(hy, mx, my)
-        g2 = gx * gx + gy * gy
+            return X, Y
+        gx = np.conj(_eval_terms(hx, X, Y))
+        gy = np.conj(_eval_terms(hy, X, Y))
+        g2 = np.real(gx * np.conj(gx) + gy * np.conj(gy))
         if np.min(g2) < 1e-28:
-            raise NearCritical("gradient vanished while refining the oval")
-        mx = mx - gx * f / g2
-        my = my - gy * f / g2
-    else:
-        raise NumericFailure("midpoint projection onto the oval did not converge")
-    pts = np.empty((2 * len(X), 2), dtype=complex, order="F")
-    pts[0::2] = cycle.points
+            raise NearCritical("gradient vanished while projecting onto the level curve")
+        X = X - gx * f / g2
+        Y = Y - gy * f / g2
+    raise NumericFailure("projection onto the level curve did not converge")
+
+
+def _at_level(cycle: CyclePolyline, t) -> CyclePolyline:
+    """The cycle's nodes projected onto the nearby level {H = t}."""
+    X, Y = _project_to_level(cycle.hamiltonian, t, cycle.points[:, 0], cycle.points[:, 1])
+    return dataclasses.replace(cycle, points=_polyline(X, Y), level=complex(t))
+
+
+def refine_cycle(cycle: CyclePolyline) -> CyclePolyline:
+    """Insert the projection onto the curve of every chord midpoint."""
+    P = cycle.points
+    mx, my = ((P[:, k] + np.roll(P[:, k], -1)) / 2 for k in (0, 1))
+    mx, my = _project_to_level(cycle.hamiltonian, cycle.level, mx, my)
+    pts = np.empty((2 * len(P), 2), dtype=complex, order="F")
+    pts[0::2] = P
     pts[1::2, 0] = mx
     pts[1::2, 1] = my
-    return CyclePolyline(
-        points=pts,
-        closure_gap=cycle.closure_gap,
-        level=t,
-        hamiltonian=H,
-        kind="real",
-    )
+    return dataclasses.replace(cycle, points=pts)
 
 
 def _richardson_periods(cycle: CyclePolyline, forms, rel_tol: float) -> tuple[list[complex], list[float]]:
@@ -667,31 +628,34 @@ class ResidualReport:
 
 
 def _find_real_oval(H: Hamiltonian, t: float, singular: SingularSet) -> CyclePolyline | None:
-    """Look for a compact real oval by seeding from axis crossings."""
-    seeds = []
-    for var in ("x", "y"):
-        p = H.poly.substitute("y" if var == "x" else "x", MultiPoly.zero())
-        n = p.degree_in(var)
-        if n < 1:
-            continue
-        arr = np.zeros(n + 1, dtype=complex)
-        for e, c in p.extended((var,)).items():
-            arr[e[0]] = complex(Fraction(c))
-        arr[0] -= t
-        roots = np.roots(arr[::-1])
-        for r in roots:
-            if abs(r.imag) < 1e-9:
-                seeds.append((r.real, 0.0) if var == "x" else (0.0, r.real))
-    for s in seeds:
-        try:
-            return trace_cycle(H, t, s, singular)
-        except (NearCritical, NotCompactComponent, NumericFailure):
-            continue
+    """A compact real oval of {H = t}, traced from the nearest root of
+    H(x, y_p) = t on either side of each real extremum p of H; None when no
+    extremum yields one.
+
+    The nearer of the two roots is tried first: an oval stretches toward the
+    saddles that bound it and curves most there, and a trace that starts and
+    closes in a sharp bend slows the Richardson convergence of its periods."""
+    for px, py in singular.extrema:
+        coeffs = np.zeros(H.degree + 1)
+        for c, a, b in _poly_term_arrays(H.poly):
+            coeffs[a] += c * py**b
+        coeffs[0] -= t
+        roots = np.roots(coeffs[::-1])
+        xs = roots.real[np.abs(roots.imag) < 1e-9]
+        sides = (xs[xs < px].max(initial=-np.inf), xs[xs > px].min(initial=np.inf))
+        for x in sorted(sides, key=lambda x: abs(x - px)):
+            if not np.isfinite(x):
+                continue
+            try:
+                return trace_cycle(H, t, (float(x), py), singular)
+            except (NearCritical, NotCompactComponent, NumericFailure):
+                continue
     return None
 
 
 def make_cycle(H: Hamiltonian, t, singular: SingularSet) -> CyclePolyline:
-    """Real oval when one exists through an axis seed, else a branch lift.
+    """Real oval when one is seeded beside a real extremum of H, else a
+    branch lift.
 
     Real tracing only applies at real levels; complex t goes straight to the
     branch-point construction. singular is the critical-value set of H."""
@@ -707,8 +671,8 @@ def residual_check(sys: PFSystem, H: Hamiltonian, t_samples: list[float]) -> lis
     """Check a(t) I' = A(t) I against quadrature periods at real samples.
 
     Periods are computed to relative tolerance RESIDUAL_REL_TOL. Derivatives
-    come from central differences with step FD_STEP * max(1, |t|), each
-    stencil point using the same continuously varying cycle.
+    come from central differences with step FD_STEP * max(1, |t|); the cycles
+    at t +- h are the nodes of the base cycle projected onto those levels.
     """
     n = sys.dim
     reports = []
@@ -717,18 +681,11 @@ def residual_check(sys: PFSystem, H: Hamiltonian, t_samples: list[float]) -> lis
             raise NearCritical(f"sample {t} is a singular value")
         base = make_cycle(H, t, sys.singular)
         h = FD_STEP * max(1.0, abs(t))
-        if base.kind == "branch":
-            cyc_p = branch_point_cycle(H, t + h, contour=base.contour)
-            cyc_m = branch_point_cycle(H, t - h, contour=base.contour)
-        else:
-            seed = (float(base.points[0, 0].real), float(base.points[0, 1].real))
-            cyc_p = trace_cycle(H, t + h, seed, sys.singular)
-            cyc_m = trace_cycle(H, t - h, seed, sys.singular)
-        sample = periods_of_system(sys, base, RESIDUAL_REL_TOL)
-        sample_p = periods_of_system(sys, cyc_p, RESIDUAL_REL_TOL)
-        sample_m = periods_of_system(sys, cyc_m, RESIDUAL_REL_TOL)
-        I = np.array(sample.periods)
-        Ip = (np.array(sample_p.periods) - np.array(sample_m.periods)) / (2 * h)
+        I, I_p, I_m = (
+            np.array(periods_of_system(sys, cyc, RESIDUAL_REL_TOL).periods)
+            for cyc in (base, _at_level(base, t + h), _at_level(base, t - h))
+        )
+        Ip = (I_p - I_m) / (2 * h)
         aval = complex(sys.a.eval_complex({"t": t}))
         Aval = np.array(
             [[complex(sys.A[i, j].eval_complex({"t": t})) for j in range(n)] for i in range(n)]

@@ -94,15 +94,6 @@ class ScalarODE:
                 out += f" + ({pos}) {dname(k)}"
         return out + " = 0"
 
-    def residual_of(self, derivs: list[complex], tval: complex) -> complex:
-        """y^(n) + sum coeffs * lower derivatives at tval; derivs = [y, y', ...]."""
-        if len(derivs) != self.order + 1:
-            raise ValueError("need derivatives up to the order")
-        acc = derivs[self.order]
-        for i, c in enumerate(self.coeffs):
-            acc += c.eval_complex(tval) * derivs[self.order - 1 - i]
-        return acc
-
 
 def make_basis_forms(basis: MonomialBasis) -> list[OneForm]:
     """For the monomial x^a y^b return (x^(a+1) y^b / (a+1)) dy, so the

@@ -601,9 +601,9 @@ def winding_count(
             if (k + 1) % n == 0:
                 s1 += 1.0
             news.append(((s0 + s1) / 2) % 1.0)
-        merged = sorted(set(params) | set(news))
-        vals = [complex(refine(s)) if s not in set(params) else vals[params.index(s)] for s in merged]
-        params = merged
+        known = dict(zip(params, vals))
+        params = sorted(known.keys() | set(news))
+        vals = [known[s] if s in known else complex(refine(s)) for s in params]
     raise Inconclusive("refinement cap reached")
 
 

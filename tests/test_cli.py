@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pfzero.cli import main
 
@@ -106,6 +109,19 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error[UsageError]: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("--config", "{tmp}/missing.json"), "FileNotFoundError"),
+            (("bounds", "-d", "2", "--rho", "1/2", "-o", "{tmp}"), "IsADirectoryError"),
+        ],
+        ids=["missing-config", "output-is-a-directory"],
+    )
+    def test_file_error_is_1(self, capsys, tmp_path, argv, error):
+        code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        lines = err.splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith(f"error[{error}]: ")
 
     @pytest.mark.parametrize(
         "domain, rays",
@@ -277,6 +293,12 @@ class TestReports:
         doc = json.loads(out)
         assert code == 0 and doc["passed"]
 
+    def test_verify_quartic_with_default_samples(self, capsys):
+        # the default samples start on small ovals that cross neither axis
+        code, out, _ = run_cli(capsys, "verify", "-H", "x^4 + 2*x^2*y^2 + 2*y^4 + x - 2*y")
+        doc = json.loads(out)
+        assert code == 0 and doc["passed"]
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
@@ -298,3 +320,79 @@ class TestDeterminism:
         capsys.readouterr()
         assert code == 0
         assert json.loads(path.read_text())["schema_version"] == "1"
+
+
+# argv fragments for the contract fuzz: every subcommand with the options it
+# takes, cheap Hamiltonians (one not regular at infinity), and well-formed and
+# malformed values
+FUZZ_FLAGS = {
+    "analyze": ("-H",),
+    "decompose": ("-H", "-P", "-Q"),
+    "pf-system": ("-H",),
+    "scalar-ode": ("-H", "-m", "--mu"),
+    "count-zeros": ("-H", "-m", "--mu", "--domain", "--rays", "--rho"),
+    "verify": ("-H", "--t-samples"),
+    "periods": ("-H", "--t-samples"),
+    "bounds": ("-d", "--rho"),
+    "nope": ("-H",),
+}
+FUZZ_OPTIONS = [
+    ("-H", "x^2+y^2"),
+    ("-H", "x^3-x*y^2+y"),
+    ("-H", "x^3+y"),
+    ("-H", "x^"),
+    ("-P", "x"),
+    ("-Q", "y^2"),
+    ("-m", "1"),
+    ("-m", "0"),
+    ("-m", "9"),
+    ("-d", "2"),
+    ("-d", "x"),
+    ("--domain", "disc:0.5,0,0.3"),
+    ("--domain", "disc:a,0,0.3"),
+    ("--domain", "disc:1,2"),
+    ("--domain", "disc:0.5,0,-1"),
+    ("--domain", "poly:0.2,0.1;0.6,0.1;0.4,0.5"),
+    ("--domain", "poly:0,0;1"),
+    ("--domain", "ring:1"),
+    ("--rays", "auto"),
+    ("--rays", "angles:0.3"),
+    ("--rays", "angles:x"),
+    ("--rays", "spokes"),
+    ("--t-samples", "0.5,1"),
+    ("--t-samples", "0"),
+    ("--t-samples", "abc"),
+    ("--t-samples", "1,inf"),
+    ("--rho", "0.1"),
+    ("--rho", "1/0"),
+    ("--rho", "abc"),
+    ("--rho", "-1"),
+    ("--mu", "1,0"),
+    ("--mu", "1,0,0,0"),
+    ("--mu", "1/0"),
+    ("--mu", "a"),
+]
+FUZZ_LOOSE = ["--bogus", "-H", "--rho", "extra"]
+
+
+def _fuzz_argv(command):
+    options = [pair for pair in FUZZ_OPTIONS if pair[0] in FUZZ_FLAGS[command]]
+    return st.tuples(
+        st.just(command),
+        st.lists(st.sampled_from(options), max_size=4),
+        st.lists(st.sampled_from(FUZZ_LOOSE), max_size=1),
+    )
+
+
+class TestContractFuzz:
+    @given(st.sampled_from(sorted(FUZZ_FLAGS)).flatmap(_fuzz_argv))
+    def test_exit_code_and_one_error_line(self, parts):
+        command, options, loose = parts
+        argv = [command, *(tok for pair in options for tok in pair), *loose]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error")]
+        assert len(errors) == (code != 0)
+        assert all(line.startswith("error[") for line in errors)

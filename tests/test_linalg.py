@@ -120,7 +120,6 @@ class TestRatFunc:
         r = RatFunc(t**2 - 1, 2 * t - 2)
         assert r.den == MultiPoly.const(1)
         assert r.num == Fraction(1, 2) * t + Fraction(1, 2)
-        assert r.eval_complex(3.0) == pytest.approx(2.0)
 
     def test_normalize_idempotent(self):
         r = RatFunc(t**2 - 1, 2 * t - 2)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from pfzero import numerics
 from pfzero.errors import NearCritical, NotCompactComponent, PathTooClose
 from pfzero.hamiltonian import Hamiltonian, critical_values
 from pfzero.numerics import (
     PeriodSample,
+    _at_level,
     branch_point_cycle,
     _continue_branch,
     continuation_callable,
@@ -168,11 +170,9 @@ class TestResiduals:
 CYCLE_CASES = [("x^2+y^2", 1.0, "real"), ("x^3 - x*y^2 + y", 1.5, "branch")]
 
 
-def _continue_branch_sequential(d, first_sign=1.0):
+def _continue_branch_sequential(d):
     """Reference: the point-by-point square-root continuation loop."""
     d = d.copy()
-    if first_sign < 0:
-        d[0] = -d[0]
     for i in range(1, len(d)):
         if abs(-d[i] - d[i - 1]) < abs(d[i] - d[i - 1]):
             d[i] = -d[i]
@@ -201,6 +201,11 @@ class TestSharedOracle:
         assert cyc.kind == kind and len(cyc.points) == 8 * n
         resid = max(abs(H.eval(x, y) - t) for x, y in cyc.points)
         assert resid <= 1e-9 * max(1.0, abs(t))
+        # the same projector carries the cycle to a nearby level
+        near = _at_level(cyc, t + 1e-3)
+        assert near.kind == kind and near.level == t + 1e-3
+        resid = max(abs(H.eval(x, y) - (t + 1e-3)) for x, y in near.points)
+        assert resid <= 1e-9 * max(1.0, abs(t))
 
     @given(
         st.lists(
@@ -208,14 +213,35 @@ class TestSharedOracle:
             min_size=1,
             max_size=40,
         ),
-        st.sampled_from([1.0, -1.0]),
     )
-    def test_branch_continuation_matches_sequential_loop(self, values, first_sign):
+    def test_branch_continuation_matches_sequential_loop(self, values):
         d = np.array(values, dtype=complex)
         # the two agree except where a neighbour pair is a tie (|a+b| = |a-b|);
         # near-ties are left out too, as abs may round differently in the last bit
         plus, minus = np.abs(d[1:] + d[:-1]), np.abs(d[1:] - d[:-1])
         assume(np.all(np.abs(plus - minus) > 1e-12 * (plus + minus)))
-        got = _continue_branch(d, first_sign)
-        want = _continue_branch_sequential(d, first_sign)
+        got = _continue_branch(d)
+        want = _continue_branch_sequential(d)
         assert np.array_equal(got, want)
+
+
+class TestExtremumSeeds:
+    def test_circle_extremum_is_the_origin(self, circle_sing):
+        assert circle_sing.extrema == ((0.0, 0.0),)
+
+    def test_degenerate_minimum_seeds_a_real_oval(self):
+        # the Hessian of x^4 + y^4 vanishes at its minimum
+        H = Hamiltonian.from_poly(P("x^4 + y^4"))
+        sing = critical_values(H)
+        assert sing.extrema == ((0.0, 0.0),)
+        assert make_cycle(H, 1.0, sing).kind == "real"
+
+    def test_saddles_only_cubic_goes_straight_to_the_branch_lift(self, monkeypatch):
+        H = Hamiltonian.from_poly(P("x^3 - x*y^2 + y"))
+        sing = critical_values(H)
+        assert sing.extrema == ()
+        calls = []
+        trace = numerics.trace_cycle
+        monkeypatch.setattr(numerics, "trace_cycle", lambda *a: calls.append(a) or trace(*a))
+        assert make_cycle(H, 1.5, sing).kind == "branch"
+        assert calls == []

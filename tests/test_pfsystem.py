@@ -84,9 +84,7 @@ class TestD2Pipeline:
         _, sys2 = d2
         ode = derive_scalar_ode(sys2, 1)
         assert ode.order == 1
-        assert ode.coeffs[0] == RatFunc(MultiPoly.const(-1), t)
-        # y = pi t satisfies it: y' - y/t = 0 identically
-        assert ode.residual_of([3.14159 * 2.0, 3.14159], 2.0) == pytest.approx(0.0, abs=1e-12)
+        assert ode.coeffs[0] == RatFunc(MultiPoly.const(-1), t)  # y' - y/t = 0, solved by pi t
 
     def test_augmented(self, d2):
         _, sys2 = d2
@@ -95,13 +93,6 @@ class TestD2Pipeline:
         assert all(c.is_zero for c in aug.coeffs)  # y'' = 0
         aug0 = augment_and_reduce(sys2, [Fraction(0)])
         assert aug0.order == 1 and aug0.coeffs[0].is_zero  # y' = 0
-
-    def test_augmented_solution_space(self, d2):
-        # 1 and t solve y'' = 0 exactly
-        _, sys2 = d2
-        aug = augment_and_reduce(sys2, [Fraction(1)])
-        assert aug.residual_of([1.0, 0.0, 0.0], 0.7) == 0.0
-        assert aug.residual_of([0.7, 1.0, 0.0], 0.7) == 0.0
 
     def test_duplicate_forms_degenerate(self, d2):
         H, _ = d2
