@@ -11,7 +11,7 @@ critical points of H.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +21,7 @@ from .errors import (
     NotRegularAtInfinity,
     UnsupportedDegree,
 )
-from .poly import MultiPoly, grevlex_key, poly_gcd, resultant
+from .poly import MultiPoly, _Dense, grevlex_key, poly_gcd, resultant
 
 DEFAULT_ISOLATION_RADIUS = 1e-10
 
@@ -255,28 +255,30 @@ def monomial_basis(H: Hamiltonian) -> MonomialBasis:
 
 
 def yun_squarefree_decomposition(p: MultiPoly, var: str) -> list[tuple[MultiPoly, int]]:
-    """[(factor_i, i)] with p = lc * prod factor_i^i, factors squarefree."""
+    """[(factor_i, i)] with p = lc * prod factor_i^i, factors squarefree and
+    monic; p is a polynomial in var alone, worked on the dense kernel."""
     out = []
-    dp = p.derive(var)
-    g = poly_gcd(p, dp)
+    f = _Dense.from_poly(p)
+    df = f.derive()
+    g = f.gcd(df)
     if g.is_constant():
         return [(p.monic(), 1)]
-    w = p.exact_div(g)
-    y = dp.exact_div(g)
-    z = y - w.derive(var)
+    w = f.exact_div(g)
+    y = df.exact_div(g)
+    z = y - w.derive()
     i = 1
     while not w.is_constant():
         if z.is_zero:
-            out.append((w.monic(), i))
+            out.append((w.monic().to_poly(var), i))
             break
-        h = poly_gcd(w, z)
+        h = w.gcd(z)
         if not h.is_constant():
-            out.append((h.monic(), i))
+            out.append((h.monic().to_poly(var), i))
             w = w.exact_div(h)
             y2 = z.exact_div(h)
         else:
             y2 = z
-        z = y2 - w.derive(var)
+        z = y2 - w.derive()
         i += 1
     return out
 
@@ -345,21 +347,60 @@ def merge_close_values(values: list[CriticalValue]) -> list[CriticalValue]:
 # -- critical values ------------------------------------------------------------
 
 
+def _horner_plan(p: MultiPoly):
+    """p as nested Horner lists: a complex constant, or (variable, plans of
+    the coefficients of its powers from the top down). Evaluating a plan runs
+    exactly the operations of MultiPoly._horner, so results are bit-identical,
+    without rebuilding the coefficient polynomials at every point."""
+    if not p.terms:
+        return 0j
+    if not p.vars:
+        return 0j + complex(p.constant_value())
+    var = p.vars[0]
+    return var, [_horner_plan(p.coeff_in_var(var, k)) for k in range(p.degree_in(var), -1, -1)]
+
+
+def _horner_eval(plan, vals: dict) -> complex:
+    if plan.__class__ is complex:
+        return plan
+    var, kids = plan
+    x = vals[var]
+    acc = 0j
+    for kid in kids:
+        acc = acc * x + _horner_eval(kid, vals)
+    return acc
+
+
+def _abs_poly(p: MultiPoly) -> MultiPoly:
+    """p with every coefficient replaced by its absolute value: evaluated at
+    (|x|, |y|) it gives the size of the terms of p at (x, y)."""
+    return MultiPoly(p.vars, {e: abs(c) for e, c in p.terms.items()})
+
+
 def _numeric_critical_points(
     H: Hamiltonian, res_y: MultiPoly, tol: float = 1e-8
 ) -> list[tuple[complex, complex]]:
     """Critical points of H, polished by Newton from the roots x* of
-    res_y = Res_y(Hx, Hy) and the roots in y of Hx(x*, y) and Hy(x*, y)."""
+    res_y = Res_y(Hx, Hy) and the roots in y of Hx(x*, y) and Hy(x*, y).
+
+    Both numeric tests are relative to the size of the evaluated terms, so
+    scaling H by a constant scales the critical values and nothing else: a
+    polynomial q(x*, y) counts as zero when its coefficients are below tol
+    times the terms of q at (|x*|, 1), and a polished point is kept when Hx
+    and Hy there are below tol times their own terms.
+    """
     hx, hy = H.hx(), H.hy()
+    newton = tuple(_horner_plan(p) for p in (hx, hy, hx.derive("x"), hx.derive("y"), hy.derive("x"), hy.derive("y")))
+    sizes = tuple(_horner_plan(_abs_poly(p)) for p in (hx, hy))
     xs = [cv.value for cv in isolate_roots(res_y, "x")]
     pts: list[tuple[complex, complex]] = []
     for xv in xs:
         cands: set[complex] = set()
-        for q in (hy, hx):
+        for q, q_size in ((hy, sizes[1]), (hx, sizes[0])):
             # roots of q(x*, .) in y
             qc = [q.coeff_in_var("y", k).eval_complex({"x": xv}) for k in range(q.degree_in("y") + 1)]
             arr = np.array(qc, dtype=complex)
-            if np.allclose(arr, 0):
+            if np.all(np.abs(arr) <= tol * _horner_eval(q_size, {"x": complex(abs(xv)), "y": 1 + 0j}).real):
                 continue
             while len(arr) > 1 and arr[-1] == 0:
                 arr = arr[:-1]
@@ -368,31 +409,28 @@ def _numeric_critical_points(
             for yv in np.roots(arr[::-1]):
                 cands.add(complex(yv))
         for yv in cands:
-            xr, yr = _newton_2d(H, {"x": xv, "y": yv})
-            scale = 1.0 + abs(xr) ** max(H.degree - 1, 1) + abs(yr) ** max(H.degree - 1, 1)
-            if (
-                abs(hx.eval_complex({"x": xr, "y": yr})) <= tol * scale
-                and abs(hy.eval_complex({"x": xr, "y": yr})) <= tol * scale
-            ):
+            xr, yr = _newton_2d(newton, xv, yv)
+            at, at_abs = {"x": xr, "y": yr}, {"x": complex(abs(xr)), "y": complex(abs(yr))}
+            if all(abs(_horner_eval(f, at)) <= tol * _horner_eval(g, at_abs).real for f, g in zip(newton[:2], sizes)):
                 if not any(abs(xr - a) + abs(yr - b) < 1e-7 * (1 + abs(xr) + abs(yr)) for a, b in pts):
                     pts.append((xr, yr))
     return pts
 
 
-def _newton_2d(H: Hamiltonian, pt: dict, steps: int = 60):
-    """Newton iteration on (Hx, Hy) = 0 from the given starting point."""
-    hx, hy = H.hx(), H.hy()
-    hxx, hxy = hx.derive("x"), hx.derive("y")
-    hyx, hyy = hy.derive("x"), hy.derive("y")
-    x = complex(pt["x"])
-    y = complex(pt["y"])
+def _newton_2d(plans, x: complex, y: complex, steps: int = 60):
+    """Newton iteration on (Hx, Hy) = 0 from (x, y); plans are the Horner
+    plans of Hx, Hy, Hxx, Hxy, Hyx and Hyy."""
+    hx, hy, hxx, hxy, hyx, hyy = plans
+    x = complex(x)
+    y = complex(y)
     for _ in range(steps):
-        f1 = hx.eval_complex({"x": x, "y": y})
-        f2 = hy.eval_complex({"x": x, "y": y})
-        a = hxx.eval_complex({"x": x, "y": y})
-        b = hxy.eval_complex({"x": x, "y": y})
-        c = hyx.eval_complex({"x": x, "y": y})
-        dd = hyy.eval_complex({"x": x, "y": y})
+        at = {"x": x, "y": y}
+        f1 = _horner_eval(hx, at)
+        f2 = _horner_eval(hy, at)
+        a = _horner_eval(hxx, at)
+        b = _horner_eval(hxy, at)
+        c = _horner_eval(hyx, at)
+        dd = _horner_eval(hyy, at)
         det = a * dd - b * c
         if det == 0:
             return (x, y)
@@ -415,7 +453,24 @@ def critical_values(H: Hamiltonian) -> SingularSet:
     t; its isolated roots are kept when they match the value of H at a
     numerically polished critical point, which prunes the spurious
     combinations resultants allow.
+
+    The isolation floor and the match tolerances are absolute, made for
+    values of unit size. So an H whose largest non-constant coefficient s is
+    below 1 in absolute value is multiplied by the power of two 2^k that
+    brings s into [1, 2), and the values and radii found are divided by 2^k,
+    which is exact in binary floating point: critical_values(c H) has the
+    count of critical_values(H) and c times its values.
     """
+    s = max(abs(c) for e, c in H.poly.terms.items() if any(e))
+    if s >= 1:
+        return _critical_values(H)
+    k = (-(-s.denominator // s.numerator) - 1).bit_length()  # 2^k >= 1/s > 2^(k-1)
+    unit = _critical_values(Hamiltonian.from_poly(H.poly * MultiPoly.const(2**k)))
+    f = 2.0**-k
+    return replace(unit, values=tuple(CriticalValue(v.value * f, v.radius * f, v.multiplicity) for v in unit.values))
+
+
+def _critical_values(H: Hamiltonian) -> SingularSet:
     hx, hy = H.hx(), H.hy()
     if hx.is_zero or hy.is_zero:
         raise NonIsolatedCritical("a partial derivative vanishes identically")

@@ -7,7 +7,10 @@ that the decomposition routines produce; it is exact and deterministic but
 chooses pivots by fill, not by a fixed column sweep. Over polynomial rings,
 `PolyMatrix.determinant`, `PolyMatrix.adjugate` and `first_dependence` are
 fraction-free Bareiss eliminations that share the one update step
-`poly._bareiss_step`.
+`poly._bareiss_step`. Matrices whose entries share one variable are
+eliminated on the dense kernel `poly._Dense` and handed back as `MultiPoly`;
+`first_dependence` works in the ring of the vectors it is given. `RatFunc`
+reduces its parts on the dense kernel too.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CertificateFailed, DegenerateInput, DivisionByZeroPolynomial, Inconsistent
-from .poly import MultiPoly, poly_gcd, _bareiss_det_poly, _bareiss_step
+from .poly import MultiPoly, poly_gcd, _bareiss_det_poly, _bareiss_step, _Dense, _kernel_rows, _zgcd
 
 
 # -- sparse exact solver --------------------------------------------------------
@@ -167,20 +170,7 @@ class PolyMatrix:
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = MultiPoly.zero()
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero or b.is_zero:
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
+        return PolyMatrix(_mat_mul(self.entries, other.entries, MultiPoly))
 
     def scale(self, p: MultiPoly) -> "PolyMatrix":
         return PolyMatrix([[e * p for e in row] for row in self.entries])
@@ -209,8 +199,10 @@ class PolyMatrix:
         n = self.rows
         if n != self.cols:
             raise ValueError("adjugate of a non-square matrix")
-        zero, one = MultiPoly.zero(), MultiPoly.const(1)
-        m = [self.row(i) + [one if j == i else zero for j in range(n)] for i in range(n)]
+        var, m = _kernel_rows(self.entries)
+        ring = MultiPoly if var is None else _Dense
+        zero, one = ring.zero(), ring.const(1)
+        m = [m[i] + [one if j == i else zero for j in range(n)] for i in range(n)]
         sign = 1
         prev = one
         for k in range(n):
@@ -224,12 +216,28 @@ class PolyMatrix:
                 if i != k:
                     _bareiss_step(m[i], m[k], k, prev, range(k + 1, 2 * n))
             prev = m[k][k]
-        return PolyMatrix([[e if sign == 1 else -e for e in row[n:]] for row in m])
+        out = [[e if sign == 1 else -e for e in row[n:]] for row in m]
+        return PolyMatrix(out if var is None else [[e.to_poly(var) for e in row] for row in out])
 
 
-def first_dependence(
-    vectors: Iterable[Sequence[MultiPoly]],
-) -> tuple[int, MultiPoly, list[MultiPoly]] | None:
+def _mat_mul(a: list[list], b: list[list], ring) -> list[list]:
+    """Product of two matrices given as lists of rows over the ring
+    (MultiPoly or _Dense); zero entries are skipped."""
+    out = []
+    for row in a:
+        new = []
+        for j in range(len(b[0]) if b else 0):
+            acc = ring.zero()
+            for e, brow in zip(row, b):
+                f = brow[j]
+                if not e.is_zero and not f.is_zero:
+                    acc = acc + e * f
+            new.append(acc)
+        out.append(new)
+    return out
+
+
+def first_dependence(vectors: Iterable[Sequence]) -> tuple | None:
     """First vector that depends on the vectors before it over the fraction field.
 
     One incremental fraction-free (Bareiss) elimination of the matrix whose
@@ -240,17 +248,19 @@ def first_dependence(
     gives every c_l = D w_l of r_k = sum_{l<k} w_l r_l by exact division. The
     relation D r_k = sum_l c_l r_l is checked exactly (CertificateFailed).
     Returns (k, D, [c_0, ..., c_{k-1}]), or None when the vectors run out and
-    all of them are independent.
+    all of them are independent. The entries are MultiPoly, or _Dense for the
+    scalar reduction; the result is in the same ring.
     """
-    seen: list[list[MultiPoly]] = []  # the vectors as given
-    cols: list[list[MultiPoly]] = []  # column l after elimination steps 0..l-1
+    seen: list[list] = []  # the vectors as given
+    cols: list[list] = []  # column l after elimination steps 0..l-1
     piv_rows: list[int] = []  # pivot row of each step
     for k, r in enumerate(vectors):
         r = list(r)
+        ring = type(r[0]) if r else MultiPoly
         seen.append(r)
         n = len(r)
         col = list(r)
-        prev = MultiPoly.const(1)
+        prev = ring.const(1)
         for s, p_row in enumerate(piv_rows):
             below = [i for i in range(n) if i not in piv_rows[: s + 1]]
             _bareiss_step(col, cols[s], p_row, prev, below)
@@ -260,17 +270,20 @@ def first_dependence(
         if sel is not None:
             piv_rows.append(sel)
             continue
-        D = prev
-        c: list[MultiPoly] = [MultiPoly.zero()] * k
+        D = prev  # the last pivot, cols[k - 1][piv_rows[k - 1]]
+        c = [ring.zero()] * k
         for l in range(k - 1, -1, -1):
             row = piv_rows[l]
+            if l == k - 1:
+                c[l] = col[row]  # D col[row] / D
+                continue
             acc = D * col[row]
             for m in range(l + 1, k):
                 if not cols[m][row].is_zero and not c[m].is_zero:
                     acc = acc - cols[m][row] * c[m]
             c[l] = acc.exact_div(cols[l][row])
         for i in range(n):
-            acc = MultiPoly.zero()
+            acc = ring.zero()
             for cl, rl in zip(c, seen):
                 if not cl.is_zero and not rl[i].is_zero:
                     acc = acc + cl * rl[i]
@@ -288,7 +301,7 @@ class RatFunc:
 
     A container for the coefficients of the scalar equations, which the
     pipeline only compares, negates, evaluates and prints; it has no other
-    arithmetic.
+    arithmetic. The reduction runs on the dense kernel.
     """
 
     __slots__ = ("num", "den")
@@ -299,19 +312,17 @@ class RatFunc:
         for p in (num, den):
             if any(v != "t" for v in p.vars):
                 raise ValueError("RatFunc components must be polynomials in t only")
-        if num.is_zero:
-            den = MultiPoly.const(1)
-        else:
-            g = poly_gcd(num, den)
-            if not g.is_constant():
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lc = den.leading_coeff()
-            if lc != 1:
-                num = num * MultiPoly.const(Fraction(1) / lc)
-                den = den.monic()
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        num, den = _reduced(_Dense.from_poly(num), _Dense.from_poly(den))
+        object.__setattr__(self, "num", num.to_poly("t"))
+        object.__setattr__(self, "den", den.to_poly("t"))
+
+    @classmethod
+    def _of_reduced(cls, num: MultiPoly, den: MultiPoly) -> "RatFunc":
+        """A RatFunc of parts already in lowest terms with den monic."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "num", num)
+        object.__setattr__(r, "den", den)
+        return r
 
     def __setattr__(self, *a):
         raise AttributeError("RatFunc is immutable")
@@ -329,12 +340,26 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._of_reduced(-self.num, self.den)
 
     def to_text(self) -> str:
         if self.den == MultiPoly.const(1):
             return self.num.to_text()
         return f"({self.num.to_text()}) / ({self.den.to_text()})"
+
+
+def _reduced(num: _Dense, den: _Dense) -> tuple[_Dense, _Dense]:
+    """num / den in lowest terms with den monic (den nonzero)."""
+    if num.is_zero:
+        return num, _Dense.const(1)
+    _, pn, pd = _zgcd(num.p, den.p)
+    return _Dense(num.c / (den.c * pd[-1]), pn), _Dense(Fraction(1, pd[-1]), pd)
+
+
+def _lcm(a: _Dense, b: _Dense) -> _Dense:
+    """Monic least common multiple of two nonzero polynomials."""
+    _, _, pb = _zgcd(a.p, b.p)
+    return (a * _Dense(Fraction(1), pb)).monic()
 
 
 def poly_lcm(a: MultiPoly, b: MultiPoly) -> MultiPoly:

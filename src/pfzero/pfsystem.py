@@ -14,6 +14,12 @@ stops at the first row that depends on the earlier ones over the rational
 functions and yields the monic equation. Appending the row
 I0' = mu^T (A/a) I gives the equation satisfied by an arbitrary combination
 of the basis periods, whose solutions always include the constants.
+
+Everything after the Petrov solves is a polynomial in t alone, so it runs on
+the dense kernel `poly._Dense`: the product adj(K) (L - K'), the content
+cancellation, the certificate, the iterated rows, the dependence and the
+reduction of the coefficients. `MultiPoly` stays at the boundaries:
+`PFSystem.A/a/K/L` and `RatFunc.num/den`.
 """
 
 from __future__ import annotations
@@ -32,9 +38,9 @@ from .hamiltonian import (
     isolate_roots,
     monomial_basis,
 )
-from .linalg import PolyMatrix, RatFunc, first_dependence, poly_lcm
+from .linalg import PolyMatrix, RatFunc, _lcm, _mat_mul, _reduced, first_dependence
 from .petrov import OneForm, ideal_representation, petrov_decompose
-from .poly import MultiPoly, poly_gcd
+from .poly import MultiPoly, _Dense, _zgcd
 
 
 @dataclass(frozen=True)
@@ -160,33 +166,28 @@ def assemble_pf_system(
     detK = K.determinant()
     if detK.is_zero:
         raise DegenerateK("period coefficient matrix is singular")
-    rhs = L - K.derive("t")
-    M = K.adjugate() * rhs
+    # from here on every entry is a polynomial in t on the dense kernel
+    Kd = _dense(K)
+    rhs = [[l - k.derive() for l, k in zip(lrow, krow)] for lrow, krow in zip(_dense(L), Kd)]
+    M = _mat_mul(_dense(K.adjugate()), rhs, _Dense)
     # cancel the common polynomial content, then normalize a to monic
-    g = detK
-    for i in range(n):
-        for j in range(n):
-            e = M[i, j]
-            if e.is_zero:
-                continue
-            g = poly_gcd(g, e)
-            if g.is_constant():
-                break
-        if g.is_constant():
+    g = _Dense.from_poly(detK).p
+    for e in (e for row in M for e in row if not e.is_zero):
+        if len(g) == 1:
             break
-    if not g.is_constant():
-        detK = detK.exact_div(g)
-        M = PolyMatrix([[M[i, j].exact_div(g) if not M[i, j].is_zero else M[i, j] for j in range(n)] for i in range(n)])
-    lc = detK.leading_coeff()
-    a = detK.monic()
-    A = PolyMatrix([[M[i, j] * MultiPoly.const(Fraction(1) / lc) for j in range(n)] for i in range(n)])
-    if K * A != rhs.scale(a):
+        g = _zgcd(g, e.p)[0]
+    g = _Dense(Fraction(1), g)
+    a = _Dense.from_poly(detK).exact_div(g)
+    inv_lc = _Dense.const(1 / a.leading_coeff())
+    A = [[e.exact_div(g) * inv_lc for e in row] for row in M]
+    a = a.monic()
+    if _mat_mul(Kd, A, _Dense) != [[a * e for e in row] for row in rhs]:
         raise CertificateFailed("the period system fails K A = a (L - K')")
     singular = critical_values(H)
     return PFSystem(
         dim=n,
-        A=A,
-        a=a,
+        A=PolyMatrix([[e.to_poly("t") for e in row] for row in A]),
+        a=a.to_poly("t"),
         K=K,
         L=L,
         basis=basis,
@@ -203,22 +204,28 @@ def _as_tpoly(p: MultiPoly) -> MultiPoly:
     return p
 
 
-def _iterated_rows(A: PolyMatrix, a: MultiPoly, m_index: int) -> Iterator[list[MultiPoly]]:
+def _dense(M: PolyMatrix) -> list[list[_Dense]]:
+    return [[_Dense.from_poly(e) for e in row] for row in M.entries]
+
+
+def _iterated_rows(A: PolyMatrix, a: MultiPoly, m_index: int) -> Iterator[list[_Dense]]:
     """Rows r_j with a^j I_m^(j) = r_j I for j = 0, 1, ..., generated lazily
     and without end: r_0 = e_m, r_{j+1} = a r_j' + r_j (A - j a' Id)."""
     n = A.rows
-    ap = a.derive("t")
-    r = [MultiPoly.const(1 if i == m_index else 0) for i in range(n)]
+    Ad = _dense(A)
+    ad = _Dense.from_poly(a)
+    ap = ad.derive()
+    r = [_Dense.const(1 if i == m_index else 0) for i in range(n)]
     j = 0
     while True:
         yield r
-        jap = ap * MultiPoly.const(j)
+        jap = ap * _Dense.const(j)
         nxt = []
         for c in range(n):
-            acc = a * r[c].derive("t") - jap * r[c]
+            acc = ad * r[c].derive() - jap * r[c]
             for i in range(n):
-                if not r[i].is_zero and not A[i, c].is_zero:
-                    acc = acc + r[i] * A[i, c]
+                if not r[i].is_zero and not Ad[i][c].is_zero:
+                    acc = acc + r[i] * Ad[i][c]
             nxt.append(acc)
         r = nxt
         j += 1
@@ -232,15 +239,17 @@ def _scalar_from_matrix(
 ) -> ScalarODE:
     # D r_k = sum_l num_l r_l, so I^(k) = sum_l (num_l / (D a^(k-l))) I^(l)
     k, D, num = first_dependence(_iterated_rows(A, a, m_index))
+    ad = _Dense.from_poly(a)
     coeffs = []
-    a_power = a
+    a_power = ad
+    pole_poly = ad.monic()
     for l in range(k - 1, -1, -1):
-        coeffs.append(RatFunc(-num[l], D * a_power))
-        a_power = a_power * a
-    pole_poly = a
-    for c in coeffs:
-        pole_poly = poly_lcm(pole_poly, c.den) if not c.is_zero else pole_poly
-    poles = tuple(isolate_roots(pole_poly, "t"))
+        c_num, c_den = _reduced(-num[l], D * a_power)
+        coeffs.append(RatFunc._of_reduced(c_num.to_poly("t"), c_den.to_poly("t")))
+        if not c_num.is_zero:
+            pole_poly = _lcm(pole_poly, c_den)
+        a_power = a_power * ad
+    poles = tuple(isolate_roots(pole_poly.to_poly("t"), "t"))
     return ScalarODE(order=k, coeffs=tuple(coeffs), pole_set=poles, true_singularities=singular)
 
 

@@ -1,9 +1,19 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Exact polynomials: sparse multivariate `MultiPoly` and a dense kernel in
+one variable.
 
-Variables are drawn from the fixed alphabet x, y, t (in that order of
-precedence). Coefficients are `fractions.Fraction`; no floating point enters
-any symbolic path. Term order everywhere is graded reverse lexicographic with
-x > y > t, which also fixes the canonical text serialization.
+`MultiPoly` is the public type. Variables are drawn from the fixed alphabet
+x, y, t (in that order of precedence). Coefficients are `fractions.Fraction`;
+no floating point enters any symbolic path. Term order everywhere is graded
+reverse lexicographic with x > y > t, which also fixes the canonical text
+serialization.
+
+The private `_Dense` holds a polynomial in one variable as a Fraction content
+times a primitive integer coefficient tuple. Products and exact quotients go
+through Kronecker substitution (one big-integer multiplication or division),
+gcds through the heuristic GCDHEU with the subresultant sequence as fallback.
+Every fraction-free elimination (`_bareiss_step`, behind determinants,
+resultants, the adjugate and the first dependence) runs on it whenever its
+entries share one variable, and on `MultiPoly` otherwise.
 
 The text grammar (round-trips bit-exactly):
 
@@ -485,18 +495,126 @@ def parse_polynomial(text: str) -> MultiPoly:
     return acc
 
 
-# -- gcd ---------------------------------------------------------------------
+# -- dense integer kernel ------------------------------------------------------
+#
+# Polynomials in one variable as integer coefficient sequences, lowest degree
+# first. Products and exact quotients go through Kronecker substitution: a
+# sequence is packed into one integer p(2^(8w)) by joining w-byte words, the
+# integers are multiplied or divided, and the result is unpacked into balanced
+# digits in [-2^(8w-1), 2^(8w-1)). The unpacking is exact whenever every
+# coefficient of the result is smaller than 2^(8w-1) in absolute value. Both
+# directions shift every word by 2^(8w-1), so one join or one split suffices.
 
 
-def _univ_int_coeffs(p: MultiPoly, var: str):
-    """Clear denominators: integer coefficient list of a univariate polynomial."""
-    coeffs = p.univariate_coeffs(var)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
+def _bits(p) -> int:
+    """Bit length of the largest coefficient (in absolute value)."""
+    return max(max(p), -min(p)).bit_length()
+
+
+def _ones(n: int, w: int) -> int:
+    """sum_{i<n} 2^(8wi): the packed sequence of n ones."""
+    return int.from_bytes((b"\x01" + bytes(w - 1)) * n, "little")
+
+
+def _pack(p, w: int) -> int:
+    """p(2^(8w)) for an integer coefficient sequence p."""
+    k = 8 * w
+    if _bits(p) >= k:  # coefficients wider than a word: Horner by shifts
+        n = 0
+        for c in reversed(p):
+            n = (n << k) + c
+        return n
+    half = 1 << (k - 1)
+    n = int.from_bytes(b"".join((c + half).to_bytes(w, "little") for c in p), "little")
+    return n - (_ones(len(p), w) << (k - 1))
+
+
+def _unpack(n: int, w: int) -> list:
+    """Balanced base-2^(8w) digits of n, lowest first, no trailing zeros."""
+    k = 8 * w
+    count = abs(n).bit_length() // k + 2
+    half = 1 << (k - 1)
+    raw = (n + (_ones(count, w) << (k - 1))).to_bytes(count * w, "little")
+    out = [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, count * w, w)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zmul(p: tuple, q: tuple) -> tuple:
+    """Product in Z[t] by one big-integer multiplication."""
+    if len(p) == 1 or len(q) == 1:
+        (c,), f = (p, q) if len(p) == 1 else (q, p)
+        return f if c == 1 else tuple(c * x for x in f)
+    w = (_bits(p) + _bits(q) + min(len(p), len(q)).bit_length()) // 8 + 1
+    return tuple(_unpack(_pack(p, w) * _pack(q, w), w))
+
+
+def _zdiv(p: tuple, q: tuple) -> tuple:
+    """Exact quotient p / q in Z[t] (q nonzero); ValueError unless q divides p.
+
+    If q divides p, q(xi) divides p(xi) for every integer xi, so a nonzero
+    remainder disproves divisibility at once. The word is sized for the
+    quotient, about ||p|| / ||q||: the balanced digits r of p(xi) / q(xi) are
+    the quotient once xi > 2 ||r||, and r q = p is checked by one product.
+    A true quotient is below 2^(deg r) sqrt(deg p + 1) ||p|| (Mignotte), so
+    the word grows at most to that size, where a failed check proves that q
+    does not divide p. The word also stays above ||q||, so xi > 1 + ||q|| lies
+    beyond every root of q (Cauchy) and q(xi) is never zero.
+    """
+    if not p:
+        return ()
+    lp, lq = len(p), len(q)
+    if lq == 1:
+        c = q[0]
+        if any(x % c for x in p):
+            raise ValueError("not exactly divisible")
+        return p if c == 1 else tuple(x // c for x in p)
+    if lp < lq:
+        raise ValueError("not exactly divisible")
+    bp, bq = _bits(p), _bits(q)
+    lr = lp - lq + 1
+    mignotte = max(bp + lr + lp.bit_length() + 1, bq)
+    bits = max(min(max(bp - bq, 0) + min(lr, lq).bit_length() + 16, mignotte), bq)
+    while True:
+        w = bits // 8 + 1
+        quo, rem = divmod(_pack(p, w), _pack(q, w))
+        if rem:
+            raise ValueError("not exactly divisible")
+        r = tuple(_unpack(quo, w))
+        if len(r) == lr and _zmul(r, q) == p:
+            return r
+        if bits == mignotte:
+            raise ValueError("not exactly divisible")
+        bits = min(2 * bits, mignotte)
+
+
+def _primitive(s) -> tuple[int, tuple]:
+    """(g, s / g) with the quotient primitive and its leading entry positive;
+    s has no trailing zeros and is nonempty."""
+    g = math.gcd(*s)
+    if s[-1] < 0:
+        g = -g
+    return g, tuple(s) if g == 1 else tuple(c // g for c in s)
+
+
+def _prs_gcd(a: tuple, b: tuple) -> tuple:
+    """Primitive gcd by the subresultant polynomial remainder sequence."""
+    if len(a) < len(b):
+        a, b = b, a
+    g, h = 1, 1
+    while True:
+        delta = (len(a) - 1) - (len(b) - 1)
+        r = _int_poly_prem(a, b)
+        if not any(r):
+            break
+        if len(r) - 1 == 0:
+            return (1,)
+        divisor = g * h**delta
+        a, b = b, [c // divisor for c in r]
+        g = a[-1]
+        h = h if delta == 0 else (g**delta) // (h ** (delta - 1)) if delta > 1 else g
+    return _primitive(b)[1]
 
 
 def _int_poly_prem(a, b):
@@ -522,27 +640,179 @@ def _int_poly_prem(a, b):
     return r
 
 
-def _univariate_gcd(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
-    """Monic gcd via the subresultant polynomial remainder sequence over Z."""
-    a = _univ_int_coeffs(p, var)
-    b = _univ_int_coeffs(q, var)
-    if len(a) < len(b):
-        a, b = b, a
-    g, h = 1, 1
-    while True:
-        delta = (len(a) - 1) - (len(b) - 1)
-        r = _int_poly_prem(a, b)
-        if not any(r):
-            break
-        if len(r) - 1 == 0:
-            return MultiPoly.const(1)
-        divisor = g * h**delta
-        a, b = b, [c // divisor for c in r]
-        g = a[-1]
-        h = h if delta == 0 else (g**delta) // (h ** (delta - 1)) if delta > 1 else g
-    cont = math.gcd(*b)
-    b = [c // cont for c in b]
-    return MultiPoly.from_univariate_coeffs(var, b).monic()
+_HEU_TRIES = 4
+
+
+def _heu_bytes(p: tuple, q: tuple) -> int:
+    """Word size of the first evaluation point: xi = 2^(8w) >= 2 min(||p||, ||q||) + 2."""
+    return (min(_bits(p), _bits(q)) + 2) // 8 + 1
+
+
+def _heu_gcd_at(p: tuple, q: tuple, w: int):
+    """GCDHEU at xi = 2^(8w): (h, p / h, q / h) with h the primitive part of
+    the balanced xi-adic digits of gcd(p(xi), q(xi)), or None when h fails to
+    divide both. For xi >= 2 min(||p||, ||q||) + 2 a dividing h is the gcd of
+    the primitive p and q (Char, Geddes & Gonnet 1989)."""
+    h = _primitive(_unpack(math.gcd(_pack(p, w), _pack(q, w)), w))[1]
+    try:
+        return h, _zdiv(p, h), _zdiv(q, h)
+    except ValueError:
+        return None
+
+
+def _zgcd(p: tuple, q: tuple) -> tuple[tuple, tuple, tuple]:
+    """(g, p / g, q / g) with g the primitive gcd of primitive p and q: GCDHEU
+    at a few growing points, then the subresultant sequence."""
+    if len(p) == 1 or len(q) == 1:
+        return (1,), p, q
+    w = _heu_bytes(p, q)
+    for _ in range(_HEU_TRIES):
+        got = _heu_gcd_at(p, q, w)
+        if got is not None:
+            return got
+        w *= 2
+    g = _prs_gcd(p, q)
+    return g, _zdiv(p, g), _zdiv(q, g)
+
+
+class _Dense:
+    """A polynomial in one variable: content c (a Fraction) times the
+    primitive integer coefficient tuple p (lowest degree first, p[-1] > 0).
+
+    The form is unique, so equality is plain comparison; zero is (0, ()).
+    Products of primitive tuples are primitive (Gauss's lemma), so `*` and
+    `exact_div` need no gcd; `+` and `-` take one `math.gcd` for the new
+    content. The variable's name lives with the caller, in `from_poly` and
+    `to_poly`.
+    """
+
+    __slots__ = ("c", "p")
+
+    def __init__(self, c: Fraction, p: tuple):
+        self.c = c
+        self.p = p
+
+    @staticmethod
+    def zero() -> "_Dense":
+        return _ZERO
+
+    @staticmethod
+    def const(c) -> "_Dense":
+        return _Dense(Fraction(c), (1,)) if c else _ZERO
+
+    @staticmethod
+    def of(c: Fraction, s) -> "_Dense":
+        """c times the integer sequence s, normalised."""
+        s = list(s)
+        while s and not s[-1]:
+            s.pop()
+        if not s or not c:
+            return _ZERO
+        g, p = _primitive(s)
+        return _Dense(c * g, p)
+
+    @staticmethod
+    def from_poly(f: MultiPoly) -> "_Dense":
+        """f, a MultiPoly in at most one variable."""
+        if not f.terms:
+            return _ZERO
+        coeffs = f.univariate_coeffs(f.vars[0]) if f.vars else [f.constant_value()]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return _Dense.of(Fraction(1, den), [c.numerator * (den // c.denominator) for c in coeffs])
+
+    def to_poly(self, var: str) -> MultiPoly:
+        c = self.c
+        return MultiPoly((var,), {(i,): c * k for i, k in enumerate(self.p) if k})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.p
+
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self.p) - 1
+
+    def is_constant(self) -> bool:
+        return len(self.p) <= 1
+
+    def leading_coeff(self) -> Fraction:
+        return self.c * self.p[-1]
+
+    def monic(self) -> "_Dense":
+        return _Dense(Fraction(1, self.p[-1]), self.p) if self.p else self
+
+    def __eq__(self, other):
+        if not isinstance(other, _Dense):
+            return NotImplemented
+        return self.c == other.c and self.p == other.p
+
+    def __repr__(self):
+        return f"_Dense({self.c!r}, {self.p!r})"
+
+    def __neg__(self):
+        return _Dense(-self.c, self.p) if self.p else self
+
+    def __add__(self, other: "_Dense") -> "_Dense":
+        if not other.p:
+            return self
+        if not self.p:
+            return other
+        a, b = self.c, other.c
+        g = math.gcd(a.numerator, b.numerator)
+        den = math.lcm(a.denominator, b.denominator)
+        u = a.numerator // g * (den // a.denominator)
+        v = b.numerator // g * (den // b.denominator)
+        p, q = self.p, other.p
+        if len(p) < len(q):
+            p, q, u, v = q, p, v, u
+        s = [u * c for c in p]
+        for i, c in enumerate(q):
+            s[i] += v * c
+        return _Dense.of(Fraction(g, den), s)
+
+    def __sub__(self, other: "_Dense") -> "_Dense":
+        return self + (-other)
+
+    def __mul__(self, other: "_Dense") -> "_Dense":
+        if not self.p or not other.p:
+            return _ZERO
+        return _Dense(self.c * other.c, _zmul(self.p, other.p))
+
+    def exact_div(self, divisor: "_Dense") -> "_Dense":
+        """Exact quotient; ValueError if the divisor does not divide."""
+        if not divisor.p:
+            raise ZeroDivisionError("division by zero polynomial")
+        if not self.p:
+            return self
+        return _Dense(self.c / divisor.c, _zdiv(self.p, divisor.p))
+
+    def derive(self) -> "_Dense":
+        return _Dense.of(self.c, [i * c for i, c in enumerate(self.p)][1:])
+
+    def gcd(self, other: "_Dense") -> "_Dense":
+        """Monic gcd; gcd(f, 0) is f made monic, gcd(0, 0) raises."""
+        if not self.p and not other.p:
+            raise DegenerateInput("gcd(0, 0) is undefined")
+        if not other.p:
+            return self.monic()
+        if not self.p:
+            return other.monic()
+        return _Dense(Fraction(1), _zgcd(self.p, other.p)[0]).monic()
+
+
+_ZERO = _Dense(Fraction(0), ())
+
+
+def _kernel_rows(rows):
+    """(var, rows over _Dense) when all the MultiPoly entries share one
+    variable or are constants (var "t" then), else (None, rows)."""
+    names = {v for row in rows for e in row for v in e.vars}
+    if len(names) > 1:
+        return None, rows
+    return (names.pop() if names else "t"), [[_Dense.from_poly(e) for e in row] for row in rows]
+
+
+# -- gcd ---------------------------------------------------------------------
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -553,15 +823,8 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     variables = set(a.vars) | set(b.vars)
     if len(variables) > 1:
         raise ValueError(f"poly_gcd takes polynomials in one shared variable, got {sorted(variables)}")
-    if a.is_zero and b.is_zero:
-        raise DegenerateInput("gcd(0, 0) is undefined")
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    if a.is_constant() or b.is_constant():
-        return MultiPoly.const(1)
-    return _univariate_gcd(a, b, variables.pop())
+    var = variables.pop() if variables else "t"
+    return _Dense.from_poly(a).gcd(_Dense.from_poly(b)).to_poly(var)
 
 
 # -- resultant -----------------------------------------------------------------
@@ -606,7 +869,9 @@ def _bareiss_step(vec, pivot_vec, k, prev, idx) -> None:
     place, with p = pivot_vec[k]; exact when prev is the pivot before p.
 
     The one fraction-free (Bareiss) update of the exact core: determinants,
-    the adjugate and the first dependence all run through it."""
+    the adjugate and the first dependence all run through it. It is generic
+    over the ring: MultiPoly, or _Dense when the entries share one variable.
+    """
     p, f = pivot_vec[k], vec[k]
     for i in idx:
         a, b = vec[i], pivot_vec[i]
@@ -618,13 +883,14 @@ def _bareiss_step(vec, pivot_vec, k, prev, idx) -> None:
 
 
 def _bareiss_det_poly(rows: list[list[MultiPoly]]) -> MultiPoly:
-    """Fraction-free determinant over the polynomial ring; 1 for 0 x 0."""
-    n = len(rows)
-    if n == 0:
-        return MultiPoly.const(1)
-    m = [row[:] for row in rows]
+    """Fraction-free determinant over the polynomial ring; 1 for 0 x 0. Runs
+    on the dense kernel when the entries share one variable."""
+    var, m = _kernel_rows(rows)
+    ring = MultiPoly if var is None else _Dense
+    n = len(m)
+    m = [row[:] for row in m]
     sign = 1
-    prev = MultiPoly.const(1)
+    prev = ring.const(1)
     for k in range(n - 1):
         sel = next((i for i in range(k, n) if not m[i][k].is_zero), None)
         if sel is None:
@@ -635,6 +901,6 @@ def _bareiss_det_poly(rows: list[list[MultiPoly]]) -> MultiPoly:
         for i in range(k + 1, n):
             _bareiss_step(m[i], m[k], k, prev, range(k + 1, n))
         prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
+    det = m[n - 1][n - 1] if n else prev
+    det = det if sign == 1 else -det
+    return det if var is None else det.to_poly(var)

@@ -6,6 +6,8 @@ from hypothesis import assume, given, strategies as st
 from pfzero.errors import NonIsolatedCritical, NotRegularAtInfinity, UnsupportedDegree
 from pfzero.hamiltonian import (
     Hamiltonian,
+    _horner_eval,
+    _horner_plan,
     critical_values,
     highest_part,
     is_regular_at_infinity,
@@ -118,6 +120,30 @@ class TestCriticalValues:
         s = critical_values(H("x^3 + y^2"))
         assert s.may_miss_atypical
 
+    @pytest.mark.parametrize("text", ["x^3 - x*y^2 + y", "x^2 + y^2 + x^3 - 3*x*y^2"])
+    def test_scaling_scales_the_values(self, text):
+        # c H has the critical points of H and c times its critical values
+        base = critical_values(H(text))
+        for e in (-9, -6, 6, 9):
+            c = Fraction(10) ** e
+            scaled = critical_values(Hamiltonian.from_poly(P(text) * MultiPoly.const(c)))
+            assert scaled.count_with_multiplicity == base.count_with_multiplicity
+            assert len(scaled.values) == len(base.values)
+            for v in base.values:
+                assert min(abs(w.value / float(c) - v.value) for w in scaled.values) <= 1e-9
+
+
+class TestHornerPlan:
+    @given(
+        small_polys(("x", "y"), 5),
+        st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+        st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+    )
+    def test_bit_identical_to_horner(self, p, xv, yv):
+        for q in (p, p.derive("x"), p.derive("y"), p.coeff_in_var("x", 1)):
+            at = {"x": xv, "y": yv}
+            assert repr(_horner_eval(_horner_plan(q), at)) == repr(q.eval_complex(at))
+
 
 class TestMonomialBasis:
     def test_circle_basis_is_constant(self):
@@ -157,3 +183,15 @@ class TestRootIsolation:
         factors = yun_squarefree_decomposition(p, "t")
         assert ((tvar + 3).monic(), 1) in factors
         assert ((tvar - 1).monic(), 2) in factors
+
+    @pytest.mark.parametrize("k", [8, 24, 56])
+    def test_yun_with_a_root_at_a_power_of_256(self, k):
+        # the exact quotients of Yun's loop divide by t - 2^k, whose root is
+        # where a quotient-sized packing word would evaluate it
+        tvar = MultiPoly.var("t")
+        c = MultiPoly.const(2**k)
+        factors = yun_squarefree_decomposition(tvar**2 * (tvar - c), "t")
+        assert sorted(factors, key=lambda f: f[1]) == [(tvar - c, 1), (tvar, 2)]
+        roots = sorted(isolate_roots(tvar**2 * (tvar - c)), key=lambda r: r.value.real)
+        assert [r.multiplicity for r in roots] == [2, 1]
+        assert abs(roots[1].value - 2**k) <= 1e-6 * 2**k

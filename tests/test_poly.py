@@ -1,10 +1,21 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from pfzero.errors import DegenerateInput, ParseError
-from pfzero.poly import MultiPoly, parse_polynomial, poly_gcd, resultant
+from pfzero.poly import (
+    MultiPoly,
+    _Dense,
+    _heu_bytes,
+    _heu_gcd_at,
+    _primitive,
+    _prs_gcd,
+    _zgcd,
+    parse_polynomial,
+    poly_gcd,
+    resultant,
+)
 
 P = parse_polynomial
 x, y, t = MultiPoly.var("x"), MultiPoly.var("y"), MultiPoly.var("t")
@@ -194,3 +205,130 @@ class TestEval:
         vab = (a * b).eval_complex(pt)
         assert abs(vab - va * vb) <= 1e-12 * max(1.0, abs(va * vb))
 
+
+
+# -- the dense integer kernel ------------------------------------------------
+
+
+@st.composite
+def wide_ints(draw):
+    """Signed integers of 1 to 2000 bits."""
+    bits = draw(st.integers(1, 2000))
+    return draw(st.integers(-(1 << bits), 1 << bits))
+
+
+@st.composite
+def wide_tpolys(draw, max_len=7):
+    """Polynomials in t with wide rational coefficients, zero and constants included."""
+    coeffs = draw(st.lists(wide_ints(), max_size=max_len))
+    den = draw(st.integers(1, 1 << draw(st.integers(0, 200))))
+    return MultiPoly.from_univariate_coeffs("t", [Fraction(c, den) for c in coeffs])
+
+
+def dense(p):
+    return _Dense.from_poly(p)
+
+
+def int_seq(p):
+    """Primitive integer coefficient tuple of a nonzero polynomial in t."""
+    return dense(p).p
+
+
+@st.composite
+def int_tpolys(draw, max_len=6, bits=64):
+    coeffs = draw(st.lists(st.integers(-(1 << bits), 1 << bits), min_size=1, max_size=max_len))
+    return MultiPoly.from_univariate_coeffs("t", coeffs)
+
+
+class TestDenseKernel:
+    @given(wide_tpolys())
+    def test_round_trip(self, a):
+        d = dense(a)
+        assert d.to_poly("t") == a
+        assert d.degree() == a.degree()
+        assert d.is_zero == a.is_zero
+        assert not d.p or (d.p[-1] > 0 and _primitive(list(d.p))[0] == 1)
+
+    @given(wide_tpolys(), wide_tpolys())
+    def test_ring_operations_match_multipoly(self, a, b):
+        assert (dense(a) * dense(b)).to_poly("t") == a * b
+        assert (dense(a) + dense(b)).to_poly("t") == a + b
+        assert (dense(a) - dense(b)).to_poly("t") == a - b
+        assert (dense(a) == dense(b)) == (a == b)
+
+    @given(wide_tpolys())
+    def test_derive(self, a):
+        assert dense(a).derive().to_poly("t") == a.derive("t")
+
+    @given(wide_tpolys(), wide_tpolys())
+    def test_exact_division(self, a, b):
+        if b.is_zero:
+            return
+        assert (dense(a * b).exact_div(dense(b))).to_poly("t") == a
+
+    @given(wide_tpolys(), wide_tpolys(), wide_ints())
+    def test_non_divisor_raises(self, a, b, c):
+        # a remainder of nonzero degree 0 is left by any b of degree >= 1
+        if b.degree() < 1 or c == 0:
+            return
+        with pytest.raises(ValueError):
+            dense(a * b + MultiPoly.const(c)).exact_div(dense(b))
+
+    def test_divisor_with_a_root_at_a_power_of_two(self):
+        # q = t - 2^k vanishes at xi = 2^k: the packing word must stay above
+        # ||q||, or q(xi) = 0 and the packed division fails
+        for k in range(1, 200):
+            q = t - MultiPoly.const(2**k)
+            for r in (t * t, 3 * t * t - 5 * t + 7, t**3 - MultiPoly.const(2**k)):
+                assert (dense(r * q).exact_div(dense(q))).to_poly("t") == r
+
+    def test_quotient_wider_than_dividend(self):
+        # (t - 1)^60 has 57-bit coefficients, (t^2 - 1)^60 no wider ones: the
+        # first word is too small and the division has to grow it
+        q = (t + 1) ** 60
+        assert dense((t * t - 1) ** 60).exact_div(dense(q)).to_poly("t") == (t - 1) ** 60
+
+
+class TestHeuristicGcd:
+    @given(int_tpolys(), int_tpolys(), int_tpolys(bits=300))
+    def test_matches_the_subresultant_sequence(self, a, b, g):
+        if (a * g).is_zero or (b * g).is_zero:
+            return
+        p, q = int_seq(a * g), int_seq(b * g)
+        # a dividing candidate is the gcd only from this first point on
+        assert 1 << (8 * _heu_bytes(p, q)) >= 2 * min(max(map(abs, p)), max(map(abs, q))) + 2
+        h, cp, cq = _zgcd(p, q)
+        assert h == _prs_gcd(p, q)
+        assert dense(a * g).exact_div(_Dense(Fraction(1), h)).p == cp
+        assert dense(b * g).exact_div(_Dense(Fraction(1), h)).p == cq
+
+    def test_divisor_with_a_root_at_a_power_of_256(self):
+        # GCDHEU finds h = t - 2^24 at 2^32; the trial division by h must
+        # not evaluate h at its own root
+        c = MultiPoly.const(2**24)
+        assert poly_gcd(t * t - c * t, t - c) == t - c
+        h, cp, cq = _zgcd(int_seq(t * t - c * t), int_seq(t - c))
+        assert (h, cp, cq) == (int_seq(t - c), (0, 1), (1,))
+
+    def test_first_point_fails_then_recovers(self):
+        # p = g (t + 1) fixes xi = 256; q = g b with b(-1) = xi + 1, so
+        # gcd(p(xi), q(xi)) carries the phantom factor xi + 1 = (t + 1)(xi)
+        g = P("t^2 + 3*t - 5")
+        p = int_seq(g * (t + 1))
+        q = int_seq(g * ((t + 1) * (t * t + 2) + 257))
+        assert _heu_bytes(p, q) == 1
+        assert _heu_gcd_at(p, q, 1) is None
+        assert _zgcd(p, q)[0] == _prs_gcd(p, q) == int_seq(g)
+
+    @given(int_tpolys(bits=40), int_tpolys(bits=8))
+    def test_phantom_factor_at_the_first_point(self, g, s):
+        # the same construction for random g and s
+        if g.is_zero or s.is_zero:
+            return
+        p = int_seq(g * (t + 1))
+        xi = 1 << (8 * _heu_bytes(p, p))
+        b = (t + 1) * s + xi + 1
+        q = int_seq(g * b)
+        assume(_heu_bytes(p, q) == _heu_bytes(p, p))
+        assert _zgcd(p, q)[0] == _prs_gcd(p, q)
+        assert poly_gcd(g * (t + 1), g * b) == poly_gcd(g, g * b)
