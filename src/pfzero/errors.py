@@ -68,7 +68,7 @@ class NotInIdeal(MathematicalDegeneracy):
 
 
 class DecompositionFailed(MathematicalDegeneracy):
-    """Petrov decomposition not found below the degree escalation cap."""
+    """Petrov decomposition not found at the degree the regularity at infinity fixes."""
 
 
 class DegenerateK(MathematicalDegeneracy):

@@ -4,6 +4,7 @@ critical values, and the monomial basis of C[x,y] / <Hx~, Hy~>.
 Regularity at infinity is decided exactly: the top form factors into pairwise
 distinct linear factors iff its dehomogenization in one chart is squarefree
 and the remaining chart contributes a factor of multiplicity at most one.
+The monomial basis comes from one exact elimination per degree below 2d-2.
 Critical values go through resultant elimination to a univariate polynomial
 in t whose roots are then isolated numerically and verified against the
 critical points of H.
@@ -12,7 +13,6 @@ critical points of H.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .errors import (
     NotRegularAtInfinity,
     UnsupportedDegree,
 )
-from .poly import MultiPoly, _Dense, grevlex_key, poly_gcd, resultant
+from .linalg import solve_sparse_exact
+from .poly import MultiPoly, _Dense, poly_gcd, resultant
 
 DEFAULT_ISOLATION_RADIUS = 1e-10
 
@@ -117,136 +118,48 @@ def is_regular_at_infinity(H: Hamiltonian) -> bool:
     return poly_gcd(p, p.derive("y")).is_constant()
 
 
-# -- Buchberger ----------------------------------------------------------------
-
-
-def _mono_divides(a, b) -> bool:
-    return all(i <= j for i, j in zip(a, b))
-
-
-def _reduce_full(p: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
-    """Full normal form: reduce every reducible term."""
-    if p.is_zero:
-        return p
-    ctx = ("x", "y")
-    rem = MultiPoly.zero()
-    work = p
-    lts = [(b.leading()[0], b.leading()[1], b) for b in basis]
-    while not work.is_zero:
-        e, c = work.leading()
-        we = work.extended(ctx)
-        e2 = max(we, key=grevlex_key)
-        c2 = we[e2]
-        hit = None
-        for le, lc, b in lts:
-            ble = b.extended(ctx)
-            ble_lead = max(ble, key=grevlex_key)
-            if _mono_divides(ble_lead, e2):
-                hit = (ble_lead, ble[ble_lead], b)
-                break
-        if hit is None:
-            mono = MultiPoly(ctx, {e2: c2})
-            rem = rem + mono
-            work = work - mono
-        else:
-            ble_lead, blc, b = hit
-            shift = tuple(i - j for i, j in zip(e2, ble_lead))
-            factor = MultiPoly(ctx, {shift: c2 / blc})
-            work = work - factor * b
-    return rem
-
-
-def _spoly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    ctx = ("x", "y")
-    fe = f.extended(ctx)
-    ge = g.extended(ctx)
-    lf = max(fe, key=grevlex_key)
-    lg = max(ge, key=grevlex_key)
-    lcm = tuple(max(i, j) for i, j in zip(lf, lg))
-    mf = MultiPoly(ctx, {tuple(l - i for l, i in zip(lcm, lf)): Fraction(1) / fe[lf]})
-    mg = MultiPoly(ctx, {tuple(l - i for l, i in zip(lcm, lg)): Fraction(1) / ge[lg]})
-    return mf * f - mg * g
-
-
-def buchberger(gens: list[MultiPoly]) -> list[MultiPoly]:
-    """Reduced Groebner basis for an ideal in Q[x,y], grevlex x > y."""
-    ctx = ("x", "y")
-    basis = [g.monic() for g in gens if not g.is_zero]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        i, j = pairs.pop(0)
-        fe = basis[i].extended(ctx)
-        ge = basis[j].extended(ctx)
-        lf = max(fe, key=grevlex_key)
-        lg = max(ge, key=grevlex_key)
-        if all(a == 0 or b == 0 for a, b in zip(lf, lg)):
-            continue  # coprime leading monomials
-        s = _reduce_full(_spoly(basis[i], basis[j]), basis)
-        if not s.is_zero:
-            basis.append(s.monic())
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    # interreduce
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1 :]
-            r = _reduce_full(basis[i], others)
-            if r != basis[i]:
-                changed = True
-                if r.is_zero:
-                    basis.pop(i)
-                else:
-                    basis[i] = r.monic()
-                break
-    return sorted(basis, key=lambda b: grevlex_key(max(b.extended(ctx), key=grevlex_key)))
-
-
-def _staircase(leads: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    minimal = []
-    for e in leads:
-        if any(_mono_divides(o, e) and o != e for o in leads):
-            continue
-        if e not in minimal:
-            minimal.append(e)
-    return sorted(minimal)
+# -- staircase -------------------------------------------------------------------
 
 
 def monomial_basis(H: Hamiltonian) -> MonomialBasis:
-    """Standard monomials below the staircase of <Hx~, Hy~>.
+    """Standard monomials below the staircase of <Hx~, Hy~>, grevlex x > y.
 
-    The count equals (d-1)^2 exactly when the Hamiltonian is regular at
-    infinity; otherwise the quotient is infinite dimensional and
-    NotRegularAtInfinity is raised.
+    Requires H regular at infinity (NotRegularAtInfinity otherwise): then
+    Hx~ and Hy~ are a regular sequence of forms of degree d-1, so the
+    quotient has min(k+1, 2d-3-k) standard monomials in each degree
+    k <= 2d-4 and none from degree 2d-3 on, (d-1)^2 in all. Degree by
+    degree, k < 2d-2, the Macaulay rows x^i y^j Hx~ and x^i y^j Hy~ of
+    degree k are eliminated with columns swept from x^k down (column b is
+    x^(k-b) y^b); the pivot columns are the leading monomials of the
+    ideal in degree k and the other columns are standard. A pivot whose
+    x- and y-quotients are not pivots one degree lower is a corner of the
+    staircase.
     """
     if not is_regular_at_infinity(H):
         raise NotRegularAtInfinity("top form has a repeated linear factor")
-    ctx = ("x", "y")
-    hp = H.highest_part
-    gx, gy = hp.derive("x"), hp.derive("y")
-    gb = buchberger([g for g in (gx, gy) if not g.is_zero])
-    leads = []
-    for b in gb:
-        be = b.extended(ctx)
-        leads.append(max(be, key=grevlex_key))
-    amax = min((e[0] for e in leads if e[1] == 0), default=None)
-    bmax = min((e[1] for e in leads if e[0] == 0), default=None)
-    if amax is None or bmax is None:
-        raise NotRegularAtInfinity("quotient is infinite dimensional")
-    monos = []
-    for a in range(amax):
-        for b in range(bmax):
-            if not any(_mono_divides(e, (a, b)) for e in leads):
-                monos.append((a, b))
     d = H.degree
+    hp = H.highest_part
+    gens = [hp.derive(v).extended(("x", "y")) for v in ("x", "y")]
+    monos: list[tuple[int, int]] = []
+    corners: list[tuple[int, int]] = []
+    below: set[int] = set()  # pivot columns one degree lower
+    for k in range(2 * d - 2):
+        rows = [{b + j: c for (_, b), c in g.items()} for g in gens for j in range(k - d + 2)]
+        _, pivots = solve_sparse_exact(rows, k + 1)
+        lead = set(pivots)
+        for b in range(k + 1):
+            if b not in lead:
+                monos.append((k - b, b))
+            elif (b == k or b not in below) and (b == 0 or b - 1 not in below):
+                corners.append((k - b, b))
+        below = lead
     if len(monos) != (d - 1) ** 2:
         raise NotRegularAtInfinity(
             f"quotient dimension {len(monos)} != {(d - 1) ** 2}"
         )
-    monos.sort(key=lambda ab: (ab[0] + ab[1], ab[1]))
     return MonomialBasis(
         monomials=tuple(monos),
-        leading_term_diagram=tuple(_staircase(leads)),
+        leading_term_diagram=tuple(sorted(corners)),
         degree=d,
     )
 

@@ -3,8 +3,9 @@ rational functions in t.
 
 `solve_sparse_exact` is an integer cross-multiplication eliminator with
 row-content stripping for the large, very sparse coefficient-matching systems
-that the decomposition routines produce; it is exact and deterministic but
-chooses pivots by fill, not by a fixed column sweep. Over polynomial rings,
+that the decomposition routines produce and for the Macaulay matrices of the
+staircase; it is exact and deterministic, sweeps the columns in a fixed order
+and chooses each pivot row by fill. Over polynomial rings,
 `PolyMatrix.determinant`, `PolyMatrix.adjugate` and `first_dependence` are
 fraction-free Bareiss eliminations that share the one update step
 `poly._bareiss_step`. Matrices whose entries share one variable are
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CertificateFailed, DegenerateInput, DivisionByZeroPolynomial, Inconsistent
-from .poly import MultiPoly, poly_gcd, _bareiss_det_poly, _bareiss_step, _Dense, _kernel_rows, _zgcd
+from .poly import MultiPoly, _bareiss_det_poly, _bareiss_step, _Dense, _kernel_rows, _zgcd
 
 
 # -- sparse exact solver --------------------------------------------------------
@@ -39,13 +40,15 @@ def _strip_row(row: dict) -> dict:
     return row
 
 
-def solve_sparse_exact(rows: list[dict], ncols: int, col_order=None):
+def solve_sparse_exact(rows: list[dict], ncols: int):
     """Solve a sparse rational system given as rows {col: Fraction, RHS: Fraction}.
 
-    Pivoting prefers sparse rows and sweeps columns in `col_order` (default
-    0..ncols-1); unpivoted columns are free and set to zero. Row updates are
-    integer cross-multiplications with content stripping, so everything stays
-    exact. Returns (solution list, rank). Raises Inconsistent.
+    Pivoting prefers sparse rows and sweeps the columns 0..ncols-1 in order;
+    unpivoted columns are free and set to zero. Row updates are integer
+    cross-multiplications with content stripping, so everything stays exact.
+    Returns (solution list, pivot columns in sweep order); the pivot columns
+    are the leading columns of the row space, and their count is the rank.
+    Raises Inconsistent.
     """
     work = []
     for row in rows:
@@ -53,8 +56,6 @@ def solve_sparse_exact(rows: list[dict], ncols: int, col_order=None):
         introw = {j: int(Fraction(c) * den) for j, c in row.items() if Fraction(c) != 0}
         if introw:
             work.append(_strip_row(introw))
-    if col_order is None:
-        col_order = range(ncols)
     col_index: dict[int, set[int]] = {}
     for i, row in enumerate(work):
         for j in row:
@@ -62,7 +63,7 @@ def solve_sparse_exact(rows: list[dict], ncols: int, col_order=None):
                 col_index.setdefault(j, set()).add(i)
     active = set(range(len(work)))
     pivots: list[tuple[int, int]] = []  # (row id, col)
-    for col in col_order:
+    for col in range(ncols):
         cand = [i for i in col_index.get(col, ()) if i in active]
         if not cand:
             continue
@@ -116,7 +117,7 @@ def solve_sparse_exact(rows: list[dict], ncols: int, col_order=None):
             if sol[j]:
                 acc -= c * sol[j]
         sol[col] = acc / row[col]
-    return sol, len(pivots)
+    return sol, [col for _, col in pivots]
 
 
 # -- polynomial matrices ---------------------------------------------------------
@@ -361,9 +362,3 @@ def _lcm(a: _Dense, b: _Dense) -> _Dense:
     _, _, pb = _zgcd(a.p, b.p)
     return (a * _Dense(Fraction(1), pb)).monic()
 
-
-def poly_lcm(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    if a.is_zero or b.is_zero:
-        return MultiPoly.zero()
-    g = poly_gcd(a, b)
-    return (a * b).exact_div(g).monic()

@@ -11,6 +11,8 @@ into the linear system, which is solved exactly.
 
 The companion problem g = Hx * b - Hy * a (membership in the gradient ideal)
 is solved the same way and feeds the derivative-of-period construction.
+Both are one coefficient-matching solve at the degree that regularity at
+infinity fixes; there is no degree search.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class PetrovDecomposition:
     coeffs: tuple[MultiPoly, ...]  # c_i(t), polynomials in t
     A: MultiPoly
     B: MultiPoly
-    ansatz_degree: int  # degree allowed for A when the solve succeeded
+    ansatz_degree: int  # max(deg A, deg B, 0) of the solution found
 
     def reconstruct(self, H: Hamiltonian, forms: list[OneForm]) -> OneForm:
         """Exact right-hand side sum; equals the decomposed form."""
@@ -87,54 +89,53 @@ def _monomials_upto(deg: int) -> list[tuple[int, int]]:
     return out
 
 
-def ideal_representation(
-    g: MultiPoly, H: Hamiltonian, deg_cap: int
-) -> tuple[MultiPoly, MultiPoly]:
-    """Find (a, b) with Hx * b - Hy * a = g, degrees at most deg_cap.
+def _match_coefficients(columns: list[MultiPoly], rhs: MultiPoly) -> list[Fraction]:
+    """Exact solution s of sum_j s_j columns[j] = rhs by matching the
+    coefficients of every monomial in x, y; raises Inconsistent."""
+    rows: dict[tuple, dict] = {}
+    for j, col in enumerate(columns):
+        for e, c in col.extended(("x", "y")).items():
+            rows.setdefault(e, {})[j] = c
+    for e, c in rhs.extended(("x", "y")).items():
+        rows.setdefault(e, {})[RHS] = c
+    sol, _pivots = solve_sparse_exact(list(rows.values()), len(columns))
+    return sol
 
-    Coefficient matching with degree escalation starting at deg(g) - d + 1.
-    Raises NotInIdeal when the system stays inconsistent at the cap.
+
+def _poly_of(sol, monos: list[tuple[int, int]]) -> MultiPoly:
+    acc = MultiPoly.zero()
+    for (u, v), coef in zip(monos, sol):
+        if coef:
+            acc = acc + MultiPoly.monomial(coef, x=u, y=v)
+    return acc
+
+
+def ideal_representation(g: MultiPoly, H: Hamiltonian) -> tuple[MultiPoly, MultiPoly]:
+    """Find (a, b) with Hx * b - Hy * a = g and deg a, deg b <= deg g - d + 1.
+
+    Requires H regular at infinity. Then Hx~ and Hy~ are a regular sequence,
+    so {Hx, Hy} is an H-basis of the gradient ideal: every member g has a
+    representation with deg(b Hx), deg(a Hy) <= deg g, and one coefficient
+    matching at that cofactor degree decides membership. Raises NotInIdeal
+    when it is inconsistent, which for an H not regular at infinity may also
+    happen to a member of the ideal.
     """
-    hx, hy = H.hx(), H.hy()
-    d = H.degree
-    start = max(g.degree() - d + 1, 0)
     if g.is_zero:
         return MultiPoly.zero(), MultiPoly.zero()
-    m = min(start, deg_cap)
-    while True:
-        monos = _monomials_upto(m)
-        ncols = 2 * len(monos)
-        cols: list[dict] = []
-        for u, v in monos:  # b block first
-            cols.append((hx * MultiPoly.monomial(1, x=u, y=v)).extended(("x", "y")))
-        for u, v in monos:  # a block, negated
-            cols.append((-hy * MultiPoly.monomial(1, x=u, y=v)).extended(("x", "y")))
-        rows: dict[tuple, dict] = {}
-        for j, col in enumerate(cols):
-            for e, c in col.items():
-                rows.setdefault(e, {})[j] = c
-        for e, c in g.extended(("x", "y")).items():
-            rows.setdefault(e, {})[RHS] = c
-        try:
-            sol, _rank = solve_sparse_exact(list(rows.values()), ncols)
-        except Inconsistent:
-            if m >= deg_cap:
-                raise NotInIdeal(
-                    f"no representation with cofactor degree <= {deg_cap}"
-                )
-            m = min(m + 1, deg_cap)
-            continue
-        b = MultiPoly.zero()
-        a = MultiPoly.zero()
-        for (u, v), coef in zip(monos, sol[: len(monos)]):
-            if coef:
-                b = b + MultiPoly.monomial(coef, x=u, y=v)
-        for (u, v), coef in zip(monos, sol[len(monos) :]):
-            if coef:
-                a = a + MultiPoly.monomial(coef, x=u, y=v)
-        if hx * b - hy * a != g:
-            raise CertificateFailed("ideal representation residual is not zero")
-        return a, b
+    hx, hy = H.hx(), H.hy()
+    m = max(g.degree() - H.degree + 1, 0)
+    monos = _monomials_upto(m)
+    cols = [hx * MultiPoly.monomial(1, x=u, y=v) for u, v in monos]  # b block first
+    cols += [-hy * MultiPoly.monomial(1, x=u, y=v) for u, v in monos]  # a block, negated
+    try:
+        sol = _match_coefficients(cols, g)
+    except Inconsistent:
+        raise NotInIdeal(f"no representation with cofactor degree <= {m}") from None
+    b = _poly_of(sol[: len(monos)], monos)
+    a = _poly_of(sol[len(monos) :], monos)
+    if hx * b - hy * a != g:
+        raise CertificateFailed("ideal representation residual is not zero")
+    return a, b
 
 
 def petrov_decompose(
@@ -142,87 +143,56 @@ def petrov_decompose(
 ) -> PetrovDecomposition:
     """Exact decomposition against the given basis forms.
 
-    The c_i degree caps come from the module degree bound
-    deg c_i <= (deg omega - deg omega_i) / d; the (A, B) ansatz degree starts
-    low and doubles, capped at d^3 * max(deg omega, d). When the system is
-    solvable the c_i are unique; (A, B) follow the deterministic
+    Requires H regular at infinity. The c_i degree caps come from the module
+    degree bound deg c_i <= (deg omega - deg omega_i) / d, and B is sought
+    with deg B <= deg omega - d + 1 (Gavrilov, "Petrov modules and zeros of
+    Abelian integrals", Bull. Sci. Math. 122 (1998)), so one exact solve
+    decides; an inconsistent one raises DecompositionFailed, which for an H
+    not regular at infinity may also happen to a decomposable form. When the
+    system is solvable the c_i are unique; (A, B) follow the deterministic
     free-variables-to-zero rule of the sparse eliminator.
     """
     d = H.degree
     hx, hy = H.hx(), H.hy()
     degw = max(omega.degree, 0)
-    caps = []
-    for w in forms:
-        cap = (degw - w.degree) // d if degw >= w.degree else -1
-        caps.append(cap)
     rhs_poly = omega.Q - omega.P.integrate("x").derive("y")
-    hard_cap = d**3 * max(degw, d)
-    m_B = max(degw - d + 1, 0)
-    while True:
-        sol = _try_decompose(omega, H, forms, caps, m_B, rhs_poly)
-        if sol is not None:
-            coeffs, B, phi = sol
-            A = (omega.P - B * hx).integrate("x") + phi
-            dec = PetrovDecomposition(
-                coeffs=tuple(coeffs), A=A, B=B, ansatz_degree=max(A.degree(), B.degree(), 0)
-            )
-            recon = dec.reconstruct(H, forms)
-            if recon.P != omega.P or recon.Q != omega.Q:
-                raise CertificateFailed("Petrov reconstruction residual is not zero")
-            return dec
-        if m_B + d >= hard_cap:
-            raise DecompositionFailed(
-                f"no decomposition with deg(A) <= {hard_cap}; "
-                "either the Hamiltonian is not regular at infinity or the cap is too low"
-            )
-        m_B = min(2 * m_B + d, hard_cap)
-
-
-def _try_decompose(omega, H, forms, caps, m_B, rhs_poly):
-    d = H.degree
-    hx, hy = H.hx(), H.hy()
-    columns: list[dict] = []
-    meta: list[tuple] = []
+    # unknowns: c_i = sum_r c_ir t^r, then B, then phi(y) = sum_k phi_k y^k
+    columns: list[MultiPoly] = []
+    c_slots: list[tuple[int, int]] = []
     hpowers = [MultiPoly.const(1)]
     for i, w in enumerate(forms):
-        for r in range(caps[i] + 1):
+        for r in range((degw - w.degree) // d + 1 if degw >= w.degree else 0):
             while len(hpowers) <= r:
                 hpowers.append(hpowers[-1] * H.poly)
-            columns.append((hpowers[r] * w.Q).extended(("x", "y")))
-            meta.append(("c", i, r))
-    for u, v in _monomials_upto(m_B):
+            columns.append(hpowers[r] * w.Q)
+            c_slots.append((i, r))
+    m_B = max(degw - d + 1, 0)
+    b_monos = _monomials_upto(m_B)
+    for u, v in b_monos:
         mono = MultiPoly.monomial(1, x=u, y=v)
-        col = hy * mono - (hx * mono).integrate("x").derive("y")
-        columns.append(col.extended(("x", "y")))
-        meta.append(("B", u, v))
+        columns.append(hy * mono - (hx * mono).integrate("x").derive("y"))
     m_phi = max(rhs_poly.degree_in("y"), m_B + d, 1) + 1
     for k in range(1, m_phi + 1):
-        columns.append({(0, k - 1): Fraction(k)})
-        meta.append(("phi", k, 0))
-    rows: dict[tuple, dict] = {}
-    for j, col in enumerate(columns):
-        for e, c in col.items():
-            rows.setdefault(e, {})[j] = c
-    for e, c in rhs_poly.extended(("x", "y")).items():
-        rows.setdefault(e, {})[RHS] = c
+        columns.append(MultiPoly.monomial(k, y=k - 1))
     try:
-        sol, _rank = solve_sparse_exact(list(rows.values()), len(columns))
+        sol = _match_coefficients(columns, rhs_poly)
     except Inconsistent:
-        return None
+        raise DecompositionFailed(
+            f"no decomposition with deg B <= {m_B}: H is not regular at infinity "
+            "or the forms do not span the quotient"
+        ) from None
     coeffs = [MultiPoly.zero() for _ in forms]
-    B = MultiPoly.zero()
-    phi = MultiPoly.zero()
-    for val, tag in zip(sol, meta):
-        if not val:
-            continue
-        kind = tag[0]
-        if kind == "c":
-            _, i, r = tag
+    for (i, r), val in zip(c_slots, sol):
+        if val:
             coeffs[i] = coeffs[i] + MultiPoly.monomial(val, t=r)
-        elif kind == "B":
-            _, u, v = tag
-            B = B + MultiPoly.monomial(val, x=u, y=v)
-        else:
-            _, k, _ = tag
-            phi = phi + MultiPoly.monomial(val, y=k)
-    return coeffs, B, phi
+    n_c = len(c_slots)
+    B = _poly_of(sol[n_c : n_c + len(b_monos)], b_monos)
+    phi = _poly_of(sol[n_c + len(b_monos) :], [(0, k) for k in range(1, m_phi + 1)])
+    A = (omega.P - B * hx).integrate("x") + phi
+    dec = PetrovDecomposition(
+        coeffs=tuple(coeffs), A=A, B=B, ansatz_degree=max(A.degree(), B.degree(), 0)
+    )
+    recon = dec.reconstruct(H, forms)
+    if recon.P != omega.P or recon.Q != omega.Q:
+        raise CertificateFailed("Petrov reconstruction residual is not zero")
+    return dec

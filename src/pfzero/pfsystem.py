@@ -126,7 +126,7 @@ def gelfand_leray_rhs(H: Hamiltonian, omega: OneForm) -> OneForm:
     """
     f2 = euler_multiplier(H) ** 2
     g = omega.scale(f2).exterior_coeff()
-    a, b = ideal_representation(g, H, deg_cap=g.degree() + 2 * H.degree)
+    a, b = ideal_representation(g, H)
     return OneForm(a, b)
 
 

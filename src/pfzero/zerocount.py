@@ -552,29 +552,31 @@ def yakovenko_varbound(n: int, l: float, C: float) -> float:
 
 # -- argument principle --------------------------------------------------------------
 
+_MAX_REFINE = 28  # densification rounds of winding_count
+_ZERO_FLOOR = 1e-280  # a sample this small counts as a zero on the contour
+
 
 def winding_count(
     values,
     refine=None,
     params=None,
-    max_refine: int = 28,
-    zero_floor: float = 1e-280,
 ) -> int:
     """Winding number of a sampled nonvanishing closed path around 0.
 
     Phase increments are summed and the sampling is densified through the
-    callback until every consecutive increment is below pi/2; the total over
-    2 pi must land within 0.25 of an integer. refine(s) evaluates the path at
-    an arbitrary parameter in [0, 1)."""
+    callback, at most _MAX_REFINE times, until every consecutive increment is
+    below pi/2; the total over 2 pi must land within 0.25 of an integer.
+    refine(s) evaluates the path at an arbitrary parameter in [0, 1). A
+    sample below _ZERO_FLOOR in magnitude raises ZeroOnContour."""
     vals = [complex(v) for v in values]
     if params is None:
         params = [k / len(vals) for k in range(len(vals))]
     params = list(params)
     if len(params) != len(vals):
         raise UsageError("params and values must align")
-    for _round in range(max_refine + 1):
+    for _round in range(_MAX_REFINE + 1):
         for v in vals:
-            if abs(v) < zero_floor:
+            if abs(v) < _ZERO_FLOOR:
                 raise ZeroOnContour("sample magnitude below the zero floor")
         deltas = []
         bad = []
@@ -592,7 +594,7 @@ def winding_count(
             if abs(w - k) >= 0.25:
                 raise Inconclusive(f"winding total {w} not close to an integer")
             return int(k)
-        if refine is None or _round == max_refine:
+        if refine is None or _round == _MAX_REFINE:
             raise Inconclusive("phase increments stay above pi/2 after refinement")
         news = []
         for k in bad:
@@ -706,6 +708,8 @@ def asymptotic_bound_calculators(
 
 # -- the bound pipeline ----------------------------------------------------------------
 
+_NUMERIC_SAMPLES = 64  # initial boundary samples of the numeric count
+
 
 @dataclass(frozen=True)
 class ZeroBoundReport:
@@ -722,7 +726,6 @@ def zero_count_bound(
     dom: SimpleDomain,
     tol: float = 1e-6,
     numeric_fn=None,
-    numeric_samples: int = 64,
     calculator_inputs: dict | None = None,
 ) -> ZeroBoundReport:
     """Upper bound for the number of zeros of solutions in the domain.
@@ -730,7 +733,8 @@ def zero_count_bound(
     Decomposes the domain, takes a rigorous coefficient bound per segment and
     sums the variation-of-argument bounds over 2 pi. When `numeric_fn`
     (a callable on the region boundary, s in [0,1)) is given, the argument
-    principle supplies numeric_count as well.
+    principle supplies numeric_count as well, from _NUMERIC_SAMPLES
+    boundary samples densified by winding_count.
     """
     poles = [cv.value for cv in ode.pole_set]
     segs = decompose_simple_domain(dom, poles)
@@ -744,7 +748,7 @@ def zero_count_bound(
     total = int(math.floor(math.fsum(varbounds) / (2 * math.pi)))
     numeric = None
     if numeric_fn is not None:
-        ss = [k / numeric_samples for k in range(numeric_samples)]
+        ss = [k / _NUMERIC_SAMPLES for k in range(_NUMERIC_SAMPLES)]
         numeric = winding_count([numeric_fn(s) for s in ss], refine=numeric_fn, params=ss)
     ci = dict(calculator_inputs or {})
     d_guess = ci.get("d", 1 + max(1, round(math.sqrt(ode.order))))

@@ -19,6 +19,11 @@ H4 = "-x^4 - 2*x^3*y + 2*x*y^3 + 3*y^4 - x^3 - 2*x*y^2 + 3*y^3 - 2*x^2 - 2*y^2 -
 # largest non-constant coefficient below 1: critical values found on 2 H, radii
 # floored at 1e-10 / 2
 HALF_OVAL_CUBIC = "1/2*x^2 + 1/2*y^2 + 1/3*x^3 - 1/2*x*y^2"
+# a quintic: its staircase reaches degree 2d - 3 = 7
+QUINTIC = "x^5 + 2*x^3*y^2 - y^5 + x*y - y"
+# both resultant routes of the critical values vanish identically, so every
+# value comes from the numerically polished critical points
+SPLIT_CUBIC = "x^2*y + x*y^2 + x*y"
 
 GOLDEN = [
     (("analyze", "-H", CIRCLE), "8ff63cb4c6e93b23ea9bfb37460d6ce8850e4f9db28ba05405d7b5bfa191d07a"),
@@ -61,6 +66,12 @@ GOLDEN = [
     (("pf-system", "-H", H4), "ac5c14078251b241d02aca61ec42b026f6da9a36068b87194bb902500b7d8148"),
     (("analyze", "-H", HALF_OVAL_CUBIC), "88dc073324d06b85a3e37ca2c5fbb42e4e0d623c578d2d3f33a9208c5a4fbcc8"),
     (("pf-system", "-H", HALF_OVAL_CUBIC), "a8245a041b9d887efffc3d65475942f2adbd9d8dd022ebe7f6e4d74171df942b"),
+    (("analyze", "-H", QUINTIC), "e90b81392723df46e315f3992f009bfa8d78625cdf5779dae1853ebe248d34b0"),
+    (
+        ("decompose", "-H", H4, "-P", "x^5*y", "-Q", "y^6 + x^3"),
+        "ca1a706bc5e9e9bf877033d3628e3c868c3378bfaef00c1e7039b7510bfcdfbc",
+    ),
+    (("analyze", "-H", SPLIT_CUBIC), "fbd39bc42f223192ca7454cf5d6b6f22535e1546e5a03c21efc3ad7239fcedda"),
 ]
 
 

@@ -161,11 +161,15 @@ class TestMonomialBasis:
 
     def test_random_cardinality_and_degree_bound(self, rng):
         for _ in range(50):
-            d = rng.choice([2, 3, 4])
+            d = rng.choice([2, 3, 4, 5, 6])
             ham = random_regular_hamiltonian(rng, d)
             b = monomial_basis(ham)
             assert len(b.monomials) == (d - 1) ** 2
             assert all(a + c <= (d - 1) ** 2 - 1 for a, c in b.monomials)
+            # Hilbert function of two forms of degree d-1 in a regular sequence
+            for k in range(2 * d - 1):
+                expected = max(min(k + 1, 2 * d - 3 - k), 0)
+                assert sum(1 for a, c in b.monomials if a + c == k) == expected
 
 
 class TestRootIsolation:

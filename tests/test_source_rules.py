@@ -20,3 +20,25 @@ def test_no_assert_in_the_package():
             if isinstance(node, ast.Assert) or (isinstance(exc, ast.Name) and exc.id == "AssertionError"):
                 found.append(f"{path.name}:{node.lineno}")
     assert SOURCES and not found
+
+
+def _imported_names(tree: ast.Module):
+    """(name, line) bound by each import of the module, __future__ aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((a.asname or a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+
+
+def test_no_unused_import_in_the_package():
+    # a name a module imports and never reads is a leftover of deleted code;
+    # __init__.py imports only to re-export
+    found = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree) if name not in used]
+    assert SOURCES and not found
