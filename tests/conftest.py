@@ -14,6 +14,9 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
+# a generic quartic: dim 9, deg a 9
+H4 = "-x^4 - 2*x^3*y + 2*x*y^3 + 3*y^4 - x^3 - 2*x*y^2 + 3*y^3 - 2*x^2 - 2*y^2 - 2*x + y + 3"
+
 
 def random_poly(rng: random.Random, variables, max_deg, coeff_range=5, density=0.6):
     terms = {}

@@ -10,12 +10,11 @@ import hashlib
 import pytest
 
 from pfzero.cli import main
+from tests.conftest import H4
 
 CIRCLE = "x^2+y^2"
 BRANCH_CUBIC = "x^3 - x*y^2 + y"
 OVAL_CUBIC = "x^2 + y^2 + x^3 - 3*x*y^2"
-# a generic quartic: dim 9, deg a 9
-H4 = "-x^4 - 2*x^3*y + 2*x*y^3 + 3*y^4 - x^3 - 2*x*y^2 + 3*y^3 - 2*x^2 - 2*y^2 - 2*x + y + 3"
 # largest non-constant coefficient below 1: critical values found on 2 H, radii
 # floored at 1e-10 / 2
 HALF_OVAL_CUBIC = "1/2*x^2 + 1/2*y^2 + 1/3*x^3 - 1/2*x*y^2"
@@ -64,6 +63,7 @@ GOLDEN = [
         "71f324384a9035072cd5dc20c1d17a7d037468c41e0e505f19202c5d1eb88f40",
     ),
     (("pf-system", "-H", H4), "ac5c14078251b241d02aca61ec42b026f6da9a36068b87194bb902500b7d8148"),
+    (("scalar-ode", "-H", H4, "-m", "1"), "67858e8921d7b1ef9ea193f9ad0adf644cc65e590b587c15a7010ae8b2dc29da"),
     (("analyze", "-H", HALF_OVAL_CUBIC), "88dc073324d06b85a3e37ca2c5fbb42e4e0d623c578d2d3f33a9208c5a4fbcc8"),
     (("pf-system", "-H", HALF_OVAL_CUBIC), "a8245a041b9d887efffc3d65475942f2adbd9d8dd022ebe7f6e4d74171df942b"),
     (("analyze", "-H", QUINTIC), "e90b81392723df46e315f3992f009bfa8d78625cdf5779dae1853ebe248d34b0"),

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from pfzero import numerics
-from pfzero.errors import NearCritical, NotCompactComponent, PathTooClose
+from pfzero.errors import NearCritical, NotCompactComponent, PathTooClose, StiffnessFailure
 from pfzero.hamiltonian import Hamiltonian, critical_values
 from pfzero.numerics import (
     PeriodSample,
     _at_level,
+    _continue_segments,
+    _matrix_evaluator,
     branch_point_cycle,
     _continue_branch,
     continuation_callable,
@@ -19,6 +22,7 @@ from pfzero.numerics import (
     periods_of_system,
     refine_cycle,
     residual_check,
+    solve_ivp,
     trace_cycle,
 )
 from pfzero.petrov import OneForm, petrov_decompose
@@ -137,6 +141,91 @@ class TestContinuation:
         v = f(0.25)[0]
         expect = math.pi * np.exp(2j * np.pi * 0.25)
         assert abs(v - expect) <= 1e-7
+
+    def test_dense_callable_rejects_a_single_vertex(self, circle_sys):
+        init = PeriodSample(t=1.0, periods=(math.pi + 0j,), error_estimate=0.0)
+        with pytest.raises(ValueError, match="two vertices"):
+            continuation_callable(circle_sys, [1.0], init)
+
+    def test_dense_callable_rejects_a_path_away_from_the_sample(self, circle_sys):
+        # the periods at t = 1 must not be continued from t = 2
+        init = PeriodSample(t=1.0, periods=(math.pi + 0j,), error_estimate=0.0)
+        with pytest.raises(ValueError, match="first path vertex"):
+            continuation_callable(circle_sys, [2.0, 3.0], init)
+        with pytest.raises(ValueError, match="first path vertex"):
+            integrate_pf_numeric(circle_sys, [2.0, 3.0], init)
+
+    def test_integrator_failure_is_a_stiffness_failure(self, circle_sys, monkeypatch):
+        # the right-hand side y / (2.5 - t)^2 blows up at t = 2.5, which no
+        # pole of the system flags, so the step size collapses
+        monkeypatch.setattr(
+            numerics, "_matrix_evaluator", lambda sys: lambda t: np.array([[1 / (2.5 - t) ** 2]], dtype=complex)
+        )
+        init = PeriodSample(t=2.0, periods=(2.0 + 0j,), error_estimate=0.0)
+        with np.errstate(all="ignore"), pytest.raises(StiffnessFailure, match="spacing between numbers"):
+            _continue_segments(circle_sys, [2.0, 3.0], init, dense=False)
+
+
+# period systems, each on a 48-gon around some of its poles
+DOP853_CASES = [
+    ("x^3 - x*y^2 + y", 0.62, 0.3),
+    ("x^2 + y^2 + x^3 - 3*x*y^2", 0.074, 0.2),
+    ("x^2+y^2", 0.0, 1.0),
+]
+
+
+class TestDop853MatchesScipy:
+    """The in-package DOP853 is a port of SciPy's: same floats, same counts."""
+
+    def test_coefficient_tables(self):
+        from scipy.integrate._ivp import dop853_coefficients as tables
+
+        for name in ("A", "B", "C", "D", "E3", "E5"):
+            assert np.array_equal(getattr(numerics, f"_DOP853_{name}"), getattr(tables, name)), name
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["steps", "dense"])
+    @pytest.mark.parametrize("text, center, radius", DOP853_CASES)
+    def test_period_system_along_a_48_gon(self, text, center, radius, dense):
+        from scipy.integrate import solve_ivp as reference
+
+        sysm = assemble_pf_system(Hamiltonian.from_poly(P(text)))
+        rhs_matrix = _matrix_evaluator(sysm)
+        path = [center + radius * cmath.exp(2j * math.pi * k / 48) for k in range(49)]
+        y = np.linspace(1.0, 2.0, sysm.dim) * (1 - 0.5j)
+        for k in range(48):
+            a, dt = path[k], path[k + 1] - path[k]
+
+            def rhs(s, v, a=a, dt=dt):
+                return dt * (rhs_matrix(a + s * dt) @ v)
+
+            tol = {"rtol": numerics.ODE_RTOL, "atol": numerics.ODE_RTOL * float(np.max(np.abs(y))) * 1e-2}
+            got = solve_ivp(rhs, (0.0, 1.0), y, dense_output=dense, **tol)
+            want = reference(rhs, (0.0, 1.0), y, method="DOP853", dense_output=dense, **tol)
+            assert got.success and want.success
+            assert (got.message, got.nfev) == (want.message, want.nfev)
+            assert np.array_equal(got.t, want.t) and np.array_equal(got.y, want.y)
+            if dense:
+                for s in [*np.linspace(0.0, 1.0, 31), *want.t]:
+                    assert np.array_equal(got.sol(s), want.sol(s))
+            else:
+                assert got.sol is None and want.sol is None
+            y = want.y[:, -1]
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["steps", "dense"])
+    def test_pole_inside_the_interval_fails_alike(self, dense):
+        from scipy.integrate import solve_ivp as reference
+
+        def rhs(s, v):
+            return v / (0.5 - s) ** 2
+
+        y0 = np.array([2.0 + 0j])
+        tol = {"rtol": 1e-10, "atol": 1e-12}
+        with np.errstate(all="ignore"):
+            got = solve_ivp(rhs, (0.0, 1.0), y0, dense_output=dense, **tol)
+            want = reference(rhs, (0.0, 1.0), y0, method="DOP853", dense_output=dense, **tol)
+        assert not got.success and not want.success
+        assert (got.message, got.nfev) == (want.message, want.nfev)
+        assert np.array_equal(got.t, want.t) and 0.49 < got.t[-1] < 0.5
 
 
 class TestResiduals:

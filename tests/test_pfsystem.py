@@ -18,7 +18,7 @@ from pfzero.pfsystem import (
     _iterated_rows,
 )
 from pfzero.poly import MultiPoly, parse_polynomial
-from tests.conftest import random_regular_hamiltonian
+from tests.conftest import H4, random_regular_hamiltonian
 
 P = parse_polynomial
 t = MultiPoly.var("t")
@@ -171,6 +171,16 @@ class TestD4System:
         assert K * sys4.A == (sys4.L - K.derive("t")).scale(sys4.a)
         # component 1 (form x dy) has order 6 here, below (d-1)(d-2)+1 = 7
         assert derive_scalar_ode(sys4, 1).order == 6
+
+
+class TestComponentOneOrder:
+    # x dy has deg Q + 1 = 2 < d, so its periods around the points at infinity
+    # are residues and its order is at most 2g + 1 = (d-1)(d-2)+1; a generic
+    # Hamiltonian reaches that bound
+    @pytest.mark.parametrize("d, text", [(3, "x^3 + 2*x^2*y - y^3 + x*y - 2*x + 3*y"), (4, H4)], ids=["cubic", "H4"])
+    def test_generic_hamiltonian_reaches_the_bound(self, d, text):
+        sysm = assemble_pf_system(Hamiltonian.from_poly(P(text)))
+        assert derive_scalar_ode(sysm, 1).order == (d - 1) * (d - 2) + 1
 
 
 class TestRandomSystems:

@@ -1,6 +1,8 @@
 """Rules every module of the package keeps."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pfzero
@@ -42,3 +44,32 @@ def test_no_unused_import_in_the_package():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree) if name not in used]
     assert SOURCES and not found
+
+
+def test_no_scipy_import_in_the_package():
+    # the integrator is in-package; SciPy is only the tests' reference for it
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "scipy"]
+    assert SOURCES and not found
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # a fresh interpreter, so no other test has imported scipy already
+    code = "import sys, pfzero.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=Path(pfzero.__file__).parents[1],
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
