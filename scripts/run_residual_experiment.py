@@ -29,7 +29,7 @@ def main(argv=None):
     sysm = assemble_pf_system(H)
     print(f"H = {H.poly.to_text()}, system dimension {sysm.dim}, a(t) = {sysm.a.to_text()}")
     samples = [round(args.t_start + args.t_step * k, 6) for k in range(args.count)]
-    reports = residual_check(sysm, H, samples)
+    reports = residual_check(sysm, samples)
     with open(args.output, "w") as fh:
         fh.write("t,relative_residual,cycle_kind\n")
         for r in reports:

@@ -376,7 +376,7 @@ def _cmd_verify(cfg: JobConfig) -> dict:
         reals = [v.value.real for v in sysm.singular.values if abs(v.value.imag) < 1e-9]
         lo = (max(reals) if reals else 0.0) + 0.25
         samples = [round(lo + 0.1 * k, 6) for k in range(20)]
-    reports = residual_check(sysm, H, samples)
+    reports = residual_check(sysm, samples)
     worst = max((r.relative_residual for r in reports), default=0.0)
     return {
         "kind": "residual-report",

@@ -32,22 +32,19 @@ DEFAULT_ISOLATION_RADIUS = 1e-10
 
 @dataclass(frozen=True)
 class Hamiltonian:
+    """H with its top form and its partials Hx, Hy, derived once."""
+
     poly: MultiPoly
     degree: int
     highest_part: MultiPoly
+    hx: MultiPoly
+    hy: MultiPoly
 
     @staticmethod
     def from_poly(p: MultiPoly) -> "Hamiltonian":
-        return Hamiltonian(poly=p, degree=p.degree(), highest_part=highest_part(p))
-
-    def hx(self) -> MultiPoly:
-        return self.poly.derive("x")
-
-    def hy(self) -> MultiPoly:
-        return self.poly.derive("y")
-
-    def eval(self, x: complex, y: complex) -> complex:
-        return self.poly.eval_complex({"x": x, "y": y})
+        return Hamiltonian(
+            poly=p, degree=p.degree(), highest_part=highest_part(p), hx=p.derive("x"), hy=p.derive("y")
+        )
 
 
 @dataclass(frozen=True)
@@ -260,30 +257,6 @@ def merge_close_values(values: list[CriticalValue]) -> list[CriticalValue]:
 # -- critical values ------------------------------------------------------------
 
 
-def _horner_plan(p: MultiPoly):
-    """p as nested Horner lists: a complex constant, or (variable, plans of
-    the coefficients of its powers from the top down). Evaluating a plan runs
-    exactly the operations of MultiPoly._horner, so results are bit-identical,
-    without rebuilding the coefficient polynomials at every point."""
-    if not p.terms:
-        return 0j
-    if not p.vars:
-        return 0j + complex(p.constant_value())
-    var = p.vars[0]
-    return var, [_horner_plan(p.coeff_in_var(var, k)) for k in range(p.degree_in(var), -1, -1)]
-
-
-def _horner_eval(plan, vals: dict) -> complex:
-    if plan.__class__ is complex:
-        return plan
-    var, kids = plan
-    x = vals[var]
-    acc = 0j
-    for kid in kids:
-        acc = acc * x + _horner_eval(kid, vals)
-    return acc
-
-
 def _abs_poly(p: MultiPoly) -> MultiPoly:
     """p with every coefficient replaced by its absolute value: evaluated at
     (|x|, |y|) it gives the size of the terms of p at (x, y)."""
@@ -302,9 +275,9 @@ def _numeric_critical_points(
     times the terms of q at (|x*|, 1), and a polished point is kept when Hx
     and Hy there are below tol times their own terms.
     """
-    hx, hy = H.hx(), H.hy()
-    newton = tuple(_horner_plan(p) for p in (hx, hy, hx.derive("x"), hx.derive("y"), hy.derive("x"), hy.derive("y")))
-    sizes = tuple(_horner_plan(_abs_poly(p)) for p in (hx, hy))
+    hx, hy = H.hx, H.hy
+    newton = (hx, hy, hx.derive("x"), hx.derive("y"), hy.derive("x"), hy.derive("y"))
+    sizes = (_abs_poly(hx), _abs_poly(hy))
     xs = [cv.value for cv in isolate_roots(res_y, "x")]
     pts: list[tuple[complex, complex]] = []
     for xv in xs:
@@ -313,7 +286,7 @@ def _numeric_critical_points(
             # roots of q(x*, .) in y
             qc = [q.coeff_in_var("y", k).eval_complex({"x": xv}) for k in range(q.degree_in("y") + 1)]
             arr = np.array(qc, dtype=complex)
-            if np.all(np.abs(arr) <= tol * _horner_eval(q_size, {"x": complex(abs(xv)), "y": 1 + 0j}).real):
+            if np.all(np.abs(arr) <= tol * q_size.eval_complex({"x": abs(xv), "y": 1}).real):
                 continue
             while len(arr) > 1 and arr[-1] == 0:
                 arr = arr[:-1]
@@ -323,27 +296,21 @@ def _numeric_critical_points(
                 cands.add(complex(yv))
         for yv in cands:
             xr, yr = _newton_2d(newton, xv, yv)
-            at, at_abs = {"x": xr, "y": yr}, {"x": complex(abs(xr)), "y": complex(abs(yr))}
-            if all(abs(_horner_eval(f, at)) <= tol * _horner_eval(g, at_abs).real for f, g in zip(newton[:2], sizes)):
+            at, at_abs = {"x": xr, "y": yr}, {"x": abs(xr), "y": abs(yr)}
+            if all(abs(f.eval_complex(at)) <= tol * g.eval_complex(at_abs).real for f, g in zip(newton[:2], sizes)):
                 if not any(abs(xr - a) + abs(yr - b) < 1e-7 * (1 + abs(xr) + abs(yr)) for a, b in pts):
                     pts.append((xr, yr))
     return pts
 
 
-def _newton_2d(plans, x: complex, y: complex, steps: int = 60):
-    """Newton iteration on (Hx, Hy) = 0 from (x, y); plans are the Horner
-    plans of Hx, Hy, Hxx, Hxy, Hyx and Hyy."""
-    hx, hy, hxx, hxy, hyx, hyy = plans
+def _newton_2d(polys, x: complex, y: complex, steps: int = 60):
+    """Newton iteration on (Hx, Hy) = 0 from (x, y); polys are Hx, Hy, Hxx,
+    Hxy, Hyx and Hyy."""
     x = complex(x)
     y = complex(y)
     for _ in range(steps):
         at = {"x": x, "y": y}
-        f1 = _horner_eval(hx, at)
-        f2 = _horner_eval(hy, at)
-        a = _horner_eval(hxx, at)
-        b = _horner_eval(hxy, at)
-        c = _horner_eval(hyx, at)
-        dd = _horner_eval(hyy, at)
+        f1, f2, a, b, c, dd = (p.eval_complex(at) for p in polys)
         det = a * dd - b * c
         if det == 0:
             return (x, y)
@@ -384,7 +351,7 @@ def critical_values(H: Hamiltonian) -> SingularSet:
 
 
 def _critical_values(H: Hamiltonian) -> SingularSet:
-    hx, hy = H.hx(), H.hy()
+    hx, hy = H.hx, H.hy
     if hx.is_zero or hy.is_zero:
         raise NonIsolatedCritical("a partial derivative vanishes identically")
     res = {v: resultant(hx, hy, v) for v in ("y", "x")}
@@ -407,7 +374,7 @@ def _critical_values(H: Hamiltonian) -> SingularSet:
         candidates = isolate_roots(T, "t")
         break
     pts = _numeric_critical_points(H, res["y"])
-    values = [H.eval(x, y) for (x, y) in pts]
+    values = [H.poly.eval_complex({"x": x, "y": y}) for (x, y) in pts]
     kept: list[CriticalValue] = []
     for cv in candidates:
         match_tol = max(cv.radius * 4, 1e-7 * (1 + abs(cv.value)))

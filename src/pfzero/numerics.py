@@ -12,10 +12,14 @@ array of points (columns x and y). Two constructors exist:
   two branch points of the y-projection. This covers level curves without
   compact real components, such as those of saddles-only Hamiltonians.
 
-Both kinds share one projector onto a level set: Newton steps of least norm,
-applied to all nodes at once. Refinement projects chord midpoints onto the
-curve, and the cycles at nearby levels t +- h of the residual check are the
-nodes of the base cycle projected onto those levels.
+Two Newton steps put points on a level set. The marcher of `trace_cycle`,
+and its closure walk, correct one real point at a time with the scalar step
+`_newton_to_curve`. Every other job uses the projector `_project_to_level`,
+Newton steps of least norm applied to all nodes at once: `refine_cycle`
+projects the chord midpoints of either kind of cycle onto the curve, and the
+cycles at nearby levels t +- h of the residual check are the nodes of the
+base cycle projected onto those levels. A branch lift needs no Newton step,
+since its points solve the quadratic in y directly.
 
 Periods are computed chord-wise with Gauss-Legendre nodes (exact for the
 polygon) and Richardson extrapolation over dyadic refinements of the
@@ -36,7 +40,6 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -119,7 +122,7 @@ def _poly_term_arrays(p: MultiPoly):
 
 def _level_terms(H: Hamiltonian):
     """Term arrays of H, H_x and H_y, built once per cycle construction."""
-    return _poly_term_arrays(H.poly), _poly_term_arrays(H.hx()), _poly_term_arrays(H.hy())
+    return _poly_term_arrays(H.poly), _poly_term_arrays(H.hx), _poly_term_arrays(H.hy)
 
 
 def _eval_terms(terms, X, Y):
@@ -138,6 +141,11 @@ def _eval_terms(terms, X, Y):
 
 
 def _newton_to_curve(terms, t: float, x: float, y: float, tol: float):
+    # The marcher corrects one point per step. `_project_to_level` on that
+    # single point lands on the same floats but costs about 90 us against
+    # 19 us here (108 perturbed points of the oval of x^2 + y^2 + x^3 -
+    # 3*x*y^2 at t = 0.07, one Xeon core): numpy's per-call overhead
+    # dominates arrays of one element.
     hp, hx, hy = terms
     for _ in range(80):
         f = _eval_terms(hp, np.float64(x), np.float64(y)) - t
@@ -356,9 +364,8 @@ def _branch_lift(H: Hamiltonian, t: complex, contour, thetas):
     center, rot, sa, sb = contour
     c2, c1, c0 = _y_quadratic(H)
     X = center + rot * (sa * np.cos(thetas) + 1j * sb * np.sin(thetas))
-    a2 = _eval_x(c2, X)
-    a1 = _eval_x(c1, X)
-    a0 = _eval_x(c0, X) - t
+    a2, a1, a0 = (_eval_terms(_poly_term_arrays(c), X, None) for c in (c2, c1, c0))
+    a0 = a0 - t
     disc = _continue_branch(np.sqrt(a1 * a1 - 4 * a2 * a0))
     return X, disc, (-a1 - disc) / (2 * a2)
 
@@ -379,16 +386,6 @@ def branch_point_cycle(H: Hamiltonian, t: complex) -> CyclePolyline:
             return cyc
         n_points *= 2
     raise NumericFailure("branch lift did not close; contour may graze a branch point")
-
-
-def _eval_x(p: MultiPoly, X):
-    terms = [(complex(Fraction(c)), e[0]) for e, c in p.extended(("x",)).items()] if p.vars in ((), ("x",)) else None
-    if terms is None:
-        raise ValueError("coefficient polynomial must be in x only")
-    acc = np.zeros_like(X)
-    for c, a in terms:
-        acc = acc + c * X**a
-    return acc
 
 
 def _assert_on_curve(cycle: CyclePolyline, tol: float = 1e-9):
@@ -1034,8 +1031,9 @@ def make_cycle(H: Hamiltonian, t, singular: SingularSet) -> CyclePolyline:
     return branch_point_cycle(H, tc)
 
 
-def residual_check(sys: PFSystem, H: Hamiltonian, t_samples: list[float]) -> list[ResidualReport]:
-    """Check a(t) I' = A(t) I against quadrature periods at real samples.
+def residual_check(sys: PFSystem, t_samples: list[float]) -> list[ResidualReport]:
+    """Check a(t) I' = A(t) I of sys.hamiltonian against quadrature periods
+    at real samples.
 
     Periods are computed to relative tolerance RESIDUAL_REL_TOL. Derivatives
     come from central differences with step FD_STEP * max(1, |t|); the cycles
@@ -1046,7 +1044,7 @@ def residual_check(sys: PFSystem, H: Hamiltonian, t_samples: list[float]) -> lis
     for t in t_samples:
         if sys.singular.is_near(complex(t)):
             raise NearCritical(f"sample {t} is a singular value")
-        base = make_cycle(H, t, sys.singular)
+        base = make_cycle(sys.hamiltonian, t, sys.singular)
         h = FD_STEP * max(1.0, abs(t))
         I, I_p, I_m = (
             np.array(periods_of_system(sys, cyc, RESIDUAL_REL_TOL).periods)

@@ -78,8 +78,8 @@ class PetrovDecomposition:
             cH = c.substitute("t", H.poly)
             acc_P = acc_P + cH * w.P
             acc_Q = acc_Q + cH * w.Q
-        acc_P = acc_P + self.A.derive("x") + self.B * H.hx()
-        acc_Q = acc_Q + self.A.derive("y") + self.B * H.hy()
+        acc_P = acc_P + self.A.derive("x") + self.B * H.hx
+        acc_Q = acc_Q + self.A.derive("y") + self.B * H.hy
         return OneForm(acc_P, acc_Q)
 
 
@@ -122,7 +122,7 @@ def ideal_representation(g: MultiPoly, H: Hamiltonian) -> tuple[MultiPoly, Multi
     """
     if g.is_zero:
         return MultiPoly.zero(), MultiPoly.zero()
-    hx, hy = H.hx(), H.hy()
+    hx, hy = H.hx, H.hy
     m = max(g.degree() - H.degree + 1, 0)
     monos = _monomials_upto(m)
     cols = [hx * MultiPoly.monomial(1, x=u, y=v) for u, v in monos]  # b block first
@@ -153,7 +153,7 @@ def petrov_decompose(
     free-variables-to-zero rule of the sparse eliminator.
     """
     d = H.degree
-    hx, hy = H.hx(), H.hy()
+    hx, hy = H.hx, H.hy
     degw = max(omega.degree, 0)
     rhs_poly = omega.Q - omega.P.integrate("x").derive("y")
     # unknowns: c_i = sum_r c_ir t^r, then B, then phi(y) = sum_k phi_k y^k

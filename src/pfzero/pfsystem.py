@@ -114,7 +114,7 @@ def make_basis_forms(basis: MonomialBasis) -> list[OneForm]:
 def euler_multiplier(H: Hamiltonian) -> MultiPoly:
     """x Hx + y Hy; equals d * H plus lower order terms, and d * H exactly
     for homogeneous H."""
-    return MultiPoly.var("x") * H.hx() + MultiPoly.var("y") * H.hy()
+    return MultiPoly.var("x") * H.hx + MultiPoly.var("y") * H.hy
 
 
 def gelfand_leray_rhs(H: Hamiltonian, omega: OneForm) -> OneForm:
@@ -130,20 +130,16 @@ def gelfand_leray_rhs(H: Hamiltonian, omega: OneForm) -> OneForm:
     return OneForm(a, b)
 
 
-def assemble_pf_system(
-    H: Hamiltonian, forms_override: list[OneForm] | None = None
-) -> PFSystem:
+def assemble_pf_system(H: Hamiltonian) -> PFSystem:
     """Build the polynomial system a(t) I' = A(t) I for the basis periods.
 
     K^(-1) goes through the exact adjugate over Q[t] (one fraction-free
     Gauss-Jordan elimination); the common polynomial content of det K and the
     numerator matrix is cancelled and a(t) is made monic. The result is
     checked against K A = a (L - K') and a failure raises CertificateFailed.
-    forms_override exists for diagnostics (a rank-deficient K from duplicated
-    forms must surface as DegenerateK).
     """
     basis = monomial_basis(H)
-    forms = list(forms_override) if forms_override is not None else make_basis_forms(basis)
+    forms = make_basis_forms(basis)
     n = len(forms)
     d = H.degree
     f2 = euler_multiplier(H) ** 2

@@ -45,15 +45,41 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"coefficient must be exact (int or Fraction), got {type(c)!r}")
 
 
+def _nested_plan(p: MultiPoly):
+    """p as nested Horner lists: a complex constant, or (variable, plans of
+    the coefficients of its powers from the top down), the first variable
+    outermost."""
+    if not p.terms:
+        return 0j
+    if not p.vars:
+        return 0j + complex(p.constant_value())
+    var = p.vars[0]
+    return var, [_nested_plan(p.coeff_in_var(var, k)) for k in range(p.degree_in(var), -1, -1)]
+
+
+def _eval_plan(plan, vals: Mapping[str, complex]) -> complex:
+    if plan.__class__ is complex:
+        return plan
+    var, kids = plan
+    x = vals[var]
+    acc = 0j
+    for kid in kids:
+        acc = acc * x + _eval_plan(kid, vals)
+    return acc
+
+
 def grevlex_key(expo: Sequence[int]):
     """Sort key: larger key = larger monomial in grevlex."""
     return (sum(expo),) + tuple(-expo[i] for i in range(len(expo) - 1, -1, -1))
 
 
 class MultiPoly:
-    """Immutable sparse polynomial. Do not mutate `terms` after construction."""
+    """Immutable sparse polynomial. Do not mutate `terms` after construction.
 
-    __slots__ = ("vars", "terms")
+    `_plan` holds the nested-Horner plan of `eval_complex`, built on first
+    use; it is derived from `terms` and takes no part in == or hash."""
+
+    __slots__ = ("vars", "terms", "_plan")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Fraction]):
         variables = tuple(variables)
@@ -79,6 +105,7 @@ class MultiPoly:
             clean = {tuple(e[i] for i in used): c for e, c in clean.items()}
         object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_plan", None)
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
@@ -333,19 +360,9 @@ class MultiPoly:
         for v in self.vars:
             if v not in point:
                 raise ValueError(f"unbound variable {v}")
-        return self._horner({v: complex(point[v]) for v in self.vars})
-
-    def _horner(self, vals) -> complex:
-        if not self.terms:
-            return 0j
-        if not self.vars:
-            return 0j + complex(self.constant_value())
-        var = self.vars[0]
-        acc = 0j
-        x = vals[var]
-        for k in range(self.degree_in(var), -1, -1):
-            acc = acc * x + self.coeff_in_var(var, k)._horner(vals)
-        return acc
+        if self._plan is None:
+            object.__setattr__(self, "_plan", _nested_plan(self))
+        return _eval_plan(self._plan, {v: complex(point[v]) for v in self.vars})
 
     # -- exact division ----------------------------------------------------------
 

@@ -194,7 +194,6 @@ def simple_domain(
 class SegmentSet:
     segments: tuple[tuple[complex, complex], ...]
     clearance_to_poles: float
-    provenance: dict
 
 
 def _free_value(span_lo, span_hi, blocked, prefer_lo=True):
@@ -343,14 +342,6 @@ def decompose_simple_domain(dom: SimpleDomain, poles: list[complex]) -> SegmentS
     return SegmentSet(
         segments=tuple(segments),
         clearance_to_poles=min_clear if poles else float("inf"),
-        provenance={
-            "rectangle": (X0, X1, Y0, Y1),
-            "frame": frame,
-            "count_cap_constant": SEGMENT_COUNT_CONSTANT,
-            "clearance_constant": CLEARANCE_CONSTANT,
-            "pole_count": len(poles),
-            "clearance_required": delta,
-        },
     )
 
 
@@ -740,9 +731,7 @@ def zero_count_bound(
     segs = decompose_simple_domain(dom, poles)
     varbounds = []
     for seg in segs.segments:
-        single = SegmentSet(
-            segments=(seg,), clearance_to_poles=segs.clearance_to_poles, provenance=segs.provenance
-        )
+        single = SegmentSet(segments=(seg,), clearance_to_poles=segs.clearance_to_poles)
         C = coefficient_sup(ode, single, tol)
         varbounds.append(yakovenko_varbound(ode.order, abs(seg[1] - seg[0]), C))
     total = int(math.floor(math.fsum(varbounds) / (2 * math.pi)))

@@ -103,7 +103,7 @@ def test_criterion_3_oracle_residual():
     H = Hamiltonian.from_poly(P("x^3 - x*y^2 + y"))
     sysm = assemble_pf_system(H)
     samples = [round(0.8 + 0.12 * k, 3) for k in range(20)]
-    reports = residual_check(sysm, H, samples)
+    reports = residual_check(sysm, samples)
     worst = max(r.relative_residual for r in reports)
     elapsed = time.monotonic() - t0
     ok = len(reports) >= 20 and worst < 1e-6 and elapsed < 60.0

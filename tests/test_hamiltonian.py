@@ -6,8 +6,6 @@ from hypothesis import assume, given, strategies as st
 from pfzero.errors import NonIsolatedCritical, NotRegularAtInfinity, UnsupportedDegree
 from pfzero.hamiltonian import (
     Hamiltonian,
-    _horner_eval,
-    _horner_plan,
     critical_values,
     highest_part,
     is_regular_at_infinity,
@@ -133,16 +131,12 @@ class TestCriticalValues:
                 assert min(abs(w.value / float(c) - v.value) for w in scaled.values) <= 1e-9
 
 
-class TestHornerPlan:
-    @given(
-        small_polys(("x", "y"), 5),
-        st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
-        st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
-    )
-    def test_bit_identical_to_horner(self, p, xv, yv):
-        for q in (p, p.derive("x"), p.derive("y"), p.coeff_in_var("x", 1)):
-            at = {"x": xv, "y": yv}
-            assert repr(_horner_eval(_horner_plan(q), at)) == repr(q.eval_complex(at))
+class TestPartials:
+    @given(small_polys(("x", "y"), 5))
+    def test_fields_are_the_derivatives(self, p):
+        assume(p.degree() >= 2)
+        h = Hamiltonian.from_poly(p)
+        assert h.hx == p.derive("x") and h.hy == p.derive("y")
 
 
 class TestMonomialBasis:

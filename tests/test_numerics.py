@@ -55,7 +55,7 @@ class TestTraceCycle:
         cyc = trace_cycle(circle, 1.0, (1.0, 0.0), circle_sing)
         assert cyc.closure_gap <= 1e-9
         for x, y in cyc.points:
-            assert abs(circle.eval(x, y) - 1.0) <= 1e-9
+            assert abs(circle.poly.eval_complex({"x": x, "y": y}) - 1.0) <= 1e-9
 
     def test_critical_level_rejected(self, circle, circle_sing):
         with pytest.raises(NearCritical):
@@ -230,12 +230,12 @@ class TestDop853MatchesScipy:
 
 class TestResiduals:
     def test_d2_samples(self, circle, circle_sys):
-        reports = residual_check(circle_sys, circle, [0.5, 1.0, 2.0])
+        reports = residual_check(circle_sys, [0.5, 1.0, 2.0])
         assert all(r.relative_residual < 1e-6 for r in reports)
 
     def test_near_critical_guard(self, circle, circle_sys):
         with pytest.raises(NearCritical):
-            residual_check(circle_sys, circle, [0.0])
+            residual_check(circle_sys, [0.0])
 
     def test_petrov_bridge(self, circle, rng, circle_sing):
         # a form with all module coefficients zero has vanishing periods
@@ -246,7 +246,7 @@ class TestResiduals:
             A = random_poly(rng, ("x", "y"), 3)
             B = random_poly(rng, ("x", "y"), 2)
             omega = OneForm(
-                A.derive("x") + B * circle.hx(), A.derive("y") + B * circle.hy()
+                A.derive("x") + B * circle.hx, A.derive("y") + B * circle.hy
             )
             dec = petrov_decompose(omega, circle, list(forms))
             assert all(c.is_zero for c in dec.coeffs)
@@ -288,12 +288,12 @@ class TestSharedOracle:
         for _ in range(3):
             cyc = refine_cycle(cyc)
         assert cyc.kind == kind and len(cyc.points) == 8 * n
-        resid = max(abs(H.eval(x, y) - t) for x, y in cyc.points)
+        resid = max(abs(H.poly.eval_complex({"x": x, "y": y}) - t) for x, y in cyc.points)
         assert resid <= 1e-9 * max(1.0, abs(t))
         # the same projector carries the cycle to a nearby level
         near = _at_level(cyc, t + 1e-3)
         assert near.kind == kind and near.level == t + 1e-3
-        resid = max(abs(H.eval(x, y) - (t + 1e-3)) for x, y in near.points)
+        resid = max(abs(H.poly.eval_complex({"x": x, "y": y}) - (t + 1e-3)) for x, y in near.points)
         assert resid <= 1e-9 * max(1.0, abs(t))
 
     @given(

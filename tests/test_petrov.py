@@ -25,7 +25,7 @@ class TestIdealRepresentation:
         H, _ = circle
         g = P("20*x^4 + 24*x^2*y^2 + 4*y^4")
         a, b = ideal_representation(g, H)
-        assert H.hx() * b - H.hy() * a == g
+        assert H.hx * b - H.hy * a == g
         assert a.degree() <= 3 and b.degree() <= 3  # deg g - d + 1
         # the deterministic eliminator lands on the hand-derived representative
         assert a == P("-2*y^3") and b == P("10*x^3 + 12*x*y^2")
@@ -46,11 +46,11 @@ class TestIdealRepresentation:
             H = random_regular_hamiltonian(rng, d)
             u = random_poly(rng, ("x", "y"), 2)
             v = random_poly(rng, ("x", "y"), 2)
-            g = H.hx() * v - H.hy() * u
+            g = H.hx * v - H.hy * u
             if g.is_zero:
                 continue
             a, b = ideal_representation(g, H)
-            assert H.hx() * b - H.hy() * a == g
+            assert H.hx * b - H.hy * a == g
             # regular at infinity, {Hx, Hy} is an H-basis: no degree is lost
             assert max(a.degree(), b.degree()) <= g.degree() - d + 1
 
@@ -109,7 +109,7 @@ class TestPetrovDecompose:
             A = random_poly(rng, ("x", "y"), d)
             B = random_poly(rng, ("x", "y"), d - 1)
             omega = OneForm(
-                A.derive("x") + B * H.hx(), A.derive("y") + B * H.hy()
+                A.derive("x") + B * H.hx, A.derive("y") + B * H.hy
             )
             dec = petrov_decompose(omega, H, forms)
             assert all(c.is_zero for c in dec.coeffs)

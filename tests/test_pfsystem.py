@@ -57,7 +57,7 @@ class TestGelfandLeray:
             alpha = gelfand_leray_rhs(H, omega)
             f2 = euler_multiplier(H) ** 2
             target = omega.scale(f2).exterior_coeff()
-            got = H.hx() * alpha.Q - H.hy() * alpha.P
+            got = H.hx * alpha.Q - H.hy * alpha.P
             assert got == target
 
     def test_first_example_values(self):
@@ -94,11 +94,12 @@ class TestD2Pipeline:
         aug0 = augment_and_reduce(sys2, [Fraction(0)])
         assert aug0.order == 1 and aug0.coeffs[0].is_zero  # y' = 0
 
-    def test_duplicate_forms_degenerate(self, d2):
+    def test_duplicate_forms_degenerate(self, d2, monkeypatch):
         H, _ = d2
         f = make_basis_forms(monomial_basis(H))[0]
+        monkeypatch.setattr("pfzero.pfsystem.make_basis_forms", lambda basis: [f, f])
         with pytest.raises(DegenerateK):
-            assemble_pf_system(H, forms_override=[f, f])
+            assemble_pf_system(H)
 
     def test_wrong_inverse_fails_the_certificate(self, d2, monkeypatch):
         # K = (4 t^2), so adj K = (1); a wrong adjugate breaks K A = a (L - K')

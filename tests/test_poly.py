@@ -205,6 +205,34 @@ class TestEval:
         vab = (a * b).eval_complex(pt)
         assert abs(vab - va * vb) <= 1e-12 * max(1.0, abs(va * vb))
 
+    @given(
+        polys(variables=("x", "y", "t"), max_deg=5),
+        st.lists(st.tuples(small_coeff(), small_coeff()), min_size=3, max_size=3),
+    )
+    def test_matches_exact_gaussian_rational_evaluation(self, p, point):
+        # exact value at a Gaussian-rational point, in pairs (re, im) of
+        # Fractions, against eval_complex at the nearest floats
+        def mul(u, v):
+            return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+        exact, size = (Fraction(0), Fraction(0)), 0.0
+        for e, c in p.terms.items():
+            term = (c, Fraction(0))
+            for v, k in zip(p.vars, e):
+                for _ in range(k):
+                    term = mul(term, point["xyt".index(v)])
+            exact = (exact[0] + term[0], exact[1] + term[1])
+            size += abs(complex(float(term[0]), float(term[1])))
+        got = p.eval_complex({v: complex(float(re), float(im)) for v, (re, im) in zip("xyt", point)})
+        assert abs(got - complex(float(exact[0]), float(exact[1]))) <= 1e-13 * (1.0 + size)
+
+    def test_evaluation_leaves_equality_and_hash(self):
+        p, q = P("x^3 - x*y^2 + y"), P("x^3 - x*y^2 + y")
+        h = hash(p)
+        v = p.eval_complex({"x": 0.5j, "y": 2})
+        assert p == q and hash(p) == h == hash(q) and {p: 1}[q] == 1
+        assert p.eval_complex({"x": 0.5j, "y": 2}) == v == q.eval_complex({"x": 0.5j, "y": 2})
+
 
 
 # -- the dense integer kernel ------------------------------------------------

@@ -147,12 +147,12 @@ def _dist(z, a, b):
 
 class TestCoefficientSup:
     def test_real_segment(self):
-        segs = SegmentSet(((1 + 0j, 2 + 0j),), 1.0, {})
+        segs = SegmentSet(((1 + 0j, 2 + 0j),), 1.0)
         C = coefficient_sup(D2_ODE, segs, 1e-6)
         assert 1.0 <= C <= 1.0 + 1e-5
 
     def test_diagonal_segment(self):
-        segs = SegmentSet(((1 + 0j, 1 + 1j),), 1.0, {})
+        segs = SegmentSet(((1 + 0j, 1 + 1j),), 1.0)
         C = coefficient_sup(D2_ODE, segs, 1e-6)
         assert 1.0 <= C <= 1.0 + 1e-5
 
@@ -179,7 +179,7 @@ class TestCoefficientSup:
 
             if any(_dist(r.value, a, b) < 0.15 for r in isolate_roots(coeff.den)):
                 continue
-            segs = SegmentSet(((a, b),), 1.0, {})
+            segs = SegmentSet(((a, b),), 1.0)
             C = coefficient_sup(ode, segs, 1e-6)
             import numpy as np
 
@@ -193,8 +193,8 @@ class TestCoefficientSup:
 
     def test_monotonicity(self):
         tol = 1e-6
-        small = SegmentSet(((1 + 0j, 2 + 0j),), 1.0, {})
-        big = SegmentSet(((0.5 + 0j, 2 + 0j),), 1.0, {})
+        small = SegmentSet(((1 + 0j, 2 + 0j),), 1.0)
+        big = SegmentSet(((0.5 + 0j, 2 + 0j),), 1.0)
         c_small = coefficient_sup(D2_ODE, small, tol)
         c_big = coefficient_sup(D2_ODE, big, tol)
         assert c_big >= c_small / (1 + tol)
@@ -203,7 +203,7 @@ class TestCoefficientSup:
         assert c_tight <= c_loose * (1 + 1e-2)
 
     def test_pole_on_segment(self):
-        segs = SegmentSet(((-1 + 0j, 1 + 0j),), 0.0, {})
+        segs = SegmentSet(((-1 + 0j, 1 + 0j),), 0.0)
         with pytest.raises(PoleOnSegment):
             coefficient_sup(D2_ODE, segs, 1e-6)
 
