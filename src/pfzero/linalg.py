@@ -160,25 +160,6 @@ class PolyMatrix:
             )
         )
 
-    def __sub__(self, other):
-        return PolyMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        return PolyMatrix(_mat_mul(self.entries, other.entries, MultiPoly))
-
-    def scale(self, p: MultiPoly) -> "PolyMatrix":
-        return PolyMatrix([[e * p for e in row] for row in self.entries])
-
-    def derive(self, var: str) -> "PolyMatrix":
-        return PolyMatrix([[e.derive(var) for e in row] for row in self.entries])
-
     def max_degree(self) -> int:
         degs = [e.degree() for row in self.entries for e in row]
         return max(degs) if degs else -1
@@ -221,14 +202,14 @@ class PolyMatrix:
         return PolyMatrix(out if var is None else [[e.to_poly(var) for e in row] for row in out])
 
 
-def _mat_mul(a: list[list], b: list[list], ring) -> list[list]:
-    """Product of two matrices given as lists of rows over the ring
-    (MultiPoly or _Dense); zero entries are skipped."""
+def _mat_mul(a: list[list], b: list[list]) -> list[list]:
+    """Product of two matrices of `_Dense` entries given as lists of rows;
+    zero entries are skipped."""
     out = []
     for row in a:
         new = []
         for j in range(len(b[0]) if b else 0):
-            acc = ring.zero()
+            acc = _Dense.zero()
             for e, brow in zip(row, b):
                 f = brow[j]
                 if not e.is_zero and not f.is_zero:

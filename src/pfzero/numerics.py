@@ -12,6 +12,10 @@ array of points (columns x and y). Two constructors exist:
   two branch points of the y-projection. This covers level curves without
   compact real components, such as those of saddles-only Hamiltonians.
 
+Every polynomial (H, its gradient, the basis forms, the coefficients of a
+branch lift) is evaluated through `MultiPoly.eval_complex`, at Python
+numbers or at whole node arrays.
+
 Two Newton steps put points on a level set. The marcher of `trace_cycle`,
 and its closure walk, correct one real point at a time with the scalar step
 `_newton_to_curve`. Every other job uses the projector `_project_to_level`,
@@ -114,45 +118,25 @@ class PeriodSample:
     error_estimate: float
 
 
-@functools.lru_cache(maxsize=4096)
-def _poly_term_arrays(p: MultiPoly):
-    ext = p.extended(("x", "y"))
-    return [(float(c.numerator) / float(c.denominator), e[0], e[1]) for e, c in ext.items()]
-
-
-def _level_terms(H: Hamiltonian):
-    """Term arrays of H, H_x and H_y, built once per cycle construction."""
-    return _poly_term_arrays(H.poly), _poly_term_arrays(H.hx), _poly_term_arrays(H.hy)
-
-
-def _eval_terms(terms, X, Y):
-    acc = 0.0
-    for c, a, b in terms:
-        v = c
-        if a:
-            v = v * X**a
-        if b:
-            v = v * Y**b
-        acc = acc + v
-    return acc
-
-
 # -- real oval tracing ----------------------------------------------------------
 
 
-def _newton_to_curve(terms, t: float, x: float, y: float, tol: float):
+def _real_grad(H: Hamiltonian, x: float, y: float) -> tuple[float, float]:
+    at = {"x": x, "y": y}
+    return H.hx.eval_complex(at).real, H.hy.eval_complex(at).real
+
+
+def _newton_to_curve(H: Hamiltonian, t: float, x: float, y: float, tol: float):
     # The marcher corrects one point per step. `_project_to_level` on that
-    # single point lands on the same floats but costs about 90 us against
-    # 19 us here (108 perturbed points of the oval of x^2 + y^2 + x^3 -
+    # single point lands on the same floats but costs about 230 us against
+    # 22 us here (108 perturbed points of the oval of x^2 + y^2 + x^3 -
     # 3*x*y^2 at t = 0.07, one Xeon core): numpy's per-call overhead
     # dominates arrays of one element.
-    hp, hx, hy = terms
     for _ in range(80):
-        f = _eval_terms(hp, np.float64(x), np.float64(y)) - t
+        f = H.poly.eval_complex({"x": x, "y": y}).real - t
         if abs(f) <= tol:
             return float(x), float(y)
-        gx = _eval_terms(hx, np.float64(x), np.float64(y))
-        gy = _eval_terms(hy, np.float64(x), np.float64(y))
+        gx, gy = _real_grad(H, x, y)
         g2 = gx * gx + gy * gy
         if g2 < 1e-28:
             raise NearCritical("gradient vanishes while projecting onto the level curve")
@@ -181,17 +165,8 @@ def trace_cycle(
     scale = max(1.0, abs(t))
     tol = ON_CURVE_TOL * scale
     box = max(BBOX_FLOOR, 4.0 * (1.0 + abs(t)) ** (1.0 / H.degree))
-    terms = _level_terms(H)
-    _hp, hx_terms, hy_terms = terms
-
-    def grad(x, y):
-        return (
-            float(_eval_terms(hx_terms, np.float64(x), np.float64(y))),
-            float(_eval_terms(hy_terms, np.float64(x), np.float64(y))),
-        )
-
-    x, y = _newton_to_curve(terms, t, seed[0], seed[1], tol)
-    gx, gy = grad(x, y)
+    x, y = _newton_to_curve(H, t, seed[0], seed[1], tol)
+    gx, gy = _real_grad(H, x, y)
     gn = math.hypot(gx, gy)
     if gn < 1e-12:
         raise NearCritical("seed lands on a near-critical point")
@@ -203,8 +178,8 @@ def trace_cycle(
     for _ in range(MAX_STEPS):
         # predictor along the tangent, corrector back onto the curve
         xa, ya = x + h * tx, y + h * ty
-        xn, yn = _newton_to_curve(terms, t, xa, ya, tol)
-        gx, gy = grad(xn, yn)
+        xn, yn = _newton_to_curve(H, t, xa, ya, tol)
+        gx, gy = _real_grad(H, xn, yn)
         gn = math.hypot(gx, gy)
         if gn < 1e-12:
             raise NearCritical("ran into a critical point while tracing")
@@ -225,7 +200,7 @@ def trace_cycle(
             if d < 1.5 * h:
                 s = (x - x0) * tx0 + (y - y0) * ty0
                 if abs(s) < h:
-                    gap = _closure_gap(terms, t, (x, y), (x0, y0), (tx0, ty0), tol)
+                    gap = _closure_gap(H, t, (x, y), (x0, y0), (tx0, ty0), tol)
                     if gap > 1e-9 * scale:
                         raise NumericFailure("oval failed to close within tolerance")
                     pts.pop()  # the landing point duplicates the start
@@ -243,9 +218,8 @@ def trace_cycle(
     raise NotCompactComponent("tracing budget exhausted before the oval closed")
 
 
-def _closure_gap(terms, t, p, p0, t0, tol):
+def _closure_gap(H: Hamiltonian, t, p, p0, t0, tol):
     """Walk the last point along the curve onto the section through p0."""
-    _hp, hx, hy = terms
     x, y = p
     x0, y0 = p0
     tx0, ty0 = t0
@@ -253,15 +227,14 @@ def _closure_gap(terms, t, p, p0, t0, tol):
         s = (x - x0) * tx0 + (y - y0) * ty0
         if abs(s) < 1e-14:
             break
-        gx = float(_eval_terms(hx, np.float64(x), np.float64(y)))
-        gy = float(_eval_terms(hy, np.float64(x), np.float64(y)))
+        gx, gy = _real_grad(H, x, y)
         gn = math.hypot(gx, gy)
         tx, ty = -gy / gn, gx / gn
         denom = tx * tx0 + ty * ty0
         if abs(denom) < 1e-8:
             break
         x, y = x - s / denom * tx, y - s / denom * ty
-        x, y = _newton_to_curve(terms, t, x, y, tol)
+        x, y = _newton_to_curve(H, t, x, y, tol)
     return math.hypot(x - x0, y - y0)
 
 
@@ -296,12 +269,10 @@ def branch_cycle_contour(H: Hamiltonian, t: complex):
     degeneration locus of the quadratic."""
     c2, c1, c0 = _y_quadratic(H)
     disc = c1 * c1 - 4 * c2 * (c0 - MultiPoly.var("t"))
-    npoly = _subst_t_numeric(disc, t)
-    branch = np.roots(npoly) if len(npoly) > 1 else np.array([])
+    branch = np.roots(_x_coefficients(disc, {"t": t}))
     if len(branch) < 2:
         raise NotCompactComponent("fewer than two branch points; no cycle to build")
-    c2n = _subst_t_numeric(c2, t)
-    degen = np.roots(c2n) if len(c2n) > 1 else np.array([])
+    degen = np.roots(_x_coefficients(c2, {}))
     pairs = []
     for i in range(len(branch)):
         for j in range(i + 1, len(branch)):
@@ -327,16 +298,11 @@ def branch_cycle_contour(H: Hamiltonian, t: complex):
     raise NotCompactComponent("no admissible two-branch-point contour found")
 
 
-def _subst_t_numeric(p: MultiPoly, t: complex):
-    """Coefficient array (highest first) in x after substituting the numeric t."""
-    n = p.degree_in("x")
-    out = []
-    for k in range(n, -1, -1):
-        c = p.coeff_in_var("x", k)
-        out.append(c.eval_complex({"t": t}) if not c.is_zero else 0j)
-    while len(out) > 1 and out[0] == 0:
-        out.pop(0)
-    return np.array(out, dtype=complex)
+def _x_coefficients(p: MultiPoly, fixed: dict) -> np.ndarray:
+    """Complex coefficients of p in x, highest first, with the other variable
+    set by `fixed` (such as {"t": t}). Leading zeros stay; np.roots drops
+    them."""
+    return np.array([p.coeff_in_var("x", k).eval_complex(fixed) for k in range(p.degree_in("x"), -1, -1)])
 
 
 def _inside_ellipse(z, contour, margin: float = 1.0) -> bool:
@@ -364,7 +330,7 @@ def _branch_lift(H: Hamiltonian, t: complex, contour, thetas):
     center, rot, sa, sb = contour
     c2, c1, c0 = _y_quadratic(H)
     X = center + rot * (sa * np.cos(thetas) + 1j * sb * np.sin(thetas))
-    a2, a1, a0 = (_eval_terms(_poly_term_arrays(c), X, None) for c in (c2, c1, c0))
+    a2, a1, a0 = (c.eval_complex({"x": X}) for c in (c2, c1, c0))
     a0 = a0 - t
     disc = _continue_branch(np.sqrt(a1 * a1 - 4 * a2 * a0))
     return X, disc, (-a1 - disc) / (2 * a2)
@@ -391,8 +357,8 @@ def branch_point_cycle(H: Hamiltonian, t: complex) -> CyclePolyline:
 def _assert_on_curve(cycle: CyclePolyline, tol: float = 1e-9):
     t = cycle.level
     scale = max(1.0, abs(t))
-    terms = _poly_term_arrays(cycle.hamiltonian.poly)
-    resid = np.max(np.abs(_eval_terms(terms, cycle.points[:, 0], cycle.points[:, 1]) - t))
+    on_curve = cycle.hamiltonian.poly.eval_complex({"x": cycle.points[:, 0], "y": cycle.points[:, 1]})
+    resid = np.max(np.abs(on_curve - t))
     if resid > tol * scale:
         raise NumericFailure(f"cycle points off the level curve by {resid:.2e}")
 
@@ -414,18 +380,12 @@ def _polygon_integral(points: np.ndarray, omega: OneForm) -> complex:
     Y = points[:, 1]
     dX = np.roll(X, -1) - X
     dY = np.roll(Y, -1) - Y
-    termsP = _poly_term_arrays(omega.P)
-    termsQ = _poly_term_arrays(omega.Q)
     total = 0j
     for s, w in zip(nodes, weights):
-        xs = X + s * dX
-        ys = Y + s * dY
-        acc = np.zeros_like(xs)
-        if termsP:
-            acc = acc + _eval_terms(termsP, xs, ys) * dX
-        if termsQ:
-            acc = acc + _eval_terms(termsQ, xs, ys) * dY
-        total += w * np.sum(acc)
+        at = {"x": X + s * dX, "y": Y + s * dY}
+        for p, d in ((omega.P, dX), (omega.Q, dY)):
+            if not p.is_zero:
+                total += w * np.sum(p.eval_complex(at) * d)
     return complex(total)
 
 
@@ -434,16 +394,20 @@ def _project_to_level(H: Hamiltonian, t: complex, X, Y):
     least norm (x, y) -= conj(grad H) (H - t) / |grad H|^2. Real nodes at a
     real level stay real and take the plain real Newton step."""
     t = complex(t)
-    if not (t.imag or np.any(np.imag(X)) or np.any(np.imag(Y))):
+    real = not (t.imag or np.any(np.imag(X)) or np.any(np.imag(Y)))
+    if real:
         t, X, Y = t.real, np.real(X), np.real(Y)
     tol = ON_CURVE_TOL * max(1.0, abs(t))
-    hp, hx, hy = _level_terms(H)
+
+    def at_nodes(p, X, Y):
+        v = p.eval_complex({"x": X, "y": Y})
+        return v.real if real else v
+
     for _ in range(60):
-        f = _eval_terms(hp, X, Y) - t
+        f = at_nodes(H.poly, X, Y) - t
         if np.max(np.abs(f)) <= tol:
             return X, Y
-        gx = np.conj(_eval_terms(hx, X, Y))
-        gy = np.conj(_eval_terms(hy, X, Y))
+        gx, gy = np.conj(at_nodes(H.hx, X, Y)), np.conj(at_nodes(H.hy, X, Y))
         g2 = np.real(gx * np.conj(gx) + gy * np.conj(gy))
         if np.min(g2) < 1e-28:
             raise NearCritical("gradient vanished while projecting onto the level curve")
@@ -1000,11 +964,9 @@ def _find_real_oval(H: Hamiltonian, t: float, singular: SingularSet) -> CyclePol
     saddles that bound it and curves most there, and a trace that starts and
     closes in a sharp bend slows the Richardson convergence of its periods."""
     for px, py in singular.extrema:
-        coeffs = np.zeros(H.degree + 1)
-        for c, a, b in _poly_term_arrays(H.poly):
-            coeffs[a] += c * py**b
-        coeffs[0] -= t
-        roots = np.roots(coeffs[::-1])
+        coeffs = _x_coefficients(H.poly, {"y": py}).real
+        coeffs[-1] -= t
+        roots = np.roots(coeffs)
         xs = roots.real[np.abs(roots.imag) < 1e-9]
         sides = (xs[xs < px].max(initial=-np.inf), xs[xs > px].min(initial=np.inf))
         for x in sorted(sides, key=lambda x: abs(x - px)):
@@ -1039,7 +1001,7 @@ def residual_check(sys: PFSystem, t_samples: list[float]) -> list[ResidualReport
     come from central differences with step FD_STEP * max(1, |t|); the cycles
     at t +- h are the nodes of the base cycle projected onto those levels.
     """
-    n = sys.dim
+    rhs_matrix = _matrix_evaluator(sys)
     reports = []
     for t in t_samples:
         if sys.singular.is_near(complex(t)):
@@ -1051,12 +1013,9 @@ def residual_check(sys: PFSystem, t_samples: list[float]) -> list[ResidualReport
             for cyc in (base, _at_level(base, t + h), _at_level(base, t - h))
         )
         Ip = (I_p - I_m) / (2 * h)
-        aval = complex(sys.a.eval_complex({"t": t}))
-        Aval = np.array(
-            [[complex(sys.A[i, j].eval_complex({"t": t})) for j in range(n)] for i in range(n)]
-        )
-        num = np.linalg.norm(aval * Ip - Aval @ I)
-        den = np.linalg.norm(Aval @ I) + 1e-30
+        MI = rhs_matrix(t) @ I
+        num = np.linalg.norm(Ip - MI)
+        den = np.linalg.norm(MI) + 1e-30
         reports.append(
             ResidualReport(
                 t=float(t),

@@ -165,7 +165,7 @@ def assemble_pf_system(H: Hamiltonian) -> PFSystem:
     # from here on every entry is a polynomial in t on the dense kernel
     Kd = _dense(K)
     rhs = [[l - k.derive() for l, k in zip(lrow, krow)] for lrow, krow in zip(_dense(L), Kd)]
-    M = _mat_mul(_dense(K.adjugate()), rhs, _Dense)
+    M = _mat_mul(_dense(K.adjugate()), rhs)
     # cancel the common polynomial content, then normalize a to monic
     g = _Dense.from_poly(detK).p
     for e in (e for row in M for e in row if not e.is_zero):
@@ -177,7 +177,7 @@ def assemble_pf_system(H: Hamiltonian) -> PFSystem:
     inv_lc = _Dense.const(1 / a.leading_coeff())
     A = [[e.exact_div(g) * inv_lc for e in row] for row in M]
     a = a.monic()
-    if _mat_mul(Kd, A, _Dense) != [[a * e for e in row] for row in rhs]:
+    if _mat_mul(Kd, A) != [[a * e for e in row] for row in rhs]:
         raise CertificateFailed("the period system fails K A = a (L - K')")
     singular = critical_values(H)
     return PFSystem(

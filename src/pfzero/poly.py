@@ -57,14 +57,15 @@ def _nested_plan(p: MultiPoly):
     return var, [_nested_plan(p.coeff_in_var(var, k)) for k in range(p.degree_in(var), -1, -1)]
 
 
-def _eval_plan(plan, vals: Mapping[str, complex]) -> complex:
+def _eval_plan(plan, vals: Mapping[str, complex]):
     if plan.__class__ is complex:
         return plan
     var, kids = plan
     x = vals[var]
     acc = 0j
     for kid in kids:
-        acc = acc * x + _eval_plan(kid, vals)
+        acc = acc * x
+        acc += _eval_plan(kid, vals)  # in place on arrays: one temporary less
     return acc
 
 
@@ -355,14 +356,21 @@ class MultiPoly:
 
     # -- evaluation ------------------------------------------------------------
 
-    def eval_complex(self, point: Mapping[str, complex]) -> complex:
-        """Evaluate at a complex point, nested Horner over the sparse support."""
+    def eval_complex(self, point: Mapping[str, complex]):
+        """Evaluate by nested Horner over the sparse support, at Python
+        numbers (a complex result) or at numpy arrays of one shape (a complex
+        array; a constant polynomial gives its complex value, which
+        broadcasts). The values are used as given: a real input meets the
+        complex accumulator as x + 0j would, so the bits equal those at
+        complex(x). numpy may fuse the multiply-adds of a complex product,
+        so a complex array can differ from the scalar results in the last
+        bits."""
         for v in self.vars:
             if v not in point:
                 raise ValueError(f"unbound variable {v}")
         if self._plan is None:
             object.__setattr__(self, "_plan", _nested_plan(self))
-        return _eval_plan(self._plan, {v: complex(point[v]) for v in self.vars})
+        return _eval_plan(self._plan, point)
 
     # -- exact division ----------------------------------------------------------
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -232,6 +233,52 @@ class TestEval:
         v = p.eval_complex({"x": 0.5j, "y": 2})
         assert p == q and hash(p) == h == hash(q) and {p: 1}[q] == 1
         assert p.eval_complex({"x": 0.5j, "y": 2}) == v == q.eval_complex({"x": 0.5j, "y": 2})
+
+
+def bits(v):
+    """The bytes of v as complex128 values, so that 0.0 and -0.0 differ."""
+    return np.asarray(v, dtype=complex).tobytes()
+
+
+finite = st.floats(-4, 4)
+numbers = st.one_of(st.integers(-5, 5), small_coeff(), finite, st.builds(complex, finite, finite))
+
+
+class TestEvalOnArrays:
+    @given(polys(max_deg=5), st.lists(st.tuples(finite, finite, finite, finite), min_size=1, max_size=9))
+    def test_arrays_evaluate_element_wise(self, p, rows):
+        xr, xi, yr, yi = (np.array(col) for col in zip(*rows))
+        for X, Y in ((xr, yr), (xr + 1j * xi, yr + 1j * yi)):
+            got = p.eval_complex({"x": X, "y": Y})
+            # a constant polynomial gives one complex value, which broadcasts
+            got = np.broadcast_to(got, X.shape)
+            # length-1 arrays give the bits of the whole array
+            assert bits(got) == bits([p.eval_complex({"x": X[k : k + 1], "y": Y[k : k + 1]}) for k in range(len(X))])
+            scalar = np.array([p.eval_complex({"x": a, "y": b}) for a, b in zip(X.tolist(), Y.tolist())])
+            if X is xr:
+                assert bits(got) == bits(scalar)
+            else:
+                # numpy's complex product may fuse a multiply-add (AVX2/FMA
+                # builds do), so complex arrays agree with Python's complex
+                # arithmetic to rounding, not bit for bit: each side's Horner
+                # error is a few ulp per level, at most ten levels here, of
+                # the evaluation of |p| at |x|, |y|
+                size = MultiPoly(p.vars, {e: abs(c) for e, c in p.terms.items()})
+                bound = size.eval_complex({"x": np.abs(X), "y": np.abs(Y)}).real
+                assert np.all(np.abs(got - scalar) <= 128 * np.finfo(float).eps * bound)
+
+    def test_constant_broadcasts(self):
+        X = np.linspace(-1.0, 1.0, 5) + 0.5j
+        got = P("7/3").eval_complex({"x": X})
+        assert got == complex(7 / 3)
+        assert bits(got + 0 * X) == bits(np.full(5, complex(7 / 3)))
+
+    @given(polys(variables=("x", "y", "t"), max_deg=5), st.lists(numbers, min_size=3, max_size=3))
+    def test_scalars_evaluate_as_their_complex_values(self, p, vals):
+        # int, Fraction, float and complex points give the bits of the
+        # evaluation at complex(value)
+        point = dict(zip("xyt", vals))
+        assert bits(p.eval_complex(point)) == bits(p.eval_complex({v: complex(c) for v, c in point.items()}))
 
 
 
