@@ -354,7 +354,7 @@ def _cmd_count_zeros(cfg: JobConfig) -> dict:
         dom,
         tol=cfg.tol,
         numeric_fn=numeric_fn if cfg.mode in ("numeric", "both") else None,
-        calculator_inputs={"d": H.degree},
+        degree=H.degree,
     )
     return {
         "kind": "zero-bound-report",

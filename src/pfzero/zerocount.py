@@ -12,13 +12,13 @@ dominate. The closed-form asymptotic calculators are reporting-only.
 from __future__ import annotations
 
 import cmath
+import decimal
 import heapq
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-
-import mpmath
 
 from .errors import (
     Inconclusive,
@@ -462,17 +462,14 @@ def _t_box(A: complex, B: complex, s0: float, s1: float) -> tuple:
     )
 
 
-def coefficient_sup(ode: ScalarODE, segs: SegmentSet, tol: float = 1e-6) -> float:
-    """Rigorous upper bound for max over segments and coefficients of
-    |coefficient(t)|, by interval subdivision until the enclosure is within
-    the relative tolerance. The returned value always dominates the true
-    supremum."""
-    for a, b in segs.segments:
-        for cv in ode.pole_set:
-            if _dist_point_segment(cv.value, a, b) <= max(cv.radius, 1e-12):
-                raise PoleOnSegment(
-                    f"segment ({a}, {b}) touches the pole enclosure at {cv.value}"
-                )
+def coefficient_sup(ode: ScalarODE, a: complex, b: complex, tol: float = 1e-6) -> float:
+    """Rigorous upper bound for max over the segment [a, b] and the
+    coefficients of |coefficient(t)|, by interval subdivision until the
+    enclosure is within the relative tolerance. The returned value always
+    dominates the true supremum."""
+    for cv in ode.pole_set:
+        if _dist_point_segment(cv.value, a, b) <= max(cv.radius, 1e-12):
+            raise PoleOnSegment(f"segment ({a}, {b}) touches the pole enclosure at {cv.value}")
     items = []
     best_lower = 0.0
     counter = 0
@@ -481,18 +478,17 @@ def coefficient_sup(ode: ScalarODE, segs: SegmentSet, tol: float = 1e-6) -> floa
             continue
         nboxes = _coeff_boxes(c.num)
         dboxes = _coeff_boxes(c.den)
-        for a, b in segs.segments:
-            for s0, s1 in ((0.0, 0.5), (0.5, 1.0)):
-                up, low = _ratio_bounds(nboxes, dboxes, a, b, s0, s1)
-                best_lower = max(best_lower, low)
-                heapq.heappush(items, (-up, counter, s0, s1, a, b, nboxes, dboxes))
-                counter += 1
+        for s0, s1 in ((0.0, 0.5), (0.5, 1.0)):
+            up, low = _ratio_bounds(nboxes, dboxes, a, b, s0, s1)
+            best_lower = max(best_lower, low)
+            heapq.heappush(items, (-up, counter, s0, s1, nboxes, dboxes))
+            counter += 1
     if not items:
         return 0.0
     budget = 500_000
     while budget:
         budget -= 1
-        neg_up, _cnt, s0, s1, a, b, nboxes, dboxes = items[0]
+        neg_up, _cnt, s0, s1, nboxes, dboxes = items[0]
         up = -neg_up
         if up <= best_lower * (1 + tol) or up <= 1e-300:
             return up
@@ -503,7 +499,7 @@ def coefficient_sup(ode: ScalarODE, segs: SegmentSet, tol: float = 1e-6) -> floa
         for lo, hi in ((s0, mid), (mid, s1)):
             u, low = _ratio_bounds(nboxes, dboxes, a, b, lo, hi)
             best_lower = max(best_lower, low)
-            heapq.heappush(items, (-u, counter, lo, hi, a, b, nboxes, dboxes))
+            heapq.heappush(items, (-u, counter, lo, hi, nboxes, dboxes))
             counter += 1
     raise NumericFailure("coefficient supremum subdivision budget exhausted")
 
@@ -604,8 +600,15 @@ def winding_count(
 
 
 _EXACT_DIGIT_CAP = 20_000  # digits of an exact value when the interpreter sets no limit
-_EXACT_EXPONENT_LOG10 = 10**6  # E is formed as an int only below 10^(10^6)
 _FLOAT_LOG10_MAX = 400  # beyond the largest float, about 10^308.25
+# 76 significant digits (about 250 bits); a power beyond even the widest
+# exponent range reads Infinity, reported as null, instead of raising Overflow
+_DECIMAL = decimal.Context(
+    prec=76,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero],
+)
 
 
 def _finite(v) -> float | None:
@@ -618,27 +621,26 @@ def _log_entry(base: Fraction, x: int, y, lead: int = 1) -> dict:
     """log10, its log10 and the exact value (when printable) of lead * base^E
     with E = x^y.
 
-    E is formed as an int only when y is a nonnegative int and log10 E is at
-    most 10^6, which is decided before any power is taken; otherwise only
-    log10 E enters. A float that would overflow is reported as None. The
-    caller sets the mpmath working precision.
+    One test on log10 E = y log10 x decides for every y whether log10
+    overflows every float, and so is None. E is formed as an int only for
+    the exact value: when y is a nonnegative int, the base an integer and
+    log10 below the printable digit cap, so that E < cap / log10(base) is
+    small. The caller enters the decimal context.
     """
     if base == 1:
         y = 0  # lead * 1^E = lead for every E
-    lb = mpmath.log10(mpmath.mpf(base.numerator) / mpmath.mpf(base.denominator))
-    log10_e = mpmath.mpf(y) * mpmath.log10(x)
-    exponent = x**y if isinstance(y, int) and y >= 0 and log10_e <= _EXACT_EXPONENT_LOG10 else None
-    if exponent is None and log10_e + mpmath.log10(abs(lb)) > _FLOAT_LOG10_MAX:
+    lb = (Decimal(base.numerator) / Decimal(base.denominator)).log10()
+    log10_e = Decimal(y) * Decimal(x).log10()
+    if log10_e + abs(lb).log10() > _FLOAT_LOG10_MAX:
         log10 = None  # |E lb| overflows every float; the lead term is negligible
-        loglog = log10_e + mpmath.log10(lb) if lb > 0 else None
+        loglog = log10_e + lb.log10() if lb > 0 else None
     else:
-        e = mpmath.mpf(exponent) if exponent is not None else mpmath.power(10, log10_e)
-        log10 = e * lb + (mpmath.log10(lead) if lead != 1 else 0)
-        loglog = mpmath.log10(log10) if log10 > 0 else None
+        log10 = Decimal(x) ** Decimal(y) * lb + Decimal(lead).log10()
+        loglog = log10.log10() if log10 > 0 else None
     exact = None
     cap = sys.get_int_max_str_digits() or _EXACT_DIGIT_CAP
-    if base.denominator == 1 and exponent is not None and log10 < cap:
-        value = lead * base.numerator**exponent
+    if base.denominator == 1 and isinstance(y, int) and y >= 0 and log10 is not None and log10 < cap:
+        value = lead * base.numerator ** (x**y)
         if value < 10**cap:
             exact = str(value)
     return {"exact": exact, "log10": _finite(log10), "log10_log10": _finite(loglog)}
@@ -658,8 +660,9 @@ def asymptotic_bound_calculators(
     (2/rho)^(2^(d^c)) and the parametric n (M/rho)^(d^(c_p p^3)) for integer
     coefficient data of degree d and height M with p parameters. The
     user-supplied constants c and c_p stand in for the universal constants.
-    Values are exact big integers when printable, else base-10 logarithms
-    (and their logarithms) at better than 1e-9 relative accuracy.
+    Values are exact big integers when printable; the base-10 logarithms
+    (and their logarithms) are the nearest floats to the values computed to
+    76 significant digits.
     """
     constants = dict(constants or {})
     c = constants.get("c", 1)
@@ -674,10 +677,11 @@ def asymptotic_bound_calculators(
     if d < 2:
         raise UsageError("degree must be at least 2")
     out = {}
-    with mpmath.workprec(250):
-        # d^c is formed only up to 10^6, so that 2^(d^c) is formed too
+    with decimal.localcontext(_DECIMAL):
+        # d^c is formed as an int only up to 10^6, which bounds its cost;
+        # 2^(10^6) already has 301030 digits
         small = isinstance(c, int) and 0 <= c < 20 and d**c <= 10**6
-        inner = d**c if small else mpmath.power(d, c)
+        inner = d**c if small else Decimal(d) ** Decimal(c)
         out["degree_double_exponential"] = {
             "formula": "(2/rho)^(2^(d^c))",
             "inputs": {"d": d, "rho": str(rho), "c": c},
@@ -715,9 +719,9 @@ class ZeroBoundReport:
 def zero_count_bound(
     ode: ScalarODE,
     dom: SimpleDomain,
+    degree: int,
     tol: float = 1e-6,
     numeric_fn=None,
-    calculator_inputs: dict | None = None,
 ) -> ZeroBoundReport:
     """Upper bound for the number of zeros of solutions in the domain.
 
@@ -725,33 +729,27 @@ def zero_count_bound(
     sums the variation-of-argument bounds over 2 pi. When `numeric_fn`
     (a callable on the region boundary, s in [0,1)) is given, the argument
     principle supplies numeric_count as well, from _NUMERIC_SAMPLES
-    boundary samples densified by winding_count.
+    boundary samples densified by winding_count. The calculators take
+    d = `degree`, the equation's coefficient height, p = (d+1)(d+2)/2 and
+    their default constants c = c_p = 1.
     """
     poles = [cv.value for cv in ode.pole_set]
     segs = decompose_simple_domain(dom, poles)
     varbounds = []
-    for seg in segs.segments:
-        single = SegmentSet(segments=(seg,), clearance_to_poles=segs.clearance_to_poles)
-        C = coefficient_sup(ode, single, tol)
-        varbounds.append(yakovenko_varbound(ode.order, abs(seg[1] - seg[0]), C))
+    for a, b in segs.segments:
+        C = coefficient_sup(ode, a, b, tol)
+        varbounds.append(yakovenko_varbound(ode.order, abs(b - a), C))
     total = int(math.floor(math.fsum(varbounds) / (2 * math.pi)))
     numeric = None
     if numeric_fn is not None:
         ss = [k / _NUMERIC_SAMPLES for k in range(_NUMERIC_SAMPLES)]
         numeric = winding_count([numeric_fn(s) for s in ss], refine=numeric_fn, params=ss)
-    ci = dict(calculator_inputs or {})
-    d_guess = ci.get("d", 1 + max(1, round(math.sqrt(ode.order))))
-    M = ci.get("M")
-    if M is None:
-        M = _coefficient_height(ode)
-    p_guess = ci.get("p", (d_guess + 1) * (d_guess + 2) // 2)
     calculators = asymptotic_bound_calculators(
-        d=d_guess,
+        d=degree,
         rho=Fraction(dom.rho).limit_denominator(10**9),
         n=ode.order,
-        M=M,
-        p=p_guess,
-        constants=ci.get("constants", {"c": 1, "c_p": 1}),
+        M=_coefficient_height(ode),
+        p=(degree + 1) * (degree + 2) // 2,
     )
     return ZeroBoundReport(
         per_segment_varbound=tuple(varbounds),

@@ -138,7 +138,7 @@ def test_criterion_5_zero_counting_soundness(rng):
         true_singularities=origin,
     )
     dom = simple_domain(origin, [-1.0], Disc(1 + 0j, 0.4), 0.5, relaxed_bounds=True)
-    rep = zero_count_bound(d2_ode, dom, calculator_inputs={"d": 2})
+    rep = zero_count_bound(d2_ode, dom, degree=2)
     ok = w == 0 and rep.total_bound >= 0 and rep.total_bound >= w
 
     empty = SingularSet(values=(), count_with_multiplicity=0)
@@ -169,7 +169,7 @@ def test_criterion_5_zero_counting_soundness(rng):
             return p.eval_complex({"t": center + radius * cmath.exp(2j * math.pi * s)})
 
         try:
-            rep = zero_count_bound(ode, dom, tol=1e-2, numeric_fn=feval, calculator_inputs={"d": 2})
+            rep = zero_count_bound(ode, dom, tol=1e-2, numeric_fn=feval, degree=2)
         except PoleOnSegment:
             continue
         truth = sum(cv.multiplicity for cv in roots if abs(cv.value - center) < radius)

@@ -1,8 +1,12 @@
 """Golden digests of the canonical exact reports.
 
 The JSON of `analysis`, `pf-system`, `scalar-ode` and `petrov-decomposition`
-must stay byte-identical across refactors of the exact core. Each case pins
-the sha256 of the report that `pfzero` prints for one command line.
+must stay byte-identical across refactors of the exact core, and the
+`asymptotic-bounds` JSON across changes to the arithmetic of the closed-form
+calculators: exact digits, floats that overflow to null, exponents too large
+to form, negative and fractional constants, heights below and just above rho.
+Each case pins the sha256 of the report that `pfzero` prints for one command
+line.
 """
 
 import hashlib
@@ -72,6 +76,26 @@ GOLDEN = [
         "ca1a706bc5e9e9bf877033d3628e3c868c3378bfaef00c1e7039b7510bfcdfbc",
     ),
     (("analyze", "-H", SPLIT_CUBIC), "fbd39bc42f223192ca7454cf5d6b6f22535e1546e5a03c21efc3ad7239fcedda"),
+    (("bounds", "-d", "2", "--rho", "1/2", "-c", "1"), "eba8fdd25c360d7d8396a9b7bd80032b26ab11180c29d68b791bc82be9962cad"),
+    (("bounds", "-d", "3", "--rho", "1/3", "-c", "30"), "de1d181dadd287f246f6c4c96a62fad47985b28038d0a030f5436480afccd826"),
+    (("bounds", "-d", "3", "--rho", "1/3", "-c", "1e9"), "0463675d12258e62cef5edd55b7a79aff0708c5f93cd818bca03eed2a6dbbca8"),
+    (("bounds", "-d", "3", "--rho", "1/3", "-c", "-2.5"), "6b772d079d89ad52dcfdeb87ad0dba225cc66820c71c66167be682ac2793ea69"),
+    (
+        ("bounds", "-d", "3", "--rho", "1/3", "-n", "4", "-M", "7", "--p-dim", "2"),
+        "c2a443f7357848727543fbea1bb9d8730912ab4d372412ca3bf767be51ee24ba",
+    ),
+    (
+        (
+            ("bounds", "-d", "4", "--rho", "1/10", "-n", "9")
+            + ("-M", "1000000001/1000000000", "--p-dim", "15", "--c-p", "0.5")
+        ),
+        "d9a4f9766f4d282d4dbfd316236f0c203c615a88d8bf21a27a0dcdd4ef460fb8",
+    ),
+    (
+        ("bounds", "-d", "2", "--rho", "99/100", "-n", "1", "-M", "1/3", "--p-dim", "3"),
+        "2876c30fba23379c58aec8df6af73d94227a8a984762c95a46204df1f5238643",
+    ),
+    (("bounds", "-d", "10", "--rho", "1/3", "-c", "6"), "40abb9c3338a86474527b9466e2e6195b9e11963ce851b7f23761c7d280bcaa9"),
 ]
 
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pfzero
 
 SOURCES = sorted(Path(pfzero.__file__).parent.glob("*.py"))
@@ -46,8 +48,13 @@ def test_no_unused_import_in_the_package():
     assert SOURCES and not found
 
 
-def test_no_scipy_import_in_the_package():
-    # the integrator is in-package; SciPy is only the tests' reference for it
+# SciPy is the tests' reference for the in-package integrator and mpmath the
+# 250-bit reference for the decimal calculators; the package uses neither
+REFERENCES = ["scipy", "mpmath"]
+
+
+@pytest.mark.parametrize("module", REFERENCES)
+def test_no_reference_import_in_the_package(module):
     found = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -57,13 +64,14 @@ def test_no_scipy_import_in_the_package():
                 modules = [a.name for a in node.names]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "scipy"]
+            found += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == module]
     assert SOURCES and not found
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # a fresh interpreter, so no other test has imported scipy already
-    code = "import sys, pfzero.cli; print('scipy' in sys.modules)"
+@pytest.mark.parametrize("module", REFERENCES)
+def test_cli_import_leaves_reference_unloaded(module):
+    # a fresh interpreter, so no other test has imported the module already
+    code = f"import sys, pfzero.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,

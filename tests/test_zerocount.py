@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -20,7 +21,6 @@ from pfzero.poly import MultiPoly, parse_polynomial
 from pfzero.zerocount import (
     Disc,
     Polygon,
-    SegmentSet,
     asymptotic_bound_calculators,
     coefficient_sup,
     decompose_simple_domain,
@@ -147,13 +147,11 @@ def _dist(z, a, b):
 
 class TestCoefficientSup:
     def test_real_segment(self):
-        segs = SegmentSet(((1 + 0j, 2 + 0j),), 1.0)
-        C = coefficient_sup(D2_ODE, segs, 1e-6)
+        C = coefficient_sup(D2_ODE, 1 + 0j, 2 + 0j, 1e-6)
         assert 1.0 <= C <= 1.0 + 1e-5
 
     def test_diagonal_segment(self):
-        segs = SegmentSet(((1 + 0j, 1 + 1j),), 1.0)
-        C = coefficient_sup(D2_ODE, segs, 1e-6)
+        C = coefficient_sup(D2_ODE, 1 + 0j, 1 + 1j, 1e-6)
         assert 1.0 <= C <= 1.0 + 1e-5
 
     def test_dense_sampling_oracle(self, rng):
@@ -179,8 +177,7 @@ class TestCoefficientSup:
 
             if any(_dist(r.value, a, b) < 0.15 for r in isolate_roots(coeff.den)):
                 continue
-            segs = SegmentSet(((a, b),), 1.0)
-            C = coefficient_sup(ode, segs, 1e-6)
+            C = coefficient_sup(ode, a, b, 1e-6)
             import numpy as np
 
             ncoef = np.array([complex(v) for v in coeff.num.univariate_coeffs("t")][::-1])
@@ -193,19 +190,16 @@ class TestCoefficientSup:
 
     def test_monotonicity(self):
         tol = 1e-6
-        small = SegmentSet(((1 + 0j, 2 + 0j),), 1.0)
-        big = SegmentSet(((0.5 + 0j, 2 + 0j),), 1.0)
-        c_small = coefficient_sup(D2_ODE, small, tol)
-        c_big = coefficient_sup(D2_ODE, big, tol)
+        c_small = coefficient_sup(D2_ODE, 1 + 0j, 2 + 0j, tol)
+        c_big = coefficient_sup(D2_ODE, 0.5 + 0j, 2 + 0j, tol)
         assert c_big >= c_small / (1 + tol)
-        c_loose = coefficient_sup(D2_ODE, small, 1e-2)
-        c_tight = coefficient_sup(D2_ODE, small, 1e-8)
+        c_loose = coefficient_sup(D2_ODE, 1 + 0j, 2 + 0j, 1e-2)
+        c_tight = coefficient_sup(D2_ODE, 1 + 0j, 2 + 0j, 1e-8)
         assert c_tight <= c_loose * (1 + 1e-2)
 
     def test_pole_on_segment(self):
-        segs = SegmentSet(((-1 + 0j, 1 + 0j),), 0.0)
         with pytest.raises(PoleOnSegment):
-            coefficient_sup(D2_ODE, segs, 1e-6)
+            coefficient_sup(D2_ODE, -1 + 0j, 1 + 0j, 1e-6)
 
 
 class TestVarBound:
@@ -267,7 +261,59 @@ class TestWinding:
             done += 1
 
 
+def _mpmath_entry(base: Fraction, x, y, lead: int, integral: bool) -> dict:
+    """lead * base^E with E = x^y, in 250-bit mpmath: the nearest floats to
+    log10 = E lb + log10(lead) (lb = log10 base) and to its log10, None where
+    that float is not finite, and the digits when the value is an integer
+    (`integral` says E is one) and printable."""
+    with mpmath.workprec(250):
+        lb = mpmath.log10(mpmath.mpf(base.numerator) / base.denominator)
+        log10_e = mpmath.mpf(y) * mpmath.log10(x)
+        if log10_e < 10**6:
+            log10 = mpmath.power(x, y) * lb + mpmath.log10(lead)
+            loglog = mpmath.log10(log10) if log10 > 0 else None
+        else:
+            # too large for an mpf; log10 E + log10 lb is log10 of E lb + log10(lead)
+            # to far more than 250 bits
+            log10 = mpmath.inf * mpmath.sign(lb)
+            loglog = log10_e + mpmath.log10(lb) if lb > 0 else None
+    floats = [math.nan if v is None else float(v) for v in (log10, loglog)]
+    floats = [f if math.isfinite(f) else None for f in floats]
+    exact = None
+    if (integral or base == 1) and base.denominator == 1 and log10 < sys.get_int_max_str_digits():
+        exact = str(lead * base.numerator ** int(mpmath.power(x, y)))
+    return {"exact": exact, "log10": floats[0], "log10_log10": floats[1]}
+
+
+def _bits(entry: dict) -> tuple:
+    values = (entry["exact"], entry["log10"], entry["log10_log10"])
+    return tuple(v.hex() if isinstance(v, float) else v for v in values)
+
+
 class TestCalculators:
+    def test_matches_mpmath_reference(self):
+        # the double exponential on every (d, c, rho) and the parametric bound on
+        # heights below, at and just above rho, huge and fractional exponents
+        # among them (2^1013 log10(14) is near the largest float); equal floats
+        # to the bit, nulls and exact digits
+        rhos = [Fraction(1, 10**6), Fraction(1, 3), Fraction(1, 2), Fraction(7, 10), Fraction(999, 1000)]
+        for d in (2, 3, 8):
+            for c in (0, 1, 2, 3, 0.5, 1.5, -1, 2.7, 19, 30, 1e9):
+                for rho in rhos:
+                    entry = asymptotic_bound_calculators(d, rho, constants={"c": c})["degree_double_exponential"]
+                    with mpmath.workprec(250):
+                        inner = mpmath.power(d, c)
+                    ref = _mpmath_entry(2 / rho, 2, inner, 1, float(c).is_integer() and c >= 0)
+                    assert _bits(entry) == _bits(ref), (d, c, rho)
+        for d in (2, 5):
+            for rho in rhos:
+                for M in (rho / 2, rho, rho * Fraction(10**9 + 1, 10**9), Fraction(7)):
+                    for c_p, n, p in ((1, 1, 2), (0.5, 9, 6), (2.5, 3, 15), (1013, 2, 1)):
+                        calc = asymptotic_bound_calculators(d, rho, n=n, M=M, p=p, constants={"c_p": c_p})
+                        y = c_p * p**3
+                        ref = _mpmath_entry(M / rho, d, y, n, float(y).is_integer())
+                        assert _bits(calc["parametric_height"]) == _bits(ref), (d, rho, M, c_p)
+
     def test_exact_256(self):
         calc = asymptotic_bound_calculators(2, Fraction(1, 2), constants={"c": 1})
         assert calc["degree_double_exponential"]["exact"] == "256"
@@ -298,7 +344,7 @@ class TestCalculators:
 class TestBoundPipeline:
     def test_d2_disc(self):
         dom = simple_domain(ORIGIN, [-1.0], Disc(1 + 0j, 0.4), 0.5, relaxed_bounds=True)
-        report = zero_count_bound(D2_ODE, dom, calculator_inputs={"d": 2})
+        report = zero_count_bound(D2_ODE, dom, degree=2)
         assert report.total_bound >= 0
         assert report.total_bound == int(
             math.floor(math.fsum(report.per_segment_varbound) / (2 * math.pi))
@@ -337,7 +383,7 @@ class TestBoundPipeline:
 
             try:
                 # loose sup tolerance: the bound stays rigorous for any tol
-                report = zero_count_bound(ode, dom, tol=1e-2, numeric_fn=f, calculator_inputs={"d": 2})
+                report = zero_count_bound(ode, dom, tol=1e-2, numeric_fn=f, degree=2)
             except PoleOnSegment:
                 continue
             truth = sum(
