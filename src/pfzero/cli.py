@@ -271,7 +271,7 @@ def _cmd_decompose(cfg: JobConfig) -> dict:
     omega = OneForm(P, Q)
     basis = monomial_basis(H)
     forms = make_basis_forms(basis)
-    dec = petrov_decompose(omega, H, forms)
+    (dec,) = petrov_decompose([omega], H, forms)
     return {
         "kind": "petrov-decomposition",
         "basis": [{"a": a, "b": b} for a, b in basis.monomials],
@@ -470,6 +470,19 @@ def run(cfg: JobConfig) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse takes a value such as -1e30 or -1,0,1,0 after an option for
+        # an unknown option; attach it to the option as `-c=-1e30`
+        opts = self._option_string_actions
+        out: list[str] = []
+        for tok in sys.argv[1:] if args is None else args:
+            prev = opts.get(out[-1]) if out else None
+            if prev is not None and prev.nargs is None and tok[:1] == "-" and tok.split("=")[0] not in opts:
+                out[-1] = f"{out[-1]}={tok}"
+            else:
+                out.append(tok)
+        return super().parse_known_args(out, namespace)
 
 
 def build_parser() -> _Parser:

@@ -5,7 +5,8 @@ rational functions in t.
 row-content stripping for the large, very sparse coefficient-matching systems
 that the decomposition routines produce and for the Macaulay matrices of the
 staircase; it is exact and deterministic, sweeps the columns in a fixed order
-and chooses each pivot row by fill. Over polynomial rings,
+and chooses each pivot row by fill, and it carries any number of right-hand
+sides through the one elimination. Over polynomial rings,
 `PolyMatrix.determinant`, `PolyMatrix.adjugate` and `first_dependence` are
 fraction-free Bareiss eliminations that share the one update step
 `poly._bareiss_step`. Matrices whose entries share one variable are
@@ -26,7 +27,7 @@ from .poly import MultiPoly, _bareiss_det_poly, _bareiss_step, _Dense, _kernel_r
 
 # -- sparse exact solver --------------------------------------------------------
 
-RHS = -1  # column key of the right-hand side inside a sparse row
+RHS = -1  # key of the first right-hand side inside a sparse row; the r-th is at RHS - r
 
 
 def _strip_row(row: dict) -> dict:
@@ -40,26 +41,32 @@ def _strip_row(row: dict) -> dict:
     return row
 
 
-def solve_sparse_exact(rows: list[dict], ncols: int):
-    """Solve a sparse rational system given as rows {col: Fraction, RHS: Fraction}.
+def solve_sparse_exact(rows: list[dict], ncols: int, nrhs: int = 1):
+    """Solve a sparse rational system for nrhs right-hand sides at once.
 
+    Each row is {col: Fraction, RHS - r: Fraction}: columns 0..ncols-1 and
+    right-hand side r < nrhs at key RHS - r (absent keys are zero).
     Pivoting prefers sparse rows and sweeps the columns 0..ncols-1 in order;
     unpivoted columns are free and set to zero. Row updates are integer
     cross-multiplications with content stripping, so everything stays exact.
-    Returns (solution list, pivot columns in sweep order); the pivot columns
-    are the leading columns of the row space, and their count is the rank.
-    Raises Inconsistent.
+    The pivot columns are the leading columns of the row space, and with the
+    free columns at zero each solution is unique, so neither depends on the
+    pivot rows chosen or on the other right-hand sides: one solve with k
+    right-hand sides returns what k solves with one would. Returns
+    (one solution list per right-hand side, pivot columns in sweep order);
+    the count of pivot columns is the rank. Raises Inconsistent when any
+    right-hand side has no solution.
     """
     work = []
     for row in rows:
-        den = math.lcm(*(Fraction(c).denominator for c in row.values()))
-        introw = {j: int(Fraction(c) * den) for j, c in row.items() if Fraction(c) != 0}
+        den = math.lcm(*(c.denominator for c in row.values()))
+        introw = {j: c.numerator * (den // c.denominator) for j, c in row.items() if c}
         if introw:
             work.append(_strip_row(introw))
     col_index: dict[int, set[int]] = {}
     for i, row in enumerate(work):
         for j in row:
-            if j != RHS:
+            if j >= 0:
                 col_index.setdefault(j, set()).add(i)
     active = set(range(len(work)))
     pivots: list[tuple[int, int]] = []  # (row id, col)
@@ -89,35 +96,36 @@ def solve_sparse_exact(rows: list[dict], ncols: int):
             new = _strip_row(new)
             # update the column index
             for j in ri:
-                if j != RHS and j != col and j not in new:
+                if j >= 0 and j != col and j not in new:
                     col_index[j].discard(i)
             for j in new:
-                if j != RHS:
+                if j >= 0:
                     col_index.setdefault(j, set()).add(i)
             col_index[col].discard(i)
             work[i] = new
-            if set(new) <= {RHS}:
-                if new.get(RHS, 0) != 0:
+            if max(new, default=RHS) < 0:
+                if new:
                     raise Inconsistent("no solution")
                 active.discard(i)
         pivots.append((piv, col))
     for i in active:
         row = work[i]
-        if set(row) <= {RHS} and row.get(RHS, 0) != 0:
-            raise Inconsistent("no solution")
-        if any(j != RHS for j in row):
+        if max(row, default=RHS) < 0:
+            if row:
+                raise Inconsistent("no solution")
+        else:
             raise CertificateFailed("unswept column left nonzero")
-    sol = [Fraction(0)] * ncols
+    sols = [[Fraction(0)] * ncols for _ in range(nrhs)]
     for piv, col in reversed(pivots):
         row = work[piv]
-        acc = Fraction(row.get(RHS, 0))
-        for j, c in row.items():
-            if j in (RHS, col):
-                continue
-            if sol[j]:
-                acc -= c * sol[j]
-        sol[col] = acc / row[col]
-    return sol, [col for _, col in pivots]
+        rest = [(j, c) for j, c in row.items() if j > col]
+        for r, sol in enumerate(sols):
+            acc = Fraction(row.get(RHS - r, 0))
+            for j, c in rest:
+                if sol[j]:
+                    acc -= c * sol[j]
+            sol[col] = acc / row[col]
+    return sols, [col for _, col in pivots]
 
 
 # -- polynomial matrices ---------------------------------------------------------

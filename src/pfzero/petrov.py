@@ -11,14 +11,19 @@ into the linear system, which is solved exactly.
 
 The companion problem g = Hx * b - Hy * a (membership in the gradient ideal)
 is solved the same way and feeds the derivative-of-period construction.
-Both are one coefficient-matching solve at the degree that regularity at
-infinity fixes; there is no degree search.
+Both are coefficient matchings at the degree that regularity at infinity
+fixes; there is no degree search. Both take a batch: `petrov_decompose`
+builds the columns once, at the largest degree of the batch, and runs one
+elimination with a right-hand side per form, and `ideal_representation`
+runs one elimination per distinct cofactor degree. Every result carries its
+own certificate (reconstruction identity, degree bound, ideal residual).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import CertificateFailed, DecompositionFailed, Inconsistent, NotInIdeal
 from .hamiltonian import Hamiltonian
@@ -69,15 +74,17 @@ class PetrovDecomposition:
     ansatz_degree: int  # max(deg A, deg B, 0) of the solution found
 
     def reconstruct(self, H: Hamiltonian, forms: list[OneForm]) -> OneForm:
-        """Exact right-hand side sum; equals the decomposed form."""
-        acc_P = MultiPoly.zero()
-        acc_Q = MultiPoly.zero()
-        for c, w in zip(self.coeffs, forms):
-            if c.is_zero:
-                continue
-            cH = c.substitute("t", H.poly)
-            acc_P = acc_P + cH * w.P
-            acc_Q = acc_Q + cH * w.Q
+        """Exact right-hand side sum; equals the decomposed form. The module
+        part sum_i c_i(H) omega_i is summed by Horner's rule in H."""
+        cs = [c.univariate_coeffs("t") for c in self.coeffs]
+        acc_P = acc_Q = MultiPoly.zero()
+        for r in range(max(map(len, cs), default=0) - 1, -1, -1):
+            acc_P = acc_P * H.poly
+            acc_Q = acc_Q * H.poly
+            for c, w in zip(cs, forms):
+                if r < len(c) and c[r]:
+                    acc_P = acc_P + w.P * c[r]
+                    acc_Q = acc_Q + w.Q * c[r]
         acc_P = acc_P + self.A.derive("x") + self.B * H.hx
         acc_Q = acc_Q + self.A.derive("y") + self.B * H.hy
         return OneForm(acc_P, acc_Q)
@@ -89,73 +96,86 @@ def _monomials_upto(deg: int) -> list[tuple[int, int]]:
     return out
 
 
-def _match_coefficients(columns: list[MultiPoly], rhs: MultiPoly) -> list[Fraction]:
-    """Exact solution s of sum_j s_j columns[j] = rhs by matching the
-    coefficients of every monomial in x, y; raises Inconsistent."""
+def _match_coefficients(columns: list[MultiPoly], rhss: list[MultiPoly]) -> list[list[Fraction]]:
+    """Exact solutions s of sum_j s_j columns[j] = rhs, one per rhs, by
+    matching the coefficients of every monomial in x, y in one elimination;
+    raises Inconsistent when any rhs has none."""
     rows: dict[tuple, dict] = {}
     for j, col in enumerate(columns):
         for e, c in col.extended(("x", "y")).items():
             rows.setdefault(e, {})[j] = c
-    for e, c in rhs.extended(("x", "y")).items():
-        rows.setdefault(e, {})[RHS] = c
-    sol, _pivots = solve_sparse_exact(list(rows.values()), len(columns))
-    return sol
+    for r, rhs in enumerate(rhss):
+        for e, c in rhs.extended(("x", "y")).items():
+            rows.setdefault(e, {})[RHS - r] = c
+    sols, _pivots = solve_sparse_exact(list(rows.values()), len(columns), len(rhss))
+    return sols
 
 
 def _poly_of(sol, monos: list[tuple[int, int]]) -> MultiPoly:
-    acc = MultiPoly.zero()
-    for (u, v), coef in zip(monos, sol):
-        if coef:
-            acc = acc + MultiPoly.monomial(coef, x=u, y=v)
-    return acc
+    return MultiPoly(("x", "y"), {uv: coef for uv, coef in zip(monos, sol) if coef})
 
 
-def ideal_representation(g: MultiPoly, H: Hamiltonian) -> tuple[MultiPoly, MultiPoly]:
-    """Find (a, b) with Hx * b - Hy * a = g and deg a, deg b <= deg g - d + 1.
+def ideal_representation(
+    gs: Sequence[MultiPoly], H: Hamiltonian
+) -> list[tuple[MultiPoly, MultiPoly]]:
+    """For every g find (a, b) with Hx * b - Hy * a = g and deg a, deg b <= deg g - d + 1.
 
     Requires H regular at infinity. Then Hx~ and Hy~ are a regular sequence,
     so {Hx, Hy} is an H-basis of the gradient ideal: every member g has a
     representation with deg(b Hx), deg(a Hy) <= deg g, and one coefficient
-    matching at that cofactor degree decides membership. Raises NotInIdeal
-    when it is inconsistent, which for an H not regular at infinity may also
-    happen to a member of the ideal.
+    matching at that cofactor degree decides membership. The g of one
+    cofactor degree share one elimination; its columns are those of a batch
+    of one, so each g gets the (a, b) a solve of its own would give. Raises
+    NotInIdeal when a matching is inconsistent, which for an H not regular
+    at infinity may also happen to a member of the ideal.
     """
-    if g.is_zero:
-        return MultiPoly.zero(), MultiPoly.zero()
     hx, hy = H.hx, H.hy
-    m = max(g.degree() - H.degree + 1, 0)
-    monos = _monomials_upto(m)
-    cols = [hx * MultiPoly.monomial(1, x=u, y=v) for u, v in monos]  # b block first
-    cols += [-hy * MultiPoly.monomial(1, x=u, y=v) for u, v in monos]  # a block, negated
-    try:
-        sol = _match_coefficients(cols, g)
-    except Inconsistent:
-        raise NotInIdeal(f"no representation with cofactor degree <= {m}") from None
-    b = _poly_of(sol[: len(monos)], monos)
-    a = _poly_of(sol[len(monos) :], monos)
-    if hx * b - hy * a != g:
-        raise CertificateFailed("ideal representation residual is not zero")
-    return a, b
+    out = [(MultiPoly.zero(), MultiPoly.zero())] * len(gs)
+    by_degree: dict[int, list[int]] = {}
+    for i, g in enumerate(gs):
+        if not g.is_zero:
+            by_degree.setdefault(max(g.degree() - H.degree + 1, 0), []).append(i)
+    monos = _monomials_upto(max(by_degree, default=0))
+    b_cols = [hx * MultiPoly.monomial(1, x=u, y=v) for u, v in monos]
+    a_cols = [-hy * MultiPoly.monomial(1, x=u, y=v) for u, v in monos]  # negated
+    for m, idx in sorted(by_degree.items()):
+        k = (m + 1) * (m + 2) // 2  # the monomials of degree <= m lead the grevlex order
+        try:
+            sols = _match_coefficients(b_cols[:k] + a_cols[:k], [gs[i] for i in idx])
+        except Inconsistent:
+            raise NotInIdeal(f"no representation with cofactor degree <= {m}") from None
+        for i, sol in zip(idx, sols):
+            b = _poly_of(sol[:k], monos)
+            a = _poly_of(sol[k:], monos)
+            if hx * b - hy * a != gs[i]:
+                raise CertificateFailed("ideal representation residual is not zero")
+            out[i] = (a, b)
+    return out
 
 
 def petrov_decompose(
-    omega: OneForm, H: Hamiltonian, forms: list[OneForm]
-) -> PetrovDecomposition:
-    """Exact decomposition against the given basis forms.
+    omegas: Sequence[OneForm], H: Hamiltonian, forms: list[OneForm]
+) -> list[PetrovDecomposition]:
+    """Exact decompositions of a batch of forms against the given basis forms.
 
     Requires H regular at infinity. The c_i degree caps come from the module
     degree bound deg c_i <= (deg omega - deg omega_i) / d, and B is sought
     with deg B <= deg omega - d + 1 (Gavrilov, "Petrov modules and zeros of
     Abelian integrals", Bull. Sci. Math. 122 (1998)), so one exact solve
     decides; an inconsistent one raises DecompositionFailed, which for an H
-    not regular at infinity may also happen to a decomposable form. When the
-    system is solvable the c_i are unique; (A, B) follow the deterministic
-    free-variables-to-zero rule of the sparse eliminator.
+    not regular at infinity may also happen to a decomposable form. The
+    whole batch is one elimination with one right-hand side per form, over
+    the columns of its largest degree. The module is free, so each form's
+    c_i are unique and equal to those of a batch of one, and they are
+    certified against the degree bound of the form's own degree; (A, B)
+    follow the deterministic free-variables-to-zero rule of the sparse
+    eliminator for the batch's columns.
     """
     d = H.degree
     hx, hy = H.hx, H.hy
-    degw = max(omega.degree, 0)
-    rhs_poly = omega.Q - omega.P.integrate("x").derive("y")
+    degs = [max(omega.degree, 0) for omega in omegas]
+    degw = max(degs, default=0)
+    rhs_polys = [omega.Q - omega.P.integrate("x").derive("y") for omega in omegas]
     # unknowns: c_i = sum_r c_ir t^r, then B, then phi(y) = sum_k phi_k y^k
     columns: list[MultiPoly] = []
     c_slots: list[tuple[int, int]] = []
@@ -171,28 +191,33 @@ def petrov_decompose(
     for u, v in b_monos:
         mono = MultiPoly.monomial(1, x=u, y=v)
         columns.append(hy * mono - (hx * mono).integrate("x").derive("y"))
-    m_phi = max(rhs_poly.degree_in("y"), m_B + d, 1) + 1
+    m_phi = max(max((p.degree_in("y") for p in rhs_polys), default=0), m_B + d, 1) + 1
     for k in range(1, m_phi + 1):
         columns.append(MultiPoly.monomial(k, y=k - 1))
     try:
-        sol = _match_coefficients(columns, rhs_poly)
+        sols = _match_coefficients(columns, rhs_polys)
     except Inconsistent:
         raise DecompositionFailed(
             f"no decomposition with deg B <= {m_B}: H is not regular at infinity "
             "or the forms do not span the quotient"
         ) from None
-    coeffs = [MultiPoly.zero() for _ in forms]
-    for (i, r), val in zip(c_slots, sol):
-        if val:
-            coeffs[i] = coeffs[i] + MultiPoly.monomial(val, t=r)
     n_c = len(c_slots)
-    B = _poly_of(sol[n_c : n_c + len(b_monos)], b_monos)
-    phi = _poly_of(sol[n_c + len(b_monos) :], [(0, k) for k in range(1, m_phi + 1)])
-    A = (omega.P - B * hx).integrate("x") + phi
-    dec = PetrovDecomposition(
-        coeffs=tuple(coeffs), A=A, B=B, ansatz_degree=max(A.degree(), B.degree(), 0)
-    )
-    recon = dec.reconstruct(H, forms)
-    if recon.P != omega.P or recon.Q != omega.Q:
-        raise CertificateFailed("Petrov reconstruction residual is not zero")
-    return dec
+    out = []
+    for omega, deg, sol in zip(omegas, degs, sols):
+        coeffs = [MultiPoly.zero() for _ in forms]
+        for (i, r), val in zip(c_slots, sol):
+            if val:
+                if r * d > deg - forms[i].degree:
+                    raise CertificateFailed("module coefficient exceeds the degree bound")
+                coeffs[i] = coeffs[i] + MultiPoly.monomial(val, t=r)
+        B = _poly_of(sol[n_c : n_c + len(b_monos)], b_monos)
+        phi = _poly_of(sol[n_c + len(b_monos) :], [(0, k) for k in range(1, m_phi + 1)])
+        A = (omega.P - B * hx).integrate("x") + phi
+        dec = PetrovDecomposition(
+            coeffs=tuple(coeffs), A=A, B=B, ansatz_degree=max(A.degree(), B.degree(), 0)
+        )
+        recon = dec.reconstruct(H, forms)
+        if recon.P != omega.P or recon.Q != omega.Q:
+            raise CertificateFailed("Petrov reconstruction residual is not zero")
+        out.append(dec)
+    return out

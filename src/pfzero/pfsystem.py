@@ -1,7 +1,10 @@
 """Assembly of the period system a(t) I' = A(t) I and its scalar reductions.
 
 Row l of the system comes from decomposing (x Hx + y Hy)^2 omega_l (matrix K)
-and the derivative-of-period form of the same integrand (matrix L); then
+and the derivative-of-period form of the same integrand (matrix L). The 2n
+decompositions are one batch, one elimination with a right-hand side per
+row; the derivative forms come from the gradient ideal, one elimination per
+distinct cofactor degree. Then
 A / a = K^(-1) (L - K') over the rational functions, cleared to a polynomial
 matrix over a single monic denominator a(t). The result is certified by the
 polynomial identity K A = a (L - K').
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import CertificateFailed, DegenerateK
 from .hamiltonian import (
@@ -117,46 +120,36 @@ def euler_multiplier(H: Hamiltonian) -> MultiPoly:
     return MultiPoly.var("x") * H.hx + MultiPoly.var("y") * H.hy
 
 
-def gelfand_leray_rhs(H: Hamiltonian, omega: OneForm) -> OneForm:
-    """alpha with dH ^ alpha = d((x Hx + y Hy)^2 omega), exactly.
+def gelfand_leray_rhs(H: Hamiltonian, omegas: Sequence[OneForm]) -> list[OneForm]:
+    """alpha with dH ^ alpha = d((x Hx + y Hy)^2 omega), exactly, for every omega.
 
     The right side's dx^dy coefficient lies in the gradient ideal by
     construction, so the representation always exists; failure indicates an
     internal error and surfaces as NotInIdeal.
     """
     f2 = euler_multiplier(H) ** 2
-    g = omega.scale(f2).exterior_coeff()
-    a, b = ideal_representation(g, H)
-    return OneForm(a, b)
+    gs = [omega.scale(f2).exterior_coeff() for omega in omegas]
+    return [OneForm(a, b) for a, b in ideal_representation(gs, H)]
 
 
 def assemble_pf_system(H: Hamiltonian) -> PFSystem:
     """Build the polynomial system a(t) I' = A(t) I for the basis periods.
 
-    K^(-1) goes through the exact adjugate over Q[t] (one fraction-free
-    Gauss-Jordan elimination); the common polynomial content of det K and the
-    numerator matrix is cancelled and a(t) is made monic. The result is
-    checked against K A = a (L - K') and a failure raises CertificateFailed.
+    The K and L rows are one batch of Petrov decompositions, each certified
+    by its reconstruction identity and degree bound. K^(-1) goes through the
+    exact adjugate over Q[t] (one fraction-free Gauss-Jordan elimination);
+    the common polynomial content of det K and the numerator matrix is
+    cancelled and a(t) is made monic. The result is checked against
+    K A = a (L - K') and a failure raises CertificateFailed.
     """
     basis = monomial_basis(H)
     forms = make_basis_forms(basis)
     n = len(forms)
-    d = H.degree
     f2 = euler_multiplier(H) ** 2
-
-    k_rows = []
-    l_rows = []
-    gl_degrees = []
-    for ell in range(n):
-        dec_k = petrov_decompose(forms[ell].scale(f2), H, forms)
-        for c in dec_k.coeffs:
-            if c.degree_in("t") > d:
-                raise CertificateFailed("module coefficient exceeds the degree bound")
-        k_rows.append([_as_tpoly(c) for c in dec_k.coeffs])
-        alpha = gelfand_leray_rhs(H, forms[ell])
-        gl_degrees.append(alpha.degree)
-        dec_l = petrov_decompose(alpha, H, forms)
-        l_rows.append([_as_tpoly(c) for c in dec_l.coeffs])
+    alphas = gelfand_leray_rhs(H, forms)
+    decs = petrov_decompose([w.scale(f2) for w in forms] + alphas, H, forms)
+    k_rows = [[_as_tpoly(c) for c in dec.coeffs] for dec in decs[:n]]
+    l_rows = [[_as_tpoly(c) for c in dec.coeffs] for dec in decs[n:]]
     K = PolyMatrix(k_rows)
     L = PolyMatrix(l_rows)
     detK = K.determinant()
@@ -190,7 +183,7 @@ def assemble_pf_system(H: Hamiltonian) -> PFSystem:
         forms=tuple(forms),
         hamiltonian=H,
         singular=singular,
-        gl_cofactor_degrees=tuple(gl_degrees),
+        gl_cofactor_degrees=tuple(alpha.degree for alpha in alphas),
     )
 
 

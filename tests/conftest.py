@@ -14,6 +14,8 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
+# the benchmark's quartic Q(1,-2): dim 9, deg a 9
+Q4 = "x^4 + 2*x^2*y^2 + 2*y^4 + x - 2*y"
 # a generic quartic: dim 9, deg a 9
 H4 = "-x^4 - 2*x^3*y + 2*x*y^3 + 3*y^4 - x^3 - 2*x*y^2 + 3*y^3 - 2*x^2 - 2*y^2 - 2*x + y + 3"
 

@@ -86,7 +86,7 @@ def test_criterion_2_petrov_reconstruction(rng):
             random_poly(rng, ("x", "y"), degw, coeff_range=5),
             random_poly(rng, ("x", "y"), degw, coeff_range=5),
         )
-        dec = petrov_decompose(omega, H, forms)
+        [dec] = petrov_decompose([omega], H, forms)
         rec = dec.reconstruct(H, forms)
         assert rec.P == omega.P and rec.Q == omega.Q, "nonzero reconstruction residual"
         for c, w in zip(dec.coeffs, forms):

@@ -306,6 +306,22 @@ class TestDeterminism:
         _, out2, _ = run_cli(capsys, "pf-system", "-H", "x^3 - x*y^2 + y")
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "-d", "3", "--rho", "1/3", "-c", "-1e30"),
+            ("bounds", "-d", "3", "--rho", "1/3", "--c-p", "-1e30"),
+            ("scalar-ode", "-H", "x^3 - x*y^2 + y", "--mu", "-1,0,1,0"),
+        ],
+        ids=["c", "c-p", "mu"],
+    )
+    def test_negative_value_after_an_option(self, capsys, argv):
+        # argparse alone reads -1e30 and -1,0,1,0 as options, not as values
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        attached = (*argv[:-2], f"{argv[-2]}={argv[-1]}")
+        assert run_cli(capsys, *attached) == (0, out, "")
+
     def test_config_file(self, capsys, tmp_path):
         cfg = {"command": "bounds", "degree": 2, "rho": "1/2", "const_c": 1}
         path = tmp_path / "job.json"

@@ -67,7 +67,7 @@ def tpoly_matrices(draw):
 
 class TestExactSolve:
     def test_scalar(self):
-        sol, pivots = solve_sparse_exact(sparse_rows([[2]], [4]), 1)
+        (sol,), pivots = solve_sparse_exact(sparse_rows([[2]], [4]), 1)
         assert sol == [Fraction(2)] and pivots == [0]
 
     def test_2x2_determinant(self):
@@ -79,7 +79,7 @@ class TestExactSolve:
             solve_sparse_exact(sparse_rows([[1, 1], [2, 2]], [1, 3]), 2)
 
     def test_underdetermined_minimal_support(self):
-        sol, pivots = solve_sparse_exact(sparse_rows([[1, 1]], [5]), 2)
+        (sol,), pivots = solve_sparse_exact(sparse_rows([[1, 1]], [5]), 2)
         assert sol == [Fraction(5), Fraction(0)] and pivots == [0]
 
     @given(st.integers(1, 4), st.data())
@@ -90,7 +90,7 @@ class TestExactSolve:
         ]
         u = [Fraction(data.draw(st.integers(-3, 3))) for _ in range(n)]
         v = [sum(row[j] * u[j] for j in range(n)) for row in M]
-        sol, _ = solve_sparse_exact(sparse_rows(M, v), n)
+        (sol,), _ = solve_sparse_exact(sparse_rows(M, v), n)
         for row, b in zip(M, v):
             assert sum(c * s for c, s in zip(row, sol)) == b
 
@@ -103,7 +103,7 @@ class TestSparseSolver:
             M = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
             u = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
             v = [sum(r[j] * u[j] for j in range(n)) for r in M]
-            sol, _ = solve_sparse_exact(sparse_rows(M, v), n)
+            (sol,), _ = solve_sparse_exact(sparse_rows(M, v), n)
             for r, b in zip(M, v):
                 assert sum(c * s for c, s in zip(r, sol)) == b
 
@@ -111,6 +111,48 @@ class TestSparseSolver:
         rows = [{0: Fraction(1), RHS: Fraction(1)}, {0: Fraction(1), RHS: Fraction(2)}]
         with pytest.raises(Inconsistent):
             solve_sparse_exact(rows, 1)
+
+    @given(st.data())
+    def test_many_right_hand_sides_match_single_solves(self, data):
+        # sparse rational systems, often rank deficient (a row or a column
+        # that combines others); each right-hand side is consistent (M u) or
+        # drawn freely, so it may be inconsistent
+        n = data.draw(st.integers(1, 5))
+        m = data.draw(st.integers(1, 8))
+        entry = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+        M = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
+        if m > 1 and data.draw(st.booleans()):
+            M[-1] = [M[0][j] * 2 - M[1 % (m - 1)][j] for j in range(n)]
+        if n > 1 and data.draw(st.booleans()):
+            for row in M:
+                row[-1] = row[0] + row[1 % (n - 1)]
+        rhss = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            if data.draw(st.booleans()):
+                u = [data.draw(entry) for _ in range(n)]
+                rhss.append([sum(c * s for c, s in zip(row, u)) for row in M])
+            else:
+                rhss.append([data.draw(entry) for _ in range(m)])
+        singles = []
+        for v in rhss:
+            try:
+                singles.append(solve_sparse_exact(sparse_rows(M, v), n))
+            except Inconsistent:
+                singles.append(None)
+        rows = [
+            {j: c for j, c in enumerate(row) if c} | {RHS - r: v[i] for r, v in enumerate(rhss) if v[i]}
+            for i, row in enumerate(M)
+        ]
+        if None in singles:
+            with pytest.raises(Inconsistent):
+                solve_sparse_exact(rows, n, len(rhss))
+            return
+        sols, pivots = solve_sparse_exact(rows, n, len(rhss))
+        assert sols == [sol for (sol,), _ in singles]
+        assert all(pivots == p for _, p in singles)
+        for sol, v in zip(sols, rhss):
+            for row, b in zip(M, v):
+                assert sum(c * s for c, s in zip(row, sol)) == b
 
 
 class TestRatFunc:

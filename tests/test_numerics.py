@@ -248,7 +248,7 @@ class TestResiduals:
             omega = OneForm(
                 A.derive("x") + B * circle.hx, A.derive("y") + B * circle.hy
             )
-            dec = petrov_decompose(omega, circle, list(forms))
+            [dec] = petrov_decompose([omega], circle, list(forms))
             assert all(c.is_zero for c in dec.coeffs)
             assert abs(period_quadrature_with_error(cyc, omega)[0]) <= 1e-8
         # and a basis form itself has a nonzero period on the traced cycle

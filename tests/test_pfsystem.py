@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from pfzero import petrov
 from pfzero.errors import CertificateFailed, DegenerateK
 from pfzero.hamiltonian import Hamiltonian, monomial_basis
 from pfzero.linalg import PolyMatrix, RatFunc
@@ -18,7 +19,7 @@ from pfzero.pfsystem import (
     _iterated_rows,
 )
 from pfzero.poly import MultiPoly, parse_polynomial
-from tests.conftest import H4, random_regular_hamiltonian
+from tests.conftest import H4, Q4, random_regular_hamiltonian
 
 P = parse_polynomial
 t = MultiPoly.var("t")
@@ -69,7 +70,7 @@ class TestGelfandLeray:
     def test_circle_examples(self):
         H = Hamiltonian.from_poly(P("x^2+y^2"))
         for omega in (OneForm(MultiPoly.zero(), P("x")), OneForm(P("y"), MultiPoly.zero())):
-            alpha = gelfand_leray_rhs(H, omega)
+            [alpha] = gelfand_leray_rhs(H, [omega])
             f2 = euler_multiplier(H) ** 2
             target = omega.scale(f2).exterior_coeff()
             got = H.hx * alpha.Q - H.hy * alpha.P
@@ -77,7 +78,7 @@ class TestGelfandLeray:
 
     def test_first_example_values(self):
         H = Hamiltonian.from_poly(P("x^2+y^2"))
-        alpha = gelfand_leray_rhs(H, OneForm(MultiPoly.zero(), P("x")))
+        [alpha] = gelfand_leray_rhs(H, [OneForm(MultiPoly.zero(), P("x"))])
         assert alpha.P == P("-2*y^3") and alpha.Q == P("10*x^3 + 12*x*y^2")
 
 
@@ -177,7 +178,7 @@ class TestD3System:
 
 class TestD4System:
     def test_quartic_system_and_component_1(self):
-        sys4 = assemble_pf_system(Hamiltonian.from_poly(P("x^4 + 2*x^2*y^2 + 2*y^4 + x - 2*y")))
+        sys4 = assemble_pf_system(Hamiltonian.from_poly(P(Q4)))
         K = sys4.K
         assert sys4.dim == 9 and sys4.a.degree() == 9
         det, zero = K.determinant(), MultiPoly.zero()
@@ -185,6 +186,20 @@ class TestD4System:
         assert defining_identity_holds(sys4)
         # component 1 (form x dy) has order 6 here, below (d-1)(d-2)+1 = 7
         assert derive_scalar_ode(sys4, 1).order == 6
+
+    def test_assembly_solves_in_batches(self, monkeypatch):
+        # one elimination for the K and L rows and one per cofactor degree of
+        # the gradient-ideal rows, not one per row
+        calls = []
+        solve = petrov.solve_sparse_exact
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(petrov, "solve_sparse_exact", counted)
+        sys4 = assemble_pf_system(Hamiltonian.from_poly(P(Q4)))
+        assert 0 < len(calls) <= 1 + len(set(sys4.gl_cofactor_degrees))
 
 
 class TestComponentOneOrder:
