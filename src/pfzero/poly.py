@@ -97,8 +97,7 @@ class MultiPoly:
             expo = tuple(int(e) for e in expo)
             if len(expo) != len(variables) or any(e < 0 for e in expo):
                 raise ValueError("bad exponent vector")
-            clean[expo] = clean.get(expo, Fraction(0)) + coef
-        clean = {e: c for e, c in clean.items() if c != 0}
+            clean[expo] = coef  # a mapping never repeats an exponent
         # prune variables that never appear, so equal polynomials compare equal
         used = [i for i in range(len(variables)) if any(e[i] for e in clean)]
         if len(used) != len(variables):

@@ -2,8 +2,8 @@
 
 The pipeline: cut the plane along the domain's rays, cover the region by
 polygons whose boundary segments stay clear of every coefficient pole, bound
-the modulus of the coefficients on each segment by rigorous interval
-subdivision, convert to a variation-of-argument bound per segment
+the modulus of the coefficients on each segment by a rigorous centred form
+on bisected sub-segments, convert to a variation-of-argument bound per segment
 (pi (n+1) (1 + l C / log(3/2))), and sum over 2 pi. The argument principle
 on sampled contours supplies the numeric count, which the bound must
 dominate. The closed-form asymptotic calculators are reporting-only.
@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import cmath
 import decimal
-import heapq
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (
     Inconclusive,
@@ -392,136 +394,203 @@ def _project_on_segment(z: complex, a: complex, b: complex):
 
 # -- rigorous coefficient suprema ------------------------------------------------
 
-
-def _down(x: float) -> float:
-    return math.nextafter(x, -math.inf)
-
-
-def _up(x: float) -> float:
-    return math.nextafter(x, math.inf)
-
-
-# A complex box is a 4-tuple (re_lo, re_hi, im_lo, im_hi) of floats; every
-# arithmetic step rounds outward by one ulp per operation, which dominates the
-# true rounding error and keeps the bounds rigorous.
-
-
-def _coeff_boxes(p) -> list[tuple]:
-    out = []
-    for c in p.univariate_coeffs("t"):
-        if c == 0:
-            out.append((0.0, 0.0, 0.0, 0.0))
-        else:
-            f = float(c)
-            out.append((_down(f), _up(f), 0.0, 0.0))
-    return out
-
-
-def _box_mul(a: tuple, b: tuple) -> tuple:
-    arl, arh, ail, aih = a
-    brl, brh, bil, bih = b
-    p1 = (arl * brl, arl * brh, arh * brl, arh * brh)
-    p2 = (ail * bil, ail * bih, aih * bil, aih * bih)
-    q1 = (arl * bil, arl * bih, arh * bil, arh * bih)
-    q2 = (ail * brl, ail * brh, aih * brl, aih * brh)
-    re_lo = _down(_down(min(p1)) - _up(max(p2)))
-    re_hi = _up(_up(max(p1)) - _down(min(p2)))
-    im_lo = _down(_down(min(q1)) + _down(min(q2)))
-    im_hi = _up(_up(max(q1)) + _up(max(q2)))
-    return (re_lo, re_hi, im_lo, im_hi)
-
-
-def _eval_box(coeffs: list[tuple], box: tuple) -> tuple:
-    rl, rh, il, ih = 0.0, 0.0, 0.0, 0.0
-    for crl, crh, cil, cih in reversed(coeffs):
-        rl, rh, il, ih = _box_mul((rl, rh, il, ih), box)
-        rl = _down(rl + crl)
-        rh = _up(rh + crh)
-        il = _down(il + cil)
-        ih = _up(ih + cih)
-    return (rl, rh, il, ih)
-
-
-def _box_abs_bounds(box: tuple) -> tuple:
-    rl, rh, il, ih = box
-    alo_r = 0.0 if rl <= 0.0 <= rh else min(abs(rl), abs(rh))
-    alo_i = 0.0 if il <= 0.0 <= ih else min(abs(il), abs(ih))
-    ahi_r = max(abs(rl), abs(rh))
-    ahi_i = max(abs(il), abs(ih))
-    return max(0.0, _down(math.hypot(alo_r, alo_i))), _up(math.hypot(ahi_r, ahi_i))
-
-
-def _t_box(A: complex, B: complex, s0: float, s1: float) -> tuple:
-    za = A + s0 * (B - A)
-    zb = A + s1 * (B - A)
-    return (
-        _down(min(za.real, zb.real)),
-        _up(max(za.real, zb.real)),
-        _down(min(za.imag, zb.imag)),
-        _up(max(za.imag, zb.imag)),
-    )
+_SUP_PIECES = 16  # starting sub-segments of [a, b] per coefficient
+_SUP_BUDGET = 500_000  # bisected sub-segments before NumericFailure
+_SUP_CHUNK = 8192  # sub-segments per numpy pass, which caps its memory
+_U = 2.0**-53  # unit roundoff of float64
+_SUB = 2.0**-1021  # 2^-1074 / u: absorbs the rounding of subnormal intermediates
 
 
 def coefficient_sup(ode: ScalarODE, a: complex, b: complex, tol: float = 1e-6) -> float:
     """Rigorous upper bound for max over the segment [a, b] and the
-    coefficients of |coefficient(t)|, by interval subdivision until the
-    enclosure is within the relative tolerance. The returned value always
-    dominates the true supremum."""
+    coefficients of |coefficient(t)|, by a centred form on bisected
+    sub-segments until the enclosure is within the relative tolerance. The
+    returned value always dominates the true supremum.
+
+    Enclosure. Each coefficient F = N/D is scaled exactly by powers of two
+    to float coefficients a_j = c_j 2^-e, so that no height overflows; the
+    scaling is undone in the quotient. On a sub-segment t = t_m + u h,
+    |u| <= r, h = b - a, take the Taylor coefficients N_k, D_k at the centre
+    t_m, f0 = N_0/D_0 and f1 = (N_1 - f0 D_1)/D_0. Then
+    F(t) = f0 + f1 u h + Q(u h)/D(t) with Q = N - (f0 + f1 w) D, whose
+    coefficients q_0 and q_1 vanish up to rounding, so that
+
+    - |F(t)| <= max over +- of |f0 +- f1 h r| + sum_k |q_k| (r|h|)^k / lowD:
+      the affine part is convex in u, so its maximum is at an endpoint and
+      is exact, and the remainder is O(r^2);
+    - lowD = dist(0, [D_0 - D_1 h r, D_0 + D_1 h r]) - sum_{k>=2} |D_k| (r|h|)^k
+      bounds |D| from below on the sub-segment.
+
+    The same affine value minus the remainder bounds |F| from below at an
+    end of the sub-segment, so the bounds close in like r^2.
+
+    Rounding. The computed centre and h lie within w = 5u(|a| + |h|) of the
+    exact ones, which widens r|h| to rho = r|h| + w and adds |f1| w and
+    |D_1| w. Every other rounding error is at most a multiple of u times
+    S = sum_j B_j (|t_m| + rho)^j, which is the Taylor shift of |a| at |t_m|
+    summed against the powers of rho: a Taylor coefficient takes at most 5W
+    roundings per term (the powers, the binomial, the product and the sum;
+    Higham, Accuracy and Stability of Numerical Algorithms, ch. 3 and 5),
+    the scaled coefficient one more, and Q, the distance and the sums at
+    most W + 30 more, W the number of Taylor coefficients. The bounds add
+    (32 W + 128) u times S_N + (|f0| + |f1| rho) S_D, a factor of four to
+    spare, which also covers the rounding of S itself; the 2^-1021 in
+    B_j = |a_j| (1 + 4u) + 2^-1021 covers subnormal intermediates. The
+    quotient rounds up before and after the scaling.
+
+    Search. Every live sub-segment of every coefficient is evaluated in one
+    numpy pass (`_sup_pass`; _SUP_CHUNK caps its size). A sub-segment whose
+    bound is at most best_lower (1 + tol), best_lower the largest lower
+    bound for a value |F(t)| seen so far, is dropped, and its bound counts
+    in the value returned; all others are bisected together for the next
+    pass.
+    """
     for cv in ode.pole_set:
         if _dist_point_segment(cv.value, a, b) <= max(cv.radius, 1e-12):
             raise PoleOnSegment(f"segment ({a}, {b}) touches the pole enclosure at {cv.value}")
-    items = []
-    best_lower = 0.0
-    counter = 0
-    for c in ode.coeffs:
-        if c.is_zero:
-            continue
-        nboxes = _coeff_boxes(c.num)
-        dboxes = _coeff_boxes(c.den)
-        for s0, s1 in ((0.0, 0.5), (0.5, 1.0)):
-            up, low = _ratio_bounds(nboxes, dboxes, a, b, s0, s1)
-            best_lower = max(best_lower, low)
-            heapq.heappush(items, (-up, counter, s0, s1, nboxes, dboxes))
-            counter += 1
-    if not items:
+    coeffs = [c for c in ode.coeffs if not c.is_zero]
+    if not coeffs:
         return 0.0
-    budget = 500_000
-    while budget:
-        budget -= 1
-        neg_up, _cnt, s0, s1, nboxes, dboxes = items[0]
-        up = -neg_up
-        if up <= best_lower * (1 + tol) or up <= 1e-300:
-            return up
-        heapq.heappop(items)
-        mid = (s0 + s1) / 2
-        if s1 - s0 < 1e-14:
+    mats, shifts = _coeff_arrays(coeffs)
+    a = complex(a)
+    h = complex(b) - a
+    width = mats.shape[1] // 2
+    seg = (a, h, 5 * _U * (abs(a) + abs(h)), (32 * width + 128) * _U)
+    cidx = np.repeat(np.arange(len(coeffs)), _SUP_PIECES)
+    mid = np.tile((np.arange(_SUP_PIECES) + 0.5) / _SUP_PIECES, len(coeffs))
+    rad = np.full(len(cidx), 0.5 / _SUP_PIECES)
+    best_lower = result = 0.0
+    budget = _SUP_BUDGET
+    while True:
+        ups, lowers = [], []
+        for lo in range(0, len(cidx), _SUP_CHUNK):
+            part = slice(lo, lo + _SUP_CHUNK)
+            up, lower = _sup_pass(mats, shifts, cidx[part], mid[part], rad[part], seg)
+            ups.append(up)
+            lowers.append(lower)
+        up = np.concatenate(ups)
+        best_lower = max(best_lower, float(np.concatenate(lowers).max()))
+        live = up > max(best_lower * (1 + tol), 1e-300)
+        if not live.all():
+            result = max(result, float(up[~live].max()))
+        if not live.any():
+            return result
+        cidx, mid, rad = cidx[live], mid[live], rad[live]
+        if rad.min() < 0.5e-14:
             raise PoleOnSegment("subdivision collapsed onto a pole of a coefficient")
-        for lo, hi in ((s0, mid), (mid, s1)):
-            u, low = _ratio_bounds(nboxes, dboxes, a, b, lo, hi)
-            best_lower = max(best_lower, low)
-            heapq.heappush(items, (-u, counter, lo, hi, nboxes, dboxes))
-            counter += 1
-    raise NumericFailure("coefficient supremum subdivision budget exhausted")
+        budget -= len(rad)
+        if budget < 0:
+            raise NumericFailure("coefficient supremum subdivision budget exhausted")
+        rad = rad / 2
+        mid = np.column_stack([mid - rad, mid + rad]).ravel()
+        rad = np.repeat(rad, 2)
+        cidx = np.repeat(cidx, 2)
 
 
-def _ratio_bounds(nboxes, dboxes, a, b, s0, s1):
-    box = _t_box(a, b, s0, s1)
-    nlo, nhi = _box_abs_bounds(_eval_box(nboxes, box))
-    dlo, dhi = _box_abs_bounds(_eval_box(dboxes, box))
-    upper = float("inf") if dlo <= 0.0 else _up(nhi / dlo)
-    smid = (s0 + s1) / 2
-    t = a + smid * (b - a)
-    nv = _eval_point(nboxes, t)
-    dv = _eval_point(dboxes, t)
-    lower = abs(nv) / abs(dv) if dv != 0 else 0.0
-    return upper, lower
+def _coeff_arrays(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Per coefficient N/D, the matrix that takes the powers of a centre t
+    and of a real s to the Taylor coefficients of N and D at t and to the
+    rounding sums sum_j B_j s^j of N and D; and the exponent of the scaling
+    that the quotient undoes.
+
+    For P = sum_j a_j t^j, sum_i t^i a_{i+k} C(i+k, k) = P^(k)(t)/k!: the
+    Taylor shift of repeated synthetic division as one matrix, so that a
+    pass takes every Taylor coefficient at every centre in one product."""
+    polys = [p for c in coeffs for p in (c.num, c.den)]
+    width = max(2, 1 + max(p.degree() for p in polys))  # at least N_0, N_1
+    scaled = np.zeros((len(polys), 2 * width))
+    exps = []
+    for row, p in zip(scaled, polys):
+        cs = p.univariate_coeffs("t")
+        e = max(c.numerator.bit_length() - c.denominator.bit_length() for c in cs if c)
+        # int / int rounds correctly; the scaling makes every |a_j| < 2
+        row[: len(cs)] = [
+            c.numerator / (c.denominator << e) if e >= 0 else (c.numerator << -e) / c.denominator
+            for c in cs
+        ]
+        exps.append(e)
+    j = np.add.outer(np.arange(width), np.arange(width))
+    taylor = scaled[:, j] * _binomials(width)  # (polys, i, k)
+    bound = np.abs(scaled[:, :width]) * (1 + 4 * _U) + _SUB  # (polys, j)
+    mats = np.zeros((len(coeffs), 2 * width, 2 * width + 2))
+    for c in range(len(coeffs)):
+        for side in (0, 1):
+            mats[c, :width, side * width : (side + 1) * width] = taylor[2 * c + side]
+            mats[c, width:, 2 * width + side] = bound[2 * c + side]
+    return mats, np.array(exps[0::2]) - np.array(exps[1::2])
 
 
-def _eval_point(boxes: list[tuple], t: complex) -> complex:
-    acc = 0j
-    for rl, rh, il, ih in reversed(boxes):
-        acc = acc * t + complex((rl + rh) / 2, (il + ih) / 2)
-    return acc
+@functools.lru_cache(maxsize=None)
+def _binomials(width: int) -> np.ndarray:
+    """C(i + k, k) for 0 <= i, k < width, each rounded once to a float;
+    read-only, as every caller shares it."""
+    out = np.array([[float(math.comb(i + k, k)) for k in range(width)] for i in range(width)])
+    out.flags.writeable = False
+    return out
+
+
+def _sup_pass(mats, shifts, cidx, mid, rad, seg):
+    """Upper bounds of |N/D| on the sub-segments mid +- rad of the
+    coefficients cidx (sorted), and lower bounds for its largest value there;
+    see coefficient_sup for the enclosure."""
+    a, h, w, gamma = seg
+    width = mats.shape[1] // 2
+    n = len(cidx)
+    t = a + mid * h
+    rho = (rad * abs(h) + w) * (1 + 8 * _U)
+    # powers of the centre, of |centre| + rho and of rho, by repeated products
+    pows = np.empty((n, 3, width + 1), dtype=complex)
+    pows[:, :, 0] = 1.0
+    pows[:, 0, 1:] = t[:, None]
+    pows[:, 1, 1:] = (abs(t) + rho)[:, None]
+    pows[:, 2, 1:] = rho[:, None]
+    np.cumprod(pows, axis=2, out=pows)
+    # real and imaginary rows against real matrices: real products, which
+    # also keep the small products on OpenBLAS's single-threaded path
+    lhs = np.zeros((n, 2, 2 * width))
+    lhs[:, 0, :width] = pows[:, 0, :width].real
+    lhs[:, 1, :width] = pows[:, 0, :width].imag
+    lhs[:, 0, width:] = pows[:, 1, :width].real
+    out = np.empty((n, 2, 2 * width + 2))
+    bounds = np.searchsorted(cidx, np.arange(len(mats) + 1))
+    for c in np.flatnonzero(np.diff(bounds)):
+        lo, hi = bounds[c], bounds[c + 1]
+        out[lo:hi] = (lhs[lo:hi].reshape(-1, 2 * width) @ mats[c]).reshape(-1, 2, 2 * width + 2)
+    taylor = out[:, 0, : 2 * width] + 1j * out[:, 1, : 2 * width]
+    num, den = taylor[:, :width], taylor[:, width:]
+    err_n, err_d = out[:, 0, 2 * width], out[:, 0, 2 * width + 1]
+    rp = pows[:, 2].real
+    hr = rad * h
+    with np.errstate(all="ignore"):
+        f0 = num[:, 0] / den[:, 0]
+        f1 = (num[:, 1] - f0 * den[:, 1]) / den[:, 0]
+        q = np.zeros((n, width + 1), dtype=complex)
+        q[:, :width] = num - f0[:, None] * den
+        q[:, 1:] -= f1[:, None] * den
+        af0, af1 = abs(f0), abs(f1)
+        rem = np.einsum("pj,pj->p", abs(q), rp) + gamma * (err_n + (af0 + af1 * rho) * err_d)
+        tail_d = np.einsum("pj,pj->p", abs(den[:, 2:]), rp[:, 2:width]) + abs(den[:, 1]) * w
+        low_d = _dist_to_segment(den[:, 0], den[:, 1] * hr) - tail_d - gamma * err_d
+        ext = np.maximum(abs(f0 + f1 * hr), abs(f0 - f1 * hr))
+        spread = af1 * w + 8 * _U * (af0 + af1 * rho) + rem / low_d
+        ok = (low_d > 0) & np.isfinite(spread)
+        scaled = np.where(ok, (ext + spread) * (1 + 8 * _U), np.inf)
+        de = shifts[cidx]
+        up = np.nextafter(np.ldexp(scaled, de), np.inf)
+        lower = np.ldexp(np.where(ok, np.maximum(af0, ext - spread), af0), de)
+    if not np.isfinite(out).all():
+        raise NumericFailure("coefficient values overflow the float range")
+    if (np.isinf(up) & ok).any():
+        raise NumericFailure("coefficient supremum exceeds the float range")
+    return up, np.where(np.isfinite(lower), lower, 0.0)
+
+
+def _dist_to_segment(z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Distance from 0 to the segment {z + s v : -1 <= s <= 1}: the part of
+    z across v, and the part along v beyond the segment's half-length |v|."""
+    vabs = abs(v)
+    g = z * np.conj(v / vabs)
+    return np.where(vabs > 0, np.hypot(g.imag, np.maximum(abs(g.real) - vabs, 0.0)), abs(z))
 
 
 # -- variation-of-argument bound ---------------------------------------------------

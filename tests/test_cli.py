@@ -288,6 +288,48 @@ class TestReports:
         assert code == 0
         assert json.loads(out)["total_bound"] >= 0
 
+    def test_count_zeros_quartic_both(self, capsys):
+        from tests.conftest import Q4
+
+        code, out, _ = run_cli(
+            capsys,
+            "count-zeros",
+            "-H",
+            Q4,
+            "-m",
+            "1",
+            "--domain",
+            "disc:2,0,0.5",
+            "--rho",
+            "0.1",
+            "--mode",
+            "both",
+            "--relaxed-bounds",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert 0 <= doc["numeric_count"] <= doc["total_bound"]
+        # a numeric report: the suprema may move within --tol, the count by one
+        assert abs(doc["total_bound"] - 12020) <= 1
+
+    def test_count_zeros_branch_mu_near_poles(self, capsys):
+        # the mu equation has poles near -0.43: the heaviest suprema of the
+        # branch cubic, at the default --tol 1e-6
+        code, out, _ = run_cli(
+            capsys,
+            "count-zeros",
+            "-H",
+            "x^3 - x*y^2 + y",
+            "--mu",
+            "1,0,1,0",
+            "--domain",
+            "disc:-0.5022,-0.2693,0.1398",
+            "--rho",
+            "0.1",
+        )
+        assert code == 0
+        assert abs(json.loads(out)["total_bound"] - 111) <= 1
+
     def test_verify_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "-H", "x^2+y^2", "--t-samples", "0.5,1,2")
         doc = json.loads(out)

@@ -48,6 +48,20 @@ class TestArithmetic:
         z = P("x^2+y^2") + (-P("x^2+y^2"))
         assert z.is_zero and z.terms == {}
 
+    def test_construction_drops_zeros_and_keeps_terms(self):
+        # zero coefficients, mixed int and Fraction values, and a variable
+        # that only appears with exponent zero
+        p = MultiPoly(
+            ("x", "y", "t"),
+            {(2, 0, 0): 3, (1, 1, 0): Fraction(0), (0, 1, 0): Fraction(-1, 2), (0, 0, 0): 0, (1, 0, 0): Fraction(4, 2)},
+        )
+        q = MultiPoly(("x", "y"), {(2, 0): Fraction(3), (0, 1): Fraction(-1, 2), (1, 0): Fraction(2)})
+        assert p.vars == ("x", "y")
+        assert p.terms == {(2, 0): Fraction(3), (0, 1): Fraction(-1, 2), (1, 0): Fraction(2)}
+        assert all(type(c) is Fraction for c in p.terms.values())
+        assert p == q and hash(p) == hash(q) and p == 3 * x**2 - Fraction(1, 2) * y + 2 * x
+        assert MultiPoly(("x",), {(1,): 0, (0,): Fraction(0)}).is_zero
+
     @given(polys(), polys(), polys())
     def test_ring_axioms(self, a, b, c):
         assert (a + b) + c == a + (b + c)

@@ -4,12 +4,16 @@ import sys
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from pfzero import zerocount
 from pfzero.errors import (
     Inconclusive,
     InvalidRays,
     InvalidRho,
+    NumericFailure,
     PoleOnSegment,
     UsageError,
     ZeroOnContour,
@@ -200,6 +204,162 @@ class TestCoefficientSup:
     def test_pole_on_segment(self):
         with pytest.raises(PoleOnSegment):
             coefficient_sup(D2_ODE, -1 + 0j, 1 + 0j, 1e-6)
+
+    def test_grazing_pole_collapses_the_subdivision(self):
+        # the pole 1/3 lies 1e-16 off the segment and is not in the pole set,
+        # so only the collapsed subdivision can report it
+        ode = ScalarODE(
+            order=1, coeffs=(RatFunc(MultiPoly.const(1), 3 * t - 1),), pole_set=(), true_singularities=EMPTY
+        )
+        with pytest.raises(PoleOnSegment, match="collapsed"):
+            coefficient_sup(ode, -1 + 1e-16j, 1 + 1e-16j, 1e-6)
+
+    def test_heights_beyond_the_float_range(self):
+        big = 10**400
+        coeff = RatFunc(big * t + 1, t + (big + 3))
+        ode = ScalarODE(order=1, coeffs=(coeff,), pole_set=(), true_singularities=EMPTY)
+        C = coefficient_sup(ode, 1 + 0j, 2 + 0j, 1e-6)
+        sampled = _exact_sampled_max([coeff], 1 + 0j, 2 + 0j)
+        assert sampled * (1 - 1e-12) <= C <= sampled * (1 + 1e-5)
+
+    def test_value_beyond_the_float_range_is_a_numeric_failure(self):
+        coeff = RatFunc(MultiPoly.const(10**400), t + 3)
+        ode = ScalarODE(order=1, coeffs=(coeff,), pole_set=(), true_singularities=EMPTY)
+        with pytest.raises(NumericFailure):
+            coefficient_sup(ode, 1 + 0j, 2 + 0j, 1e-6)
+
+    @given(st.data())
+    def test_dominates_dense_samples(self, data):
+        a, b, near = data.draw(_segments())
+        drawn = [data.draw(_rat_funcs(near, 12, 12)) for _ in range(data.draw(st.integers(1, 2)))]
+        coeffs = [c for c, _poles in drawn]
+        delta = min((_dist(p, a, b) for _c, poles in drawn for p in poles), default=math.inf)
+        assume(delta >= 0.02)
+        ode = ScalarODE(order=len(coeffs), coeffs=tuple(coeffs), pole_set=(), true_singularities=EMPTY)
+        tol = 1e-6
+        C = coefficient_sup(ode, a, b, tol)
+        sampled = _exact_sampled_max(coeffs, a, b)
+        assert C >= sampled * (1 - 1e-12)
+        # an interior maximum lies within eps = |h|/8192 of a sample, and the
+        # Cauchy estimate on a disc of radius delta/2 bounds the dip there
+        eps = abs(b - a) / 8192
+        assert C <= sampled * (1 + tol) * (1 + 64 * eps**2 / delta**2)
+
+    @given(st.data())
+    def test_each_pass_encloses_its_pieces(self, data):
+        # one pass on coarse pieces, where the remainder and the lower bound
+        # of the denominator weigh most
+        a, b, near = data.draw(_segments())
+        coeff, poles = data.draw(_rat_funcs(near, 10, 10))
+        pieces = data.draw(st.sampled_from([1, 2, 4]))
+        mats, shifts = zerocount._coeff_arrays([coeff])
+        width = mats.shape[1] // 2
+        mid = (np.arange(pieces) + 0.5) / pieces
+        rad = np.full(pieces, 0.5 / pieces)
+        h = b - a
+        seg = (a, h, 5 * zerocount._U * (abs(a) + abs(h)), (32 * width + 128) * zerocount._U)
+        ups, lowers = zerocount._sup_pass(mats, shifts, np.zeros(pieces, dtype=int), mid, rad, seg)
+        for m, r, up, lower in zip(mid, rad, ups, lowers):
+            lo, hi = a + (m - r) * h, a + (m + r) * h
+            assume(min((_dist(p, lo, hi) for p in poles), default=math.inf) >= 0.01)
+            sampled = _exact_sampled_max([coeff], lo, hi, 512)
+            assert up >= sampled * (1 - 1e-12)
+            # a lower bound for |F| at the centre or an end of the piece
+            assert lower <= sampled * (1 + 1e-9)
+
+    def test_pass_count_on_the_heavy_branch_disc(self, monkeypatch):
+        # one vectorised pass per bisection level: a per-box evaluation
+        # would show here as hundreds of calls per segment
+        from pfzero.cli import JobConfig, _make_ode, _parse_region, _simple_domain
+
+        _H, _sysm, ode = _make_ode(JobConfig(command="count-zeros", hamiltonian="x^3 - x*y^2 + y", mu=["1", "0", "1", "0"]))
+        dom = _simple_domain(_parse_region("disc:-0.5022,-0.2693,0.1398"), None, 0.1, ode.true_singularities, False)
+        segs = decompose_simple_domain(dom, [cv.value for cv in ode.pole_set])
+        calls = []
+        real_pass = zerocount._sup_pass
+        monkeypatch.setattr(zerocount, "_sup_pass", lambda *args: calls.append(1) or real_pass(*args))
+        for a, b in segs.segments:
+            calls.clear()
+            coefficient_sup(ode, a, b, 1e-6)
+            assert 1 <= len(calls) <= 30
+
+
+def _exact_sampled_max(coeffs, a: complex, b: complex, n: int = 4096) -> float:
+    """max over the coefficients F and k = 0..n of |F(a + (k/n)(b - a))|,
+    evaluated in exact integer arithmetic and rounded once at the end."""
+    ar, ai = Fraction(a.real), Fraction(a.imag)
+    hr, hi = Fraction(b.real) - ar, Fraction(b.imag) - ai
+    scale = math.lcm(ar.denominator, ai.denominator, hr.denominator, hi.denominator) * n
+    ks = np.array(range(n + 1), dtype=object)
+    # t_k = (x_k + i y_k) / scale with integers x_k, y_k
+    xs = int(ar * scale) + ks * int(hr * scale / n)
+    ys = int(ai * scale) + ks * int(hi * scale / n)
+    best = 0.0
+    for F in coeffs:
+        mods = []
+        for p in (F.num, F.den):
+            cs = p.univariate_coeffs("t")
+            m = math.lcm(*(c.denominator for c in cs))
+            d = len(cs) - 1
+            re, im = int(cs[d] * m) + 0 * xs, 0 * xs
+            for j in range(d - 1, -1, -1):
+                re, im = re * xs - im * ys + int(cs[j] * m) * scale ** (d - j), re * ys + im * xs
+            # |p(t_k)|^2 = (re^2 + im^2) / (m scale^d)^2
+            mods.append((re * re + im * im, (m * scale**d) ** 2))
+        (n2, ns), (d2, ds) = mods
+        best = max(best, float(np.max((n2 * ds) / (d2 * ns))))
+    return math.sqrt(best)
+
+
+_wide_rationals = st.builds(
+    lambda sign, p, q, e: sign * Fraction(p, q) * Fraction(10) ** e,
+    st.sampled_from([1, -1]),
+    st.integers(1, 10**6),
+    st.integers(1, 10**6),
+    st.integers(-40, 40),
+)
+_root_parts = st.builds(lambda m, e: Fraction(m, 997) * Fraction(10) ** e, st.integers(-2000, 2000), st.integers(-1, 2))
+
+
+@st.composite
+def _rat_funcs(draw, near, num_deg, den_deg):
+    """A coefficient N/D and the poles of D. N has non-integer rational
+    coefficients of heights from 10^-40 to 10^46; D is such a constant times
+    real roots and conjugate pairs of modulus up to about 200, and the pair
+    near, conj(near) when near is given."""
+    num = MultiPoly.from_univariate_coeffs(
+        "t", draw(st.lists(st.one_of(st.just(0), _wide_rationals), min_size=1, max_size=num_deg + 1))
+    )
+    assume(not num.is_zero)
+    den = MultiPoly.const(draw(_wide_rationals))
+    pairs = [] if near is None else [(Fraction(near.real), Fraction(near.imag))]
+    poles = []
+    while den.degree() + 2 * len(pairs) < den_deg - 1 and draw(st.booleans()):
+        if draw(st.booleans()):
+            pairs.append((draw(_root_parts), draw(_root_parts)))
+        else:
+            r = draw(_root_parts)
+            den = den * (t - r)
+            poles.append(complex(r))
+    for re, im in pairs:
+        den = den * (t * t - 2 * re * t + (re * re + im * im))
+        poles += [complex(re, im), complex(re, -im)]
+    return RatFunc(num, den), poles
+
+
+@st.composite
+def _segments(draw):
+    """A horizontal, vertical or diagonal segment, and (sometimes) a point
+    0.02 to 0.05 off its middle part, for a pole."""
+    centre = complex(draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5)))
+    u = draw(st.sampled_from([1, 1j, (1 + 1j) / math.sqrt(2), (1 - 1j) / math.sqrt(2)]))
+    length = draw(st.floats(0.1, 2.0))
+    a, b = centre - u * length / 2, centre + u * length / 2
+    near = None
+    if draw(st.booleans()):
+        s = draw(st.floats(0.1, 0.9))
+        near = a + s * (b - a) + draw(st.sampled_from([1j, -1j])) * u * draw(st.floats(0.02, 0.05))
+    return a, b, near
 
 
 class TestVarBound:
