@@ -19,7 +19,7 @@ numbers or at whole node arrays.
 Two Newton steps put points on a level set. The marcher of `trace_cycle`,
 and its closure walk, correct one real point at a time with the scalar step
 `_newton_to_curve`. Every other job uses the projector `_project_to_level`,
-Newton steps of least norm applied to all nodes at once: `refine_cycle`
+Newton steps of least norm applied to many nodes at once: refinement
 projects the chord midpoints of either kind of cycle onto the curve, and the
 cycles at nearby levels t +- h of the residual check are the nodes of the
 base cycle projected onto those levels. A branch lift needs no Newton step,
@@ -27,10 +27,14 @@ since its points solve the quadratic in y directly.
 
 Periods are computed chord-wise with Gauss-Legendre nodes (exact for the
 polygon) and Richardson extrapolation over dyadic refinements of the
-polyline, which converges to the curve integral with an error estimate. A
-cycle is refined once per level and every basis form is integrated on that
-refinement; each form's Richardson column stops at the first level that
-meets the tolerance, and the refinement stops when every column has.
+polyline, which converges to the curve integral with an error estimate. Per
+level, `_moments` forms the chord-point powers once per node and sums them
+into the dx and dy moments of every monomial the forms use, in blocks of at
+most QUAD_BLOCK nodes; a form's period is its coefficients dotted with those
+moments. The residual check refines its base cycle and the projections to
+t +- h in lockstep, as one stack; each (cycle, form) Richardson column stops
+at the first level that meets the tolerance, and a cycle leaves the stack
+once all its columns have. Real ovals stay in float64.
 Continuation of period vectors in complex t integrates the polynomial system
 with DOP853, the Dormand-Prince 8(5,3) pair with its 7th-degree dense output
 (Hairer, Norsett and Wanner, Solving Ordinary Differential Equations I,
@@ -77,6 +81,8 @@ MAX_LEVELS = 14
 MIN_POINTS = 64
 RESIDUAL_REL_TOL = 1e-12  # periods behind the residual check
 FD_STEP = 1e-5  # central-difference step of the residual check, relative to max(1, |t|)
+
+QUAD_BLOCK = 4096  # most nodes, over all cycles of a stack, in one block of quadrature or refinement
 
 BRANCH_LIFT_POINTS = 256  # first sample count of a branch lift
 
@@ -372,42 +378,66 @@ def _gl_nodes(n: int):
     return (xs + 1.0) / 2.0, ws / 2.0
 
 
-def _polygon_integral(points: np.ndarray, omega: OneForm) -> complex:
-    """Exact integral of P dx + Q dy over the closed polygon through the points."""
-    deg = max(omega.P.degree(), omega.Q.degree(), 1)
-    nodes, weights = _gl_nodes(deg // 2 + 2)
-    X = points[:, 0]
-    Y = points[:, 1]
-    dX = np.roll(X, -1) - X
-    dY = np.roll(Y, -1) - Y
-    total = 0j
-    for s, w in zip(nodes, weights):
-        at = {"x": X + s * dX, "y": Y + s * dY}
-        for p, d in ((omega.P, dX), (omega.Q, dY)):
-            if not p.is_zero:
-                total += w * np.sum(p.eval_complex(at) * d)
-    return complex(total)
+def _blocks(X: np.ndarray):
+    """(a, b, nxt) for blocks of nodes a..b-1 of every row of X, at most
+    QUAD_BLOCK nodes over all rows; nxt indexes each node's successor in its
+    closed row."""
+    n = X.shape[-1]
+    step = max(1, QUAD_BLOCK * n // X.size)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        yield a, b, np.arange(a + 1, b + 1) % n
 
 
-def _project_to_level(H: Hamiltonian, t: complex, X, Y):
+def _moments(X: np.ndarray, Y: np.ndarray, monomials) -> dict:
+    """{(i, j, k): the integral of x^i y^j dx (k = 0) or dy (k = 1) along
+    each closed polygon whose nodes are a row of X and Y}.
+
+    On a chord the integrand has degree i + j, so (i + j) // 2 + 1
+    Gauss-Legendre nodes are exact. A moment's node count and order of
+    operations depend on its monomial only, not on the others asked for.
+    Rows are summed by np.sum (pairwise) over blocks of at most QUAD_BLOCK
+    nodes in all.
+    """
+    out = dict.fromkeys(monomials, 0.0)
+    for a, b, nxt in _blocks(X):
+        X0, Y0 = X[:, a:b], Y[:, a:b]
+        dX, dY = X[:, nxt] - X0, Y[:, nxt] - Y0
+        for count in {(i + j) // 2 + 1 for i, j, _ in monomials}:
+            group = [(i, j, k) for i, j, k in monomials if (i + j) // 2 + 1 == count]
+            for s, w in zip(*_gl_nodes(count)):
+                xs, ys = [None, X0 + s * dX], [None, Y0 + s * dY]  # xs[i] = x^i at the node
+                for powers, top in ((xs, max(m[0] for m in group)), (ys, max(m[1] for m in group))):
+                    while len(powers) <= top:
+                        powers.append(powers[-1] * powers[1])
+                for i, j, k in group:
+                    v = ys[j] if not i else xs[i] if not j else xs[i] * ys[j]
+                    d = dY if k else dX
+                    out[i, j, k] = out[i, j, k] + w * np.sum(d if v is None else v * d, axis=1)
+    return out
+
+
+def _as_real(t, X, Y):
+    """Levels t and nodes (X, Y) as real arrays when none has an imaginary
+    part, else as given."""
+    if np.any(np.imag(t)) or np.any(np.imag(X)) or np.any(np.imag(Y)):
+        return t, X, Y
+    return np.real(t), np.real(X), np.real(Y)
+
+
+def _project_to_level(H: Hamiltonian, t, X, Y):
     """Nodes (X, Y) moved onto {H = t}, all at once, by the Newton steps of
-    least norm (x, y) -= conj(grad H) (H - t) / |grad H|^2. Real nodes at a
-    real level stay real and take the plain real Newton step."""
-    t = complex(t)
-    real = not (t.imag or np.any(np.imag(X)) or np.any(np.imag(Y)))
-    if real:
-        t, X, Y = t.real, np.real(X), np.real(Y)
-    tol = ON_CURVE_TOL * max(1.0, abs(t))
-
-    def at_nodes(p, X, Y):
-        v = p.eval_complex({"x": X, "y": Y})
-        return v.real if real else v
-
+    least norm (x, y) -= conj(grad H) (H - t) / |grad H|^2. t is one level,
+    or a column of levels with one per row of X and Y. Real nodes at real
+    levels stay real and take the plain real Newton step."""
+    t, X, Y = _as_real(np.asarray(t), X, Y)
+    tol = ON_CURVE_TOL * np.maximum(1.0, np.abs(t))
     for _ in range(60):
-        f = at_nodes(H.poly, X, Y) - t
-        if np.max(np.abs(f)) <= tol:
+        at = {"x": X, "y": Y}
+        f = H.poly.eval_complex(at) - t
+        if np.all(np.abs(f) <= tol):
             return X, Y
-        gx, gy = np.conj(at_nodes(H.hx, X, Y)), np.conj(at_nodes(H.hy, X, Y))
+        gx, gy = np.conj(H.hx.eval_complex(at)), np.conj(H.hy.eval_complex(at))
         g2 = np.real(gx * np.conj(gx) + gy * np.conj(gy))
         if np.min(g2) < 1e-28:
             raise NearCritical("gradient vanished while projecting onto the level curve")
@@ -422,50 +452,72 @@ def _at_level(cycle: CyclePolyline, t) -> CyclePolyline:
     return dataclasses.replace(cycle, points=_polyline(X, Y), level=complex(t))
 
 
+def _refine_stack(H: Hamiltonian, t, X, Y):
+    """Node rows (X, Y) with the projection onto level t (as in
+    `_project_to_level`) of each chord midpoint inserted after the chord's
+    first node, projected block by block."""
+    out = [np.repeat(A, 2, axis=-1) for A in (X, Y)]  # the odd places take the midpoints
+    for a, b, nxt in _blocks(X):
+        mid = _project_to_level(H, t, (X[..., a:b] + X[..., nxt]) / 2, (Y[..., a:b] + Y[..., nxt]) / 2)
+        for A, M in zip(out, mid):
+            A[..., 2 * a + 1 : 2 * b : 2] = M
+    return out
+
+
 def refine_cycle(cycle: CyclePolyline) -> CyclePolyline:
     """Insert the projection onto the curve of every chord midpoint."""
-    P = cycle.points
-    mx, my = ((P[:, k] + np.roll(P[:, k], -1)) / 2 for k in (0, 1))
-    mx, my = _project_to_level(cycle.hamiltonian, cycle.level, mx, my)
-    pts = np.empty((2 * len(P), 2), dtype=complex, order="F")
-    pts[0::2] = P
-    pts[1::2, 0] = mx
-    pts[1::2, 1] = my
-    return dataclasses.replace(cycle, points=pts)
+    X, Y = _refine_stack(cycle.hamiltonian, cycle.level, cycle.points[:, 0], cycle.points[:, 1])
+    return dataclasses.replace(cycle, points=_polyline(X, Y))
 
 
-def _richardson_periods(cycle: CyclePolyline, forms, rel_tol: float) -> tuple[list[complex], list[float]]:
-    """Curve integrals of the forms over the cycle, with their error estimates.
+def _richardson_periods(cycles, forms, rel_tol: float) -> tuple[list[list[complex]], list[list[float]]]:
+    """Curve integrals of the forms over each cycle, with their error
+    estimates: one list of values and one of errors per cycle.
 
-    The polygon value has an even-power error expansion in the mesh size, so
-    each dyadic refinement cancels another order. The cycle is refined once
-    per level and every form whose extrapolated increment still exceeds
+    The cycles share one node count and are refined in lockstep, real ovals
+    in real arithmetic. The polygon value has an even-power error expansion
+    in the mesh size, so each dyadic refinement cancels another order. Each
+    (cycle, form) column whose extrapolated increment still exceeds
     max(rel_tol |value|, ABS_TOL) gets one more row of its Richardson table;
-    a form that meets the tolerance keeps the value of that level.
+    a column that meets the tolerance keeps the value of that level, and a
+    cycle leaves the stack once all its columns have.
     """
-    work = cycle
-    while len(work.points) < MIN_POINTS:
-        work = refine_cycle(work)
-    rows = [[_polygon_integral(work.points, w)] for w in forms]  # last row of each table
-    best = [row[0] for row in rows]
-    err = [float("inf")] * len(forms)
-    open_cols = list(range(len(forms)))
-    for level in range(1, MAX_LEVELS + 1):
-        if not open_cols:
-            break
-        work = refine_cycle(work)
+    H = cycles[0].hamiltonian
+    X, Y = (np.array([c.points[:, k] for c in cycles]) for k in (0, 1))
+    t, X, Y = _as_real(np.array([[c.level] for c in cycles]), X, Y)
+    while X.shape[1] < MIN_POINTS:
+        X, Y = _refine_stack(H, t, X, Y)
+    # ((i, j, k), coefficient) for each term c x^i y^j of P (k = 0), then of Q (k = 1)
+    terms = [
+        [(e + (k,), float(c)) for k, p in enumerate((w.P, w.Q)) for e, c in p.extended("xy").items()] for w in forms
+    ]
+    cols = [(c, f) for c in range(len(cycles)) for f in range(len(forms))]
+    rows = [[None] * len(forms) for _ in cycles]  # the last row of each table
+    best = [[0j] * len(forms) for _ in cycles]
+    err = [[math.inf] * len(forms) for _ in cycles]
+    live = list(range(len(cycles)))  # the cycle of each row of X and Y
+    for level in range(MAX_LEVELS + 1):
+        if level:
+            X, Y = _refine_stack(H, t, X, Y)
+        moments = _moments(X, Y, sorted({m for _, f in cols for m, _ in terms[f]}))
         still_open = []
-        for m in open_cols:
-            row = [_polygon_integral(work.points, forms[m])]
+        for c, f in cols:
+            row = [complex(sum((coef * moments[m][live.index(c)] for m, coef in terms[f]), 0.0))]
             for j in range(1, level + 1):
                 factor = 4.0**j
-                row.append((factor * row[j - 1] - rows[m][j - 1]) / (factor - 1.0))
-            rows[m] = row
-            err[m] = abs(row[-1] - best[m])
-            best[m] = row[-1]
-            if err[m] > max(rel_tol * abs(best[m]), ABS_TOL):
-                still_open.append(m)
-        open_cols = still_open
+                row.append((factor * row[j - 1] - rows[c][f][j - 1]) / (factor - 1.0))
+            rows[c][f] = row
+            if level:
+                err[c][f] = abs(row[-1] - best[c][f])
+            best[c][f] = row[-1]
+            if err[c][f] > max(rel_tol * abs(best[c][f]), ABS_TOL):
+                still_open.append((c, f))
+        cols = still_open
+        keep = [r for r, c in enumerate(live) if any(o == c for o, _ in cols)]
+        if not keep:
+            break
+        if len(keep) < len(live):
+            t, X, Y, live = t[keep], X[keep], Y[keep], [live[r] for r in keep]
     return best, err
 
 
@@ -473,14 +525,14 @@ def period_quadrature_with_error(
     cycle: CyclePolyline, omega: OneForm, rel_tol: float = 1e-9
 ) -> tuple[complex, float]:
     """Curve integral of the form over the cycle with Richardson extrapolation."""
-    (value,), (err,) = _richardson_periods(cycle, [omega], rel_tol)
+    ((value,),), ((err,),) = _richardson_periods([cycle], [omega], rel_tol)
     return value, err
 
 
 def periods_of_system(sys: PFSystem, cycle: CyclePolyline, rel_tol: float = 1e-9) -> PeriodSample:
     """All basis periods on one shared refinement of the cycle; the error
     estimate is the largest over the forms."""
-    vals, errs = _richardson_periods(cycle, sys.forms, rel_tol)
+    (vals,), (errs,) = _richardson_periods([cycle], sys.forms, rel_tol)
     return PeriodSample(t=cycle.level, periods=tuple(vals), error_estimate=max([0.0, *errs]))
 
 
@@ -999,7 +1051,8 @@ def residual_check(sys: PFSystem, t_samples: list[float]) -> list[ResidualReport
 
     Periods are computed to relative tolerance RESIDUAL_REL_TOL. Derivatives
     come from central differences with step FD_STEP * max(1, |t|); the cycles
-    at t +- h are the nodes of the base cycle projected onto those levels.
+    at t +- h are the nodes of the base cycle projected onto those levels,
+    and all three are refined in lockstep.
     """
     rhs_matrix = _matrix_evaluator(sys)
     reports = []
@@ -1008,10 +1061,10 @@ def residual_check(sys: PFSystem, t_samples: list[float]) -> list[ResidualReport
             raise NearCritical(f"sample {t} is a singular value")
         base = make_cycle(sys.hamiltonian, t, sys.singular)
         h = FD_STEP * max(1.0, abs(t))
-        I, I_p, I_m = (
-            np.array(periods_of_system(sys, cyc, RESIDUAL_REL_TOL).periods)
-            for cyc in (base, _at_level(base, t + h), _at_level(base, t - h))
+        vals, _errs = _richardson_periods(
+            [base, _at_level(base, t + h), _at_level(base, t - h)], sys.forms, RESIDUAL_REL_TOL
         )
+        I, I_p, I_m = (np.array(v) for v in vals)
         Ip = (I_p - I_m) / (2 * h)
         MI = rhs_matrix(t) @ I
         num = np.linalg.norm(Ip - MI)

@@ -46,26 +46,31 @@ def _as_fraction(c) -> Fraction:
 
 
 def _nested_plan(p: MultiPoly):
-    """p as nested Horner lists: a complex constant, or (variable, plans of
+    """p as nested Horner lists: a float constant, or (variable, plans of
     the coefficients of its powers from the top down), the first variable
     outermost."""
     if not p.terms:
-        return 0j
+        return 0.0
     if not p.vars:
-        return 0j + complex(p.constant_value())
+        return float(p.constant_value())
     var = p.vars[0]
     return var, [_nested_plan(p.coeff_in_var(var, k)) for k in range(p.degree_in(var), -1, -1)]
 
 
 def _eval_plan(plan, vals: Mapping[str, complex]):
-    if plan.__class__ is complex:
+    if plan.__class__ is float:
         return plan
     var, kids = plan
     x = vals[var]
-    acc = 0j
+    kids = iter(kids)
+    acc = _eval_plan(next(kids), vals)
     for kid in kids:
         acc = acc * x
-        acc += _eval_plan(kid, vals)  # in place on arrays: one temporary less
+        v = _eval_plan(kid, vals)
+        try:
+            acc += v  # in place on arrays: one temporary less
+        except TypeError:  # a real array meets a complex value
+            acc = acc + v
     return acc
 
 
@@ -357,13 +362,14 @@ class MultiPoly:
 
     def eval_complex(self, point: Mapping[str, complex]):
         """Evaluate by nested Horner over the sparse support, at Python
-        numbers (a complex result) or at numpy arrays of one shape (a complex
-        array; a constant polynomial gives its complex value, which
-        broadcasts). The values are used as given: a real input meets the
-        complex accumulator as x + 0j would, so the bits equal those at
-        complex(x). numpy may fuse the multiply-adds of a complex product,
-        so a complex array can differ from the scalar results in the last
-        bits."""
+        numbers or at numpy arrays of one shape (a constant polynomial gives
+        its float value, which broadcasts). The plan's coefficients are
+        floats and the accumulator starts from the leading one, so a real
+        point gives a real value, computed in real arithmetic. A point with a
+        complex coordinate gives a complex value with the bits of an
+        all-complex evaluation, up to the sign of a zero imaginary part.
+        numpy may fuse the multiply-adds of a complex product, so a complex
+        array can differ from the scalar results in the last bits."""
         for v in self.vars:
             if v not in point:
                 raise ValueError(f"unbound variable {v}")

@@ -1,11 +1,16 @@
 import cmath
+import json
 import math
+import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from pfzero import numerics
+from pfzero.cli import main
 from pfzero.errors import NearCritical, NotCompactComponent, PathTooClose, StiffnessFailure
 from pfzero.hamiltonian import Hamiltonian, critical_values
 from pfzero.numerics import (
@@ -13,6 +18,8 @@ from pfzero.numerics import (
     _at_level,
     _continue_segments,
     _matrix_evaluator,
+    _moments,
+    _richardson_periods,
     branch_point_cycle,
     _continue_branch,
     continuation_callable,
@@ -312,6 +319,126 @@ class TestSharedOracle:
         got = _continue_branch(d)
         want = _continue_branch_sequential(d)
         assert np.array_equal(got, want)
+
+
+def _exact_moment(vertices, i, j, k):
+    """The integral of x^i y^j dx (k = 0) or dy (k = 1) around the closed
+    polygon through the vertices, in Fractions: on each chord the integrand
+    is expanded in powers of the chord parameter s and integrated term by
+    term over [0, 1]."""
+    total = Fraction(0)
+    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:] + vertices[:1]):
+        dx, dy = x1 - x0, y1 - y0
+        coeffs = [Fraction(1)]  # of (x0 + s dx)^i (y0 + s dy)^j, lowest power first
+        for a, b in [(x0, dx)] * i + [(y0, dy)] * j:
+            coeffs = [a * c + b * p for c, p in zip(coeffs + [0], [0] + coeffs)]
+        total += (dy if k else dx) * sum(c / (n + 1) for n, c in enumerate(coeffs))
+    return total
+
+
+# dyadic rationals are floats exactly, so the kernel sees the exact polygon
+dyadic = st.integers(-64, 64).map(lambda n: Fraction(n, 64))
+
+
+class TestMomentKernel:
+    @given(
+        st.integers(3, 8).flatmap(
+            lambda n: st.lists(
+                st.lists(st.tuples(dyadic, dyadic), min_size=n, max_size=n), min_size=1, max_size=3
+            )
+        ),
+        st.integers(2, 5),
+        st.integers(1, 8),
+    )
+    def test_moments_are_exact(self, polygons, d, block):
+        # every monomial a degree-d basis form can carry, over a stack of
+        # polygons, in blocks of a few nodes so that chords straddle blocks
+        monomials = [(i, j, k) for i in range(2 * d - 1) for j in range(2 * d - 1 - i) for k in (0, 1)]
+        X = np.array([[float(x) for x, _ in poly] for poly in polygons])
+        Y = np.array([[float(y) for _, y in poly] for poly in polygons])
+        with mock.patch.object(numerics, "QUAD_BLOCK", block):
+            got = _moments(X, Y, monomials)
+        for m in monomials:
+            for row, poly in enumerate(polygons):
+                want = float(_exact_moment(poly, *m))
+                assert abs(got[m][row] - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize(
+        "text, t, kind",
+        [("x^2+y^2", 1.0, "real"), ("x^3 - x*y^2 + y", 1.5, "branch"), ("x^2 + y^2 + x^3 - 3*x*y^2", 0.07, "real")],
+    )
+    def test_lockstep_triple_matches_single_cycles(self, text, t, kind):
+        # the residual check's three cycles, refined in one stack, against
+        # each cycle on its own
+        H = Hamiltonian.from_poly(P(text))
+        sysm = assemble_pf_system(H)
+        base = make_cycle(H, t, sysm.singular)
+        assert base.kind == kind
+        h = numerics.FD_STEP * max(1.0, abs(t))
+        cycles = [base, _at_level(base, t + h), _at_level(base, t - h)]
+        stacked, _errs = _richardson_periods(cycles, sysm.forms, numerics.RESIDUAL_REL_TOL)
+        for cyc, values in zip(cycles, stacked):
+            alone = periods_of_system(sysm, cyc, numerics.RESIDUAL_REL_TOL).periods
+            assert len(values) == len(alone) == sysm.dim
+            for got, want in zip(values, alone):
+                assert abs(got - want) <= max(1e-12 * abs(want), 1e-15)
+
+    def test_cycles_leave_the_stack_as_they_close(self, monkeypatch):
+        # alone, the oval at 0.07 closes after 4 refinements, its projections
+        # to 0.01 and 0.14 after 5 and 6: rows leave from the front of the stack
+        H = Hamiltonian.from_poly(P("x^2 + y^2 + x^3 - 3*x*y^2"))
+        sysm = assemble_pf_system(H)
+        base = make_cycle(H, 0.07, sysm.singular)
+        cycles = [base, _at_level(base, 0.14), _at_level(base, 0.01)]
+        stack_rows = []
+        refine = numerics._refine_stack
+
+        def counted(H, t, X, Y):
+            stack_rows.append(len(X))
+            return refine(H, t, X, Y)
+
+        monkeypatch.setattr(numerics, "_refine_stack", counted)
+        stacked, _errs = _richardson_periods(cycles, sysm.forms, numerics.RESIDUAL_REL_TOL)
+        assert stack_rows == [3, 3, 3, 3, 2, 1]
+        for cyc, values in zip(cycles, stacked):
+            alone = periods_of_system(sysm, cyc, numerics.RESIDUAL_REL_TOL)
+            for got, want in zip(values, alone.periods):
+                assert abs(got - want) <= max(1e-12 * abs(want), 1e-15)
+
+
+# the levels of the benchmark's oracle_cubic workload, seed 1, round 0
+ORACLE_LEVELS = {
+    "x^3 - x*y^2 + y": "0.8277,0.9788,1.1546,1.2350,1.3470,1.4161,1.6215,1.7246,1.7798,1.9839,"
+    "2.1160,2.2211,2.3192,2.3840,2.4876,2.6761,2.8376,2.8798,3.0200,3.1779",
+    "x^2 + y^2 + x^3 - 3*x*y^2": "0.0245,0.0280,0.0315,0.0393,0.0443,0.0455,0.0547,0.0578,0.0639,0.0672,"
+    "0.0718,0.0781,0.0823,0.0861,0.0945,0.0983,0.1015,0.1083,0.1123,0.1194",
+}
+
+
+class TestOracleGuard:
+    @pytest.mark.parametrize("text", sorted(ORACLE_LEVELS))
+    def test_verify_residuals(self, capsys, text):
+        # the parent of the moment kernel gave 1.6e-10 (branch lifts) and
+        # 4.0e-9 (real ovals)
+        assert main(["verify", "-H", text, "--t-samples", ORACLE_LEVELS[text]]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] and len(report["samples"]) == 20
+        assert report["worst_residual"] < 1e-8
+
+    def test_branch_job_working_set(self):
+        # quadrature and refinement run in blocks of QUAD_BLOCK nodes, so the
+        # three stacked cycles of up to 8192 nodes each stay small: about
+        # 2.0 MB traced, against 4.1 MB with one block per level
+        text = "x^3 - x*y^2 + y"
+        sysm = assemble_pf_system(Hamiltonian.from_poly(P(text)))
+        levels = [float(t) for t in ORACLE_LEVELS[text].split(",")]
+        tracemalloc.start()
+        try:
+            residual_check(sysm, levels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0e6
 
 
 class TestExtremumSeeds:

@@ -287,6 +287,19 @@ class TestEvalOnArrays:
         assert got == complex(7 / 3)
         assert bits(got + 0 * X) == bits(np.full(5, complex(7 / 3)))
 
+    def test_real_points_stay_real(self):
+        p = P("x^3 - 3*x*y^2 + 1/3*y")
+        assert type(p.eval_complex({"x": 2.0, "y": 1})) is float
+        got = p.eval_complex({"x": np.array([2.0, -1.0]), "y": np.array([1.0, 0.5])})
+        assert got.dtype == np.float64
+        assert bits(got) == bits([p.eval_complex({"x": complex(a), "y": complex(b)}) for a, b in ((2, 1), (-1, 0.5))])
+
+    def test_real_and_complex_arrays_mix(self):
+        # the outer variable real, an inner one complex: the real accumulator
+        # meets a complex value
+        got = P("x^2 + x*y + 3").eval_complex({"x": np.array([1.0, 2.0]), "y": np.array([1j, 2 + 1j])})
+        assert np.array_equal(got, [4 + 1j, 11 + 2j])
+
     @given(polys(variables=("x", "y", "t"), max_deg=5), st.lists(numbers, min_size=3, max_size=3))
     def test_scalars_evaluate_as_their_complex_values(self, p, vals):
         # int, Fraction, float and complex points give the bits of the
