@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 from pfzero.hamiltonian import Hamiltonian, critical_values, monomial_basis
-from pfzero.numerics import PeriodSample, integrate_pf_numeric, period_quadrature_with_error, trace_cycle
+from pfzero.numerics import continuation_callable, periods_of_system, trace_cycle
 from pfzero.pfsystem import assemble_pf_system, augment_and_reduce, derive_scalar_ode
 from pfzero.poly import parse_polynomial
 
@@ -32,12 +32,10 @@ def main():
     print("augmented equation (mu = 1):", aug.to_text())
 
     cyc = trace_cycle(H, 1.0, (1.0, 0.0), sing)
-    v, _err = period_quadrature_with_error(cyc, sysm.forms[0])
-    print(f"quadrature period at t=1: {v:.12f} (pi = {math.pi:.12f})")
-    out = integrate_pf_numeric(
-        sysm, [1.0, 4.0], PeriodSample(t=1.0, periods=(v,), error_estimate=0.0)
-    )
-    print(f"continued to t=4: {out[-1].periods[0]:.12f} (4 pi = {4*math.pi:.12f})")
+    sample = periods_of_system(sysm, cyc)
+    print(f"quadrature period at t=1: {sample.periods[0]:.12f} (pi = {math.pi:.12f})")
+    f = continuation_callable(sysm, [1.0, 4.0], sample)
+    print(f"continued to t=4: {f(1.0)[0]:.12f} (4 pi = {4*math.pi:.12f})")
 
 
 if __name__ == "__main__":

@@ -29,9 +29,7 @@ from .numerics import (
     CyclePolyline,
     PeriodSample,
     branch_point_cycle,
-    integrate_pf_numeric,
     make_cycle,
-    period_quadrature_with_error,
     residual_check,
     trace_cycle,
 )

@@ -6,12 +6,12 @@ row-content stripping for the large, very sparse coefficient-matching systems
 that the decomposition routines produce and for the Macaulay matrices of the
 staircase; it is exact and deterministic, sweeps the columns in a fixed order
 and chooses each pivot row by fill, and it carries any number of right-hand
-sides through the one elimination. Over polynomial rings,
-`PolyMatrix.determinant`, `PolyMatrix.adjugate` and `first_dependence` are
-fraction-free Bareiss eliminations that share the one update step
-`poly._bareiss_step`. Matrices whose entries share one variable are
-eliminated on the dense kernel `poly._Dense` and handed back as `MultiPoly`;
-`first_dependence` works in the ring of the vectors it is given. `RatFunc`
+sides through the one elimination. Over Q[t], `PolyMatrix.determinant`,
+`PolyMatrix.adjugate` and `first_dependence` are fraction-free Bareiss
+eliminations that share the one update step `poly._bareiss_step` on the
+dense kernel `poly._Dense`. The two `PolyMatrix` methods take `MultiPoly`
+entries in one shared variable (ValueError otherwise) and hand back
+`MultiPoly`; `first_dependence` takes and returns `_Dense`. `RatFunc`
 reduces its parts on the dense kernel too.
 """
 
@@ -190,8 +190,7 @@ class PolyMatrix:
         if n != self.cols:
             raise ValueError("adjugate of a non-square matrix")
         var, m = _kernel_rows(self.entries)
-        ring = MultiPoly if var is None else _Dense
-        zero, one = ring.zero(), ring.const(1)
+        zero, one = _Dense.zero(), _Dense.const(1)
         m = [m[i] + [one if j == i else zero for j in range(n)] for i in range(n)]
         sign = 1
         prev = one
@@ -206,8 +205,7 @@ class PolyMatrix:
                 if i != k:
                     _bareiss_step(m[i], m[k], k, prev, range(k + 1, 2 * n))
             prev = m[k][k]
-        out = [[e if sign == 1 else -e for e in row[n:]] for row in m]
-        return PolyMatrix(out if var is None else [[e.to_poly(var) for e in row] for row in out])
+        return PolyMatrix([[(e if sign == 1 else -e).to_poly(var) for e in row[n:]] for row in m])
 
 
 def _mat_mul(a: list[list], b: list[list]) -> list[list]:
@@ -238,19 +236,17 @@ def first_dependence(vectors: Iterable[Sequence]) -> tuple | None:
     gives every c_l = D w_l of r_k = sum_{l<k} w_l r_l by exact division. The
     relation D r_k = sum_l c_l r_l is checked exactly (CertificateFailed).
     Returns (k, D, [c_0, ..., c_{k-1}]), or None when the vectors run out and
-    all of them are independent. The entries are MultiPoly, or _Dense for the
-    scalar reduction; the result is in the same ring.
+    all of them are independent. Entries and results are `_Dense`.
     """
     seen: list[list] = []  # the vectors as given
     cols: list[list] = []  # column l after elimination steps 0..l-1
     piv_rows: list[int] = []  # pivot row of each step
     for k, r in enumerate(vectors):
         r = list(r)
-        ring = type(r[0]) if r else MultiPoly
         seen.append(r)
         n = len(r)
         col = list(r)
-        prev = ring.const(1)
+        prev = _Dense.const(1)
         for s, p_row in enumerate(piv_rows):
             below = [i for i in range(n) if i not in piv_rows[: s + 1]]
             _bareiss_step(col, cols[s], p_row, prev, below)
@@ -261,7 +257,7 @@ def first_dependence(vectors: Iterable[Sequence]) -> tuple | None:
             piv_rows.append(sel)
             continue
         D = prev  # the last pivot, cols[k - 1][piv_rows[k - 1]]
-        c = [ring.zero()] * k
+        c = [_Dense.zero()] * k
         for l in range(k - 1, -1, -1):
             row = piv_rows[l]
             if l == k - 1:
@@ -273,7 +269,7 @@ def first_dependence(vectors: Iterable[Sequence]) -> tuple | None:
                     acc = acc - cols[m][row] * c[m]
             c[l] = acc.exact_div(cols[l][row])
         for i in range(n):
-            acc = ring.zero()
+            acc = _Dense.zero()
             for cl, rl in zip(c, seen):
                 if not cl.is_zero and not rl[i].is_zero:
                     acc = acc + cl * rl[i]

@@ -35,11 +35,13 @@ moments. The residual check refines its base cycle and the projections to
 t +- h in lockstep, as one stack; each (cycle, form) Richardson column stops
 at the first level that meets the tolerance, and a cycle leaves the stack
 once all its columns have. Real ovals stay in float64.
-Continuation of period vectors in complex t integrates the polynomial system
-with DOP853, the Dormand-Prince 8(5,3) pair with its 7th-degree dense output
-(Hairer, Norsett and Wanner, Solving Ordinary Differential Equations I,
-Sec. II.10). `solve_ivp` is an in-package port of SciPy's DOP853 that gives
-the same floats; the package does not import SciPy.
+`continuation_callable`, the one continuation engine, carries a period
+vector along a path in complex t and returns the dense solution. It
+integrates the polynomial system with DOP853, the Dormand-Prince 8(5,3)
+pair with its 7th-degree dense output (Hairer, Norsett and Wanner, Solving
+Ordinary Differential Equations I, Sec. II.10). `solve_ivp` is an
+in-package port of SciPy's DOP853 that gives the same floats; the package
+does not import SciPy.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from .errors import (
     StiffnessFailure,
 )
 from .hamiltonian import Hamiltonian, SingularSet
-from .petrov import OneForm
 from .pfsystem import PFSystem
 from .poly import MultiPoly
 from .zerocount import _dist_point_segment
@@ -79,6 +80,7 @@ BBOX_FLOOR = 10.0
 ABS_TOL = 1e-12  # floor for periods that vanish identically
 MAX_LEVELS = 14
 MIN_POINTS = 64
+PERIOD_REL_TOL = 1e-9  # periods of `periods_of_system`
 RESIDUAL_REL_TOL = 1e-12  # periods behind the residual check
 FD_STEP = 1e-5  # central-difference step of the residual check, relative to max(1, |t|)
 
@@ -256,29 +258,30 @@ def _orient_ccw(cycle: CyclePolyline) -> CyclePolyline:
 # -- complex branch-point cycles --------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _y_quadratic(H: Hamiltonian):
-    """Coefficients (c2, c1, c0) of H as a quadratic in y; requires deg_y = 2."""
+    """H as the quadratic c2 y^2 + c1 y + c0 in y, built once per H: the
+    coefficients (c2, c1, c0), polynomials in x; the x-coefficients of the
+    discriminant c1^2 - 4 c2 (c0 - t) (as `_x_coefficients` gives them),
+    polynomials in t; and the roots in x of c2, where the quadratic
+    degenerates. Requires deg_y = 2."""
     if H.poly.degree_in("y") != 2:
         raise NotCompactComponent(
             "no real oval found and the y-degree is not 2, no cycle construction applies"
         )
-    return (
-        H.poly.coeff_in_var("y", 2),
-        H.poly.coeff_in_var("y", 1),
-        H.poly.coeff_in_var("y", 0),
-    )
+    c2, c1, c0 = (H.poly.coeff_in_var("y", k) for k in (2, 1, 0))
+    disc = c1 * c1 - 4 * c2 * (c0 - MultiPoly.var("t"))
+    return (c2, c1, c0), _x_coefficients(disc), np.roots([c.eval_complex({}) for c in _x_coefficients(c2)])
 
 
 def branch_cycle_contour(H: Hamiltonian, t: complex):
     """Choose an x-plane ellipse enclosing exactly two branch points of the
     y-projection of {H = t}, clear of the other branch points and of the
     degeneration locus of the quadratic."""
-    c2, c1, c0 = _y_quadratic(H)
-    disc = c1 * c1 - 4 * c2 * (c0 - MultiPoly.var("t"))
-    branch = np.roots(_x_coefficients(disc, {"t": t}))
+    _, disc, degen = _y_quadratic(H)
+    branch = np.roots([c.eval_complex({"t": t}) for c in disc])
     if len(branch) < 2:
         raise NotCompactComponent("fewer than two branch points; no cycle to build")
-    degen = np.roots(_x_coefficients(c2, {}))
     pairs = []
     for i in range(len(branch)):
         for j in range(i + 1, len(branch)):
@@ -304,11 +307,10 @@ def branch_cycle_contour(H: Hamiltonian, t: complex):
     raise NotCompactComponent("no admissible two-branch-point contour found")
 
 
-def _x_coefficients(p: MultiPoly, fixed: dict) -> np.ndarray:
-    """Complex coefficients of p in x, highest first, with the other variable
-    set by `fixed` (such as {"t": t}). Leading zeros stay; np.roots drops
-    them."""
-    return np.array([p.coeff_in_var("x", k).eval_complex(fixed) for k in range(p.degree_in("x"), -1, -1)])
+def _x_coefficients(p: MultiPoly) -> list[MultiPoly]:
+    """Coefficients of p in x, highest first, as polynomials in the other
+    variables. Leading zeros stay; np.roots drops them."""
+    return [p.coeff_in_var("x", k) for k in range(p.degree_in("x"), -1, -1)]
 
 
 def _inside_ellipse(z, contour, margin: float = 1.0) -> bool:
@@ -334,7 +336,7 @@ def _branch_lift(H: Hamiltonian, t: complex, contour, thetas):
     """Points X, the continued square roots and Y of the branch lift over the
     contour at the given angles."""
     center, rot, sa, sb = contour
-    c2, c1, c0 = _y_quadratic(H)
+    (c2, c1, c0), _, _ = _y_quadratic(H)
     X = center + rot * (sa * np.cos(thetas) + 1j * sb * np.sin(thetas))
     a2, a1, a0 = (c.eval_complex({"x": X}) for c in (c2, c1, c0))
     a0 = a0 - t
@@ -464,12 +466,6 @@ def _refine_stack(H: Hamiltonian, t, X, Y):
     return out
 
 
-def refine_cycle(cycle: CyclePolyline) -> CyclePolyline:
-    """Insert the projection onto the curve of every chord midpoint."""
-    X, Y = _refine_stack(cycle.hamiltonian, cycle.level, cycle.points[:, 0], cycle.points[:, 1])
-    return dataclasses.replace(cycle, points=_polyline(X, Y))
-
-
 def _richardson_periods(cycles, forms, rel_tol: float) -> tuple[list[list[complex]], list[list[float]]]:
     """Curve integrals of the forms over each cycle, with their error
     estimates: one list of values and one of errors per cycle.
@@ -521,18 +517,11 @@ def _richardson_periods(cycles, forms, rel_tol: float) -> tuple[list[list[comple
     return best, err
 
 
-def period_quadrature_with_error(
-    cycle: CyclePolyline, omega: OneForm, rel_tol: float = 1e-9
-) -> tuple[complex, float]:
-    """Curve integral of the form over the cycle with Richardson extrapolation."""
-    ((value,),), ((err,),) = _richardson_periods([cycle], [omega], rel_tol)
-    return value, err
-
-
-def periods_of_system(sys: PFSystem, cycle: CyclePolyline, rel_tol: float = 1e-9) -> PeriodSample:
-    """All basis periods on one shared refinement of the cycle; the error
-    estimate is the largest over the forms."""
-    (vals,), (errs,) = _richardson_periods([cycle], sys.forms, rel_tol)
+def periods_of_system(sys: PFSystem, cycle: CyclePolyline) -> PeriodSample:
+    """All basis periods on one shared refinement of the cycle, to relative
+    tolerance PERIOD_REL_TOL; the error estimate is the largest over the
+    forms."""
+    (vals,), (errs,) = _richardson_periods([cycle], sys.forms, PERIOD_REL_TOL)
     return PeriodSample(t=cycle.level, periods=tuple(vals), error_estimate=max([0.0, *errs]))
 
 
@@ -732,8 +721,8 @@ _DOP853_E5 = np.array(
 @dataclass(frozen=True, eq=False)
 class OdeResult:
     """The accepted times t, the states y (one column per time), the dense
-    solution sol(s) over [t0, tf] (None unless asked for), the number of
-    right-hand side evaluations, and whether tf was reached."""
+    solution sol(s) over [t0, tf], the number of right-hand side
+    evaluations, and whether tf was reached."""
 
     t: np.ndarray
     y: np.ndarray
@@ -840,7 +829,7 @@ def _dop853_interpolant(fun, t, y, h, y_new, f_new, K):
     return F
 
 
-def solve_ivp(fun, t_span, y0, rtol: float, atol: float, dense_output: bool = False) -> OdeResult:
+def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> OdeResult:
     """Integrate y' = fun(t, y) over t_span = (t0, tf), t0 < tf, with DOP853,
     in complex arithmetic.
 
@@ -871,8 +860,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float, dense_output: bool = Fa
             message = DOP853_TOO_SMALL_STEP
             break
         t_new, h, y_new, f_new, h_abs = step
-        if dense_output:
-            pieces.append((t, h, y, _dop853_interpolant(counted, t, y, h, y_new, f_new, K)))
+        pieces.append((t, h, y, _dop853_interpolant(counted, t, y, h, y_new, f_new, K)))
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
@@ -891,7 +879,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float, dense_output: bool = Fa
     return OdeResult(
         t=ts,
         y=np.vstack(ys).T,
-        sol=sol if dense_output else None,
+        sol=sol,
         nfev=nfev,
         success=message == DOP853_FINISHED,
         message=message,
@@ -924,12 +912,13 @@ def _matrix_evaluator(sys: PFSystem):
     return rhs_matrix
 
 
-def _continue_segments(sys: PFSystem, path, initial: PeriodSample, dense: bool):
-    """DOP853 solutions of the period system along each segment of the path,
-    each parametrised by s in [0, 1], with the scale of the period vector at
-    the segment's start. Raises ValueError unless the path has two vertices
-    and starts at initial.t, PathTooClose when a segment comes within
-    PATH_MARGIN of a pole of the system and StiffnessFailure when the
+def continuation_callable(sys: PFSystem, path: list[complex], initial: PeriodSample):
+    """Dense continuation of the period vector along the path, for
+    winding-number use: f(s) for s in [0, 1]. Each of the n segments is one
+    DOP853 solution and takes an equal share 1/n of s, whatever its length,
+    so s = k/n is vertex k. Raises ValueError unless the path has two
+    vertices and starts at initial.t, PathTooClose when a segment comes
+    within PATH_MARGIN of a pole of the system and StiffnessFailure when the
     integrator gives up."""
     if len(path) < 2:
         raise ValueError("path needs at least two vertices")
@@ -942,7 +931,7 @@ def _continue_segments(sys: PFSystem, path, initial: PeriodSample, dense: bool):
             if _dist_point_segment(p, a, b) < PATH_MARGIN:
                 raise PathTooClose(f"path segment {k} passes within {PATH_MARGIN} of a pole")
     rhs_matrix = _matrix_evaluator(sys)
-    out = []
+    sols = []
     yvec = np.array(initial.periods, dtype=complex)
     for k in range(len(path) - 1):
         a, b = complex(path[k]), complex(path[k + 1])
@@ -952,40 +941,11 @@ def _continue_segments(sys: PFSystem, path, initial: PeriodSample, dense: bool):
             return dt * (rhs_matrix(a + s * dt) @ y)
 
         scale = float(np.max(np.abs(yvec))) or 1.0
-        sol = solve_ivp(rhs, (0.0, 1.0), yvec, rtol=ODE_RTOL, atol=ODE_RTOL * scale * 1e-2, dense_output=dense)
+        sol = solve_ivp(rhs, (0.0, 1.0), yvec, rtol=ODE_RTOL, atol=ODE_RTOL * scale * 1e-2)
         if not sol.success:
             raise StiffnessFailure(f"integrator failed on segment {k}: {sol.message}")
-        out.append((sol, scale))
+        sols.append(sol)
         yvec = sol.y[:, -1]
-    return out
-
-
-def integrate_pf_numeric(sys: PFSystem, path: list[complex], initial: PeriodSample) -> list[PeriodSample]:
-    """Continue a period vector along a polyline in complex t.
-
-    Returns one sample per path vertex (the first one echoes the input).
-    Raises ValueError unless the path has two vertices and starts at
-    initial.t, PathTooClose when a segment comes within PATH_MARGIN of a pole
-    of the system and StiffnessFailure when the integrator gives up.
-    """
-    out = [initial]
-    err_acc = initial.error_estimate
-    for k, (sol, scale) in enumerate(_continue_segments(sys, path, initial, dense=False)):
-        err_acc = err_acc + ODE_RTOL * scale * len(path)
-        out.append(
-            PeriodSample(
-                t=complex(path[k + 1]), periods=tuple(complex(v) for v in sol.y[:, -1]), error_estimate=err_acc
-            )
-        )
-    return out
-
-
-def continuation_callable(sys: PFSystem, path: list[complex], initial: PeriodSample):
-    """Dense continuation along the path, for winding-number use: f(s) for s
-    in [0, 1]. Each of the n segments takes an equal share 1/n of s,
-    whatever its length, so s = k/n is vertex k. Raises as
-    integrate_pf_numeric does."""
-    sols = [sol for sol, _scale in _continue_segments(sys, path, initial, dense=True)]
     nseg = len(sols)
 
     def f(s: float) -> np.ndarray:
@@ -1016,7 +976,7 @@ def _find_real_oval(H: Hamiltonian, t: float, singular: SingularSet) -> CyclePol
     saddles that bound it and curves most there, and a trace that starts and
     closes in a sharp bend slows the Richardson convergence of its periods."""
     for px, py in singular.extrema:
-        coeffs = _x_coefficients(H.poly, {"y": py}).real
+        coeffs = np.array([c.eval_complex({"y": py}) for c in _x_coefficients(H.poly)]).real
         coeffs[-1] -= t
         roots = np.roots(coeffs)
         xs = roots.real[np.abs(roots.imag) < 1e-9]

@@ -12,8 +12,9 @@ times a primitive integer coefficient tuple. Products and exact quotients go
 through Kronecker substitution (one big-integer multiplication or division),
 gcds through the heuristic GCDHEU with the subresultant sequence as fallback.
 Every fraction-free elimination (`_bareiss_step`, behind determinants,
-resultants, the adjugate and the first dependence) runs on it whenever its
-entries share one variable, and on `MultiPoly` otherwise.
+resultants, the adjugate and the first dependence) runs on it. A resultant
+whose Sylvester entries hold two variables gets there by the Kronecker
+substitution of `_kronecker_det`.
 
 The text grammar (round-trips bit-exactly):
 
@@ -376,36 +377,6 @@ class MultiPoly:
         if self._plan is None:
             object.__setattr__(self, "_plan", _nested_plan(self))
         return _eval_plan(self._plan, point)
-
-    # -- exact division ----------------------------------------------------------
-
-    def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact polynomial division; raises if the divisor does not divide."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        if divisor.is_constant():
-            c = divisor.constant_value()
-            return MultiPoly(self.vars, {e: k / c for e, k in self.terms.items()})
-        union, a, b = self._aligned(divisor)
-        rem = dict(a)
-        lead_b = max(b, key=grevlex_key)
-        cb = b[lead_b]
-        quo = {}
-        while rem:
-            lead_r = max(rem, key=grevlex_key)
-            diff = tuple(i - j for i, j in zip(lead_r, lead_b))
-            if any(d < 0 for d in diff):
-                raise ValueError("not exactly divisible")
-            q = rem[lead_r] / cb
-            quo[diff] = q
-            for e, c in b.items():
-                te = tuple(i + j for i, j in zip(e, diff))
-                s = rem.get(te, Fraction(0)) - q * c
-                if s:
-                    rem[te] = s
-                elif te in rem:
-                    del rem[te]
-        return MultiPoly(union, quo)
 
     # -- serialization --------------------------------------------------------
 
@@ -834,11 +805,11 @@ _ZERO = _Dense(Fraction(0), ())
 
 
 def _kernel_rows(rows):
-    """(var, rows over _Dense) when all the MultiPoly entries share one
-    variable or are constants (var "t" then), else (None, rows)."""
+    """(var, rows over _Dense) for MultiPoly entries in one shared variable
+    or constants (var "t" then); ValueError for more variables."""
     names = {v for row in rows for e in row for v in e.vars}
     if len(names) > 1:
-        return None, rows
+        raise ValueError(f"entries must share one variable, got {sorted(names)}")
     return (names.pop() if names else "t"), [[_Dense.from_poly(e) for e in row] for row in rows]
 
 
@@ -850,18 +821,16 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     variable; gcd(a, 0) is a made monic and gcd(a, c) = 1 for a nonzero
     constant c. Input in more than one variable raises ValueError.
     """
-    variables = set(a.vars) | set(b.vars)
-    if len(variables) > 1:
-        raise ValueError(f"poly_gcd takes polynomials in one shared variable, got {sorted(variables)}")
-    var = variables.pop() if variables else "t"
-    return _Dense.from_poly(a).gcd(_Dense.from_poly(b)).to_poly(var)
+    var, ((da, db),) = _kernel_rows([[a, b]])
+    return da.gcd(db).to_poly(var)
 
 
 # -- resultant -----------------------------------------------------------------
 
 
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Sylvester resultant eliminating var, exact over the remaining variables.
+    """Sylvester resultant eliminating var, exact over the remaining (at most
+    two) variables.
 
     Layout puts the g coefficient rows first, so for linear pairs
     resultant(x - a, x - b, x) = b - a. When one argument has degree zero in
@@ -879,19 +848,34 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         return g**m
     fc = [f.coeff_in_var(var, k) for k in range(m, -1, -1)]
     gc = [g.coeff_in_var(var, k) for k in range(n, -1, -1)]
-    size = m + n
-    rows = []
-    for i in range(m):  # g rows first
-        row = [MultiPoly.zero()] * size
-        for j, c in enumerate(gc):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):
-        row = [MultiPoly.zero()] * size
-        for j, c in enumerate(fc):
-            row[i + j] = c
-        rows.append(row)
-    return _bareiss_det_poly(rows)
+    zero = MultiPoly.zero()
+    rows = [[zero] * i + gc + [zero] * (m - 1 - i) for i in range(m)]  # g rows first
+    rows += [[zero] * i + fc + [zero] * (n - 1 - i) for i in range(n)]
+    return _kronecker_det(rows)
+
+
+def _kronecker_det(rows: list[list[MultiPoly]]) -> MultiPoly:
+    """Determinant of a matrix over Q[u] or Q[u, w] (u before w in the
+    alphabet) on the dense kernel; more variables raise ValueError.
+
+    The u-degree of the determinant is below D = 1 + the sum over the rows of
+    the largest u-degree in the row. So the substitution w = u^D, a ring map
+    into Q[u], sends distinct monomials u^i w^j (i < D) to distinct powers
+    u^(i + D j): the determinant over Q[u] of the substituted matrix gives
+    back every coefficient, at u^(k mod D) w^(k div D) for its power k
+    (Kronecker substitution; von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 8).
+    """
+    names = tuple(v for v in CANONICAL_VARS if any(v in e.vars for row in rows for e in row))
+    if len(names) < 2:
+        return _bareiss_det_poly(rows)
+    if len(names) > 2:
+        raise ValueError(f"determinant in more than two variables: {names}")
+    u, w = names
+    D = 1 + sum(max(0, *(e.degree_in(u) for e in row)) for row in rows)
+    z = [[MultiPoly((u,), {(i + D * j,): c for (i, j), c in e.extended(names).items()}) for e in row] for row in rows]
+    det = _bareiss_det_poly(z)
+    return MultiPoly(names, {(k % D, k // D): c for (k,), c in det.terms.items()})
 
 
 def _bareiss_step(vec, pivot_vec, k, prev, idx) -> None:
@@ -899,8 +883,8 @@ def _bareiss_step(vec, pivot_vec, k, prev, idx) -> None:
     place, with p = pivot_vec[k]; exact when prev is the pivot before p.
 
     The one fraction-free (Bareiss) update of the exact core: determinants,
-    the adjugate and the first dependence all run through it. It is generic
-    over the ring: MultiPoly, or _Dense when the entries share one variable.
+    resultants, the adjugate and the first dependence all run through it, on
+    `_Dense` entries.
     """
     p, f = pivot_vec[k], vec[k]
     for i in idx:
@@ -913,14 +897,12 @@ def _bareiss_step(vec, pivot_vec, k, prev, idx) -> None:
 
 
 def _bareiss_det_poly(rows: list[list[MultiPoly]]) -> MultiPoly:
-    """Fraction-free determinant over the polynomial ring; 1 for 0 x 0. Runs
-    on the dense kernel when the entries share one variable."""
+    """Fraction-free determinant on the dense kernel of a matrix whose
+    entries share one variable (ValueError otherwise); 1 for 0 x 0."""
     var, m = _kernel_rows(rows)
-    ring = MultiPoly if var is None else _Dense
     n = len(m)
-    m = [row[:] for row in m]
     sign = 1
-    prev = ring.const(1)
+    prev = _Dense.const(1)
     for k in range(n - 1):
         sel = next((i for i in range(k, n) if not m[i][k].is_zero), None)
         if sel is None:
@@ -932,5 +914,4 @@ def _bareiss_det_poly(rows: list[list[MultiPoly]]) -> MultiPoly:
             _bareiss_step(m[i], m[k], k, prev, range(k + 1, n))
         prev = m[k][k]
     det = m[n - 1][n - 1] if n else prev
-    det = det if sign == 1 else -det
-    return det if var is None else det.to_poly(var)
+    return (det if sign == 1 else -det).to_poly(var)

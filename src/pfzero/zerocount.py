@@ -198,7 +198,7 @@ class SegmentSet:
     clearance_to_poles: float
 
 
-def _free_value(span_lo, span_hi, blocked, prefer_lo=True):
+def _free_value(span_lo, span_hi, blocked):
     """Smallest value in [span_lo, span_hi] outside all blocked open intervals."""
     events = sorted((max(lo, span_lo), min(hi, span_hi)) for lo, hi in blocked if hi > span_lo and lo < span_hi)
     cur = span_lo

@@ -56,6 +56,17 @@ def random_regular_hamiltonian(rng: random.Random, d, coeff_range=5):
             return H
 
 
+def laplace_det(M):
+    """Reference determinant: cofactor expansion along the first row."""
+    if not M:
+        return MultiPoly.const(1)
+    acc = MultiPoly.zero()
+    for j, e in enumerate(M[0]):
+        term = e * laplace_det([row[:j] + row[j + 1 :] for row in M[1:]])
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

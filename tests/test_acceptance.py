@@ -17,7 +17,7 @@ import numpy as np
 from pfzero.errors import PoleOnSegment
 from pfzero.hamiltonian import CriticalValue, Hamiltonian, SingularSet, isolate_roots, monomial_basis
 from pfzero.linalg import RatFunc
-from pfzero.numerics import PeriodSample, integrate_pf_numeric, residual_check
+from pfzero.numerics import PeriodSample, continuation_callable, residual_check
 from pfzero.petrov import OneForm, petrov_decompose
 from pfzero.pfsystem import (
     ScalarODE,
@@ -202,11 +202,9 @@ def test_criterion_8_continuation():
     H = Hamiltonian.from_poly(P("x^2+y^2"))
     sysm = assemble_pf_system(H)
     init = PeriodSample(t=1.0, periods=(math.pi + 0j,), error_estimate=0.0)
-    out = integrate_pf_numeric(sysm, [1.0, 4.0], init)
-    err1 = abs(out[-1].periods[0] - 4 * math.pi)
+    err1 = abs(continuation_callable(sysm, [1.0, 4.0], init)(1.0)[0] - 4 * math.pi)
     loop = [np.exp(2j * np.pi * k / 32) for k in range(33)]
-    out2 = integrate_pf_numeric(sysm, loop, init)
-    err2 = abs(out2[-1].periods[0] - math.pi)
+    err2 = abs(continuation_callable(sysm, loop, init)(1.0)[0] - math.pi)
     ok = err1 <= 1e-8 and err2 <= 1e-8
     assert report(8, ok, f"I(4)=4pi within {err1:.2e}; loop return within {err2:.2e}")
 

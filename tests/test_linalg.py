@@ -11,11 +11,12 @@ from pfzero.linalg import (
     first_dependence,
     solve_sparse_exact,
 )
-from pfzero.poly import MultiPoly, parse_polynomial
+from pfzero.poly import MultiPoly, _Dense, parse_polynomial
+from tests.conftest import laplace_det
 
 P = parse_polynomial
 t = MultiPoly.var("t")
-x, y = MultiPoly.var("x"), MultiPoly.var("y")
+x = MultiPoly.var("x")
 
 
 def sparse_rows(M, v):
@@ -35,15 +36,9 @@ def mat_mul(A, B):
     ]
 
 
-def laplace_det(M):
-    """Reference determinant: cofactor expansion along the first row."""
-    if not M:
-        return MultiPoly.const(1)
-    acc = MultiPoly.zero()
-    for j, e in enumerate(M[0]):
-        term = e * laplace_det([row[:j] + row[j + 1 :] for row in M[1:]])
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+def dense_rows(rows):
+    """Rows of polynomials in t on the dense kernel."""
+    return [[_Dense.from_poly(e) for e in row] for row in rows]
 
 
 tpolys = st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)), max_size=3).map(
@@ -215,19 +210,24 @@ class TestPolyMatrix:
         with pytest.raises(DegenerateInput):
             PolyMatrix([[t, t + 1], [2 * t, 2 * t + 2]]).adjugate()
 
+    def test_determinant_in_two_variables_raises(self):
+        with pytest.raises(ValueError):
+            PolyMatrix([[x, t], [MultiPoly.const(1), x]]).determinant()
+
     def test_rank(self):
         # rank 1: the second row is the first again; rank 2: no dependence at all
-        assert first_dependence([[x, y], [x, y]])[0] == 1
-        assert first_dependence([[x, y], [y, x]]) is None
+        one = MultiPoly.const(1)
+        assert first_dependence(dense_rows([[t, one], [t, one]]))[0] == 1
+        assert first_dependence(dense_rows([[t, one], [one, t]])) is None
 
     def test_dependence_solves_for_the_last_row(self):
         # t*w0 + w1 = t^2 + 1 and t*w1 = t: (t^2 + 1, t) = t*(t, 0) + 1*(1, t)
         one, zero = MultiPoly.const(1), MultiPoly.zero()
-        k, D, num = first_dependence([[t, zero], [one, t], [t * t + 1, t]])
+        k, D, num = first_dependence(dense_rows([[t, zero], [one, t], [t * t + 1, t]]))
         assert k == 2
-        assert [RatFunc(c, D) for c in num] == [RatFunc(t, one), RatFunc(one, one)]
+        assert [RatFunc(c.to_poly("t"), D.to_poly("t")) for c in num] == [RatFunc(t, one), RatFunc(one, one)]
 
     def test_no_dependence_when_inconsistent(self):
         # t*w = t and t*w = t + 1 have no common solution w
-        assert first_dependence([[t, t], [t, t + 1]]) is None
+        assert first_dependence(dense_rows([[t, t], [t, t + 1]])) is None
 

@@ -16,18 +16,15 @@ from pfzero.hamiltonian import Hamiltonian, critical_values
 from pfzero.numerics import (
     PeriodSample,
     _at_level,
-    _continue_segments,
     _matrix_evaluator,
     _moments,
     _richardson_periods,
     branch_point_cycle,
     _continue_branch,
+    _refine_stack,
     continuation_callable,
-    integrate_pf_numeric,
     make_cycle,
-    period_quadrature_with_error,
     periods_of_system,
-    refine_cycle,
     residual_check,
     solve_ivp,
     trace_cycle,
@@ -40,6 +37,12 @@ from tests.conftest import random_poly
 P = parse_polynomial
 ZERO = MultiPoly.zero()
 X_DY = OneForm(ZERO, P("x"))
+
+
+def period(cycle, omega, rel_tol=numerics.PERIOD_REL_TOL):
+    """The period of one form over one cycle, with its error estimate."""
+    ((value,),), ((err,),) = _richardson_periods([cycle], [omega], rel_tol)
+    return value, err
 
 
 @pytest.fixture(scope="module")
@@ -84,60 +87,60 @@ class TestTraceCycle:
 class TestPeriodQuadrature:
     def test_area_period(self, circle, circle_sing):
         cyc = trace_cycle(circle, 1.0, (1.0, 0.0), circle_sing)
-        v = period_quadrature_with_error(cyc, X_DY)[0]
+        v = period(cyc, X_DY)[0]
         assert abs(v - math.pi) <= 1e-9
 
     def test_odd_symmetry_kills_x2dy(self, circle, circle_sing):
         cyc = trace_cycle(circle, 1.0, (1.0, 0.0), circle_sing)
-        assert abs(period_quadrature_with_error(cyc, OneForm(ZERO, P("x^2")))[0]) <= 1e-9
+        assert abs(period(cyc, OneForm(ZERO, P("x^2")))[0]) <= 1e-9
 
     def test_ydx_is_minus_area(self, circle, circle_sing):
         cyc = trace_cycle(circle, 1.0, (1.0, 0.0), circle_sing)
-        v = period_quadrature_with_error(cyc, OneForm(P("y"), ZERO))[0]
+        v = period(cyc, OneForm(P("y"), ZERO))[0]
         assert abs(v + math.pi) <= 1e-9
 
     def test_refinement_convergence(self, circle, circle_sing):
         cyc = trace_cycle(circle, 1.0, (1.0, 0.0), circle_sing)
-        v1, _ = period_quadrature_with_error(cyc, X_DY, rel_tol=1e-9)
-        v2, _ = period_quadrature_with_error(cyc, X_DY, rel_tol=1e-12)
+        v1, _ = period(cyc, X_DY)
+        v2, _ = period(cyc, X_DY, rel_tol=1e-12)
         assert abs(v1 - v2) <= 1e-10 * max(1.0, abs(v2))
 
     def test_orientation_reversal_negates(self, circle, circle_sing):
         cyc = trace_cycle(circle, 1.0, (1.0, 0.0), circle_sing)
-        v = period_quadrature_with_error(cyc, X_DY)[0]
-        w = period_quadrature_with_error(cyc.reversed(), X_DY)[0]
+        v = period(cyc, X_DY)[0]
+        w = period(cyc.reversed(), X_DY)[0]
         assert abs(v + w) <= 1e-12 * max(1.0, abs(v))
 
     def test_branch_cycle_matches_real_cycle(self, circle, circle_sing):
         # the lift around the two branch points of y^2 = t - x^2 is the circle
-        real_v = period_quadrature_with_error(trace_cycle(circle, 1.0, (1.0, 0.0), circle_sing), X_DY)[0]
+        real_v = period(trace_cycle(circle, 1.0, (1.0, 0.0), circle_sing), X_DY)[0]
         branch = branch_point_cycle(circle, 1.0)
-        v = period_quadrature_with_error(branch, X_DY)[0]
+        v = period(branch, X_DY)[0]
         assert abs(abs(v) - abs(real_v)) <= 1e-8
 
 
 class TestContinuation:
     def test_real_segment(self, circle_sys):
         init = PeriodSample(t=1.0, periods=(math.pi + 0j,), error_estimate=0.0)
-        out = integrate_pf_numeric(circle_sys, [1.0, 4.0], init)
-        assert abs(out[-1].periods[0] - 4 * math.pi) <= 1e-8
+        f = continuation_callable(circle_sys, [1.0, 4.0], init)
+        assert abs(f(1.0)[0] - 4 * math.pi) <= 1e-8
 
     def test_closed_loop(self, circle_sys):
         init = PeriodSample(t=1.0, periods=(math.pi + 0j,), error_estimate=0.0)
         loop = [np.exp(2j * np.pi * k / 32) for k in range(33)]
-        out = integrate_pf_numeric(circle_sys, loop, init)
-        assert abs(out[-1].periods[0] - math.pi) <= 1e-8
+        f = continuation_callable(circle_sys, loop, init)
+        assert abs(f(1.0)[0] - math.pi) <= 1e-8
 
     def test_pole_guard(self, circle_sys):
         init = PeriodSample(t=1.0, periods=(math.pi + 0j,), error_estimate=0.0)
         with pytest.raises(PathTooClose):
-            integrate_pf_numeric(circle_sys, [1.0, -1.0], init)  # crosses t = 0
+            continuation_callable(circle_sys, [1.0, -1.0], init)  # crosses t = 0
 
     def test_matches_quadrature_along_real_path(self, circle, circle_sys, circle_sing):
         init = periods_of_system(circle_sys, trace_cycle(circle, 1.0, (1.0, 0.0), circle_sing))
-        out = integrate_pf_numeric(circle_sys, [1.0, 2.5], init)
+        f = continuation_callable(circle_sys, [1.0, 2.5], init)
         direct = periods_of_system(circle_sys, trace_cycle(circle, 2.5, (1.0, 0.0), circle_sing))
-        got, want = out[-1].periods[0], direct.periods[0]
+        got, want = f(1.0)[0], direct.periods[0]
         assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
     def test_dense_callable(self, circle_sys):
@@ -159,8 +162,6 @@ class TestContinuation:
         init = PeriodSample(t=1.0, periods=(math.pi + 0j,), error_estimate=0.0)
         with pytest.raises(ValueError, match="first path vertex"):
             continuation_callable(circle_sys, [2.0, 3.0], init)
-        with pytest.raises(ValueError, match="first path vertex"):
-            integrate_pf_numeric(circle_sys, [2.0, 3.0], init)
 
     def test_integrator_failure_is_a_stiffness_failure(self, circle_sys, monkeypatch):
         # the right-hand side y / (2.5 - t)^2 blows up at t = 2.5, which no
@@ -170,7 +171,7 @@ class TestContinuation:
         )
         init = PeriodSample(t=2.0, periods=(2.0 + 0j,), error_estimate=0.0)
         with np.errstate(all="ignore"), pytest.raises(StiffnessFailure, match="spacing between numbers"):
-            _continue_segments(circle_sys, [2.0, 3.0], init, dense=False)
+            continuation_callable(circle_sys, [2.0, 3.0], init)
 
 
 # period systems, each on a 48-gon around some of its poles
@@ -190,9 +191,8 @@ class TestDop853MatchesScipy:
         for name in ("A", "B", "C", "D", "E3", "E5"):
             assert np.array_equal(getattr(numerics, f"_DOP853_{name}"), getattr(tables, name)), name
 
-    @pytest.mark.parametrize("dense", [False, True], ids=["steps", "dense"])
     @pytest.mark.parametrize("text, center, radius", DOP853_CASES)
-    def test_period_system_along_a_48_gon(self, text, center, radius, dense):
+    def test_period_system_along_a_48_gon(self, text, center, radius):
         from scipy.integrate import solve_ivp as reference
 
         sysm = assemble_pf_system(Hamiltonian.from_poly(P(text)))
@@ -206,20 +206,16 @@ class TestDop853MatchesScipy:
                 return dt * (rhs_matrix(a + s * dt) @ v)
 
             tol = {"rtol": numerics.ODE_RTOL, "atol": numerics.ODE_RTOL * float(np.max(np.abs(y))) * 1e-2}
-            got = solve_ivp(rhs, (0.0, 1.0), y, dense_output=dense, **tol)
-            want = reference(rhs, (0.0, 1.0), y, method="DOP853", dense_output=dense, **tol)
+            got = solve_ivp(rhs, (0.0, 1.0), y, **tol)
+            want = reference(rhs, (0.0, 1.0), y, method="DOP853", dense_output=True, **tol)
             assert got.success and want.success
             assert (got.message, got.nfev) == (want.message, want.nfev)
             assert np.array_equal(got.t, want.t) and np.array_equal(got.y, want.y)
-            if dense:
-                for s in [*np.linspace(0.0, 1.0, 31), *want.t]:
-                    assert np.array_equal(got.sol(s), want.sol(s))
-            else:
-                assert got.sol is None and want.sol is None
+            for s in [*np.linspace(0.0, 1.0, 31), *want.t]:
+                assert np.array_equal(got.sol(s), want.sol(s))
             y = want.y[:, -1]
 
-    @pytest.mark.parametrize("dense", [False, True], ids=["steps", "dense"])
-    def test_pole_inside_the_interval_fails_alike(self, dense):
+    def test_pole_inside_the_interval_fails_alike(self):
         from scipy.integrate import solve_ivp as reference
 
         def rhs(s, v):
@@ -228,8 +224,8 @@ class TestDop853MatchesScipy:
         y0 = np.array([2.0 + 0j])
         tol = {"rtol": 1e-10, "atol": 1e-12}
         with np.errstate(all="ignore"):
-            got = solve_ivp(rhs, (0.0, 1.0), y0, dense_output=dense, **tol)
-            want = reference(rhs, (0.0, 1.0), y0, method="DOP853", dense_output=dense, **tol)
+            got = solve_ivp(rhs, (0.0, 1.0), y0, **tol)
+            want = reference(rhs, (0.0, 1.0), y0, method="DOP853", dense_output=True, **tol)
         assert not got.success and not want.success
         assert (got.message, got.nfev) == (want.message, want.nfev)
         assert np.array_equal(got.t, want.t) and 0.49 < got.t[-1] < 0.5
@@ -257,9 +253,9 @@ class TestResiduals:
             )
             [dec] = petrov_decompose([omega], circle, list(forms))
             assert all(c.is_zero for c in dec.coeffs)
-            assert abs(period_quadrature_with_error(cyc, omega)[0]) <= 1e-8
+            assert abs(period(cyc, omega)[0]) <= 1e-8
         # and a basis form itself has a nonzero period on the traced cycle
-        assert abs(period_quadrature_with_error(cyc, forms[0])[0]) > 1e-3
+        assert abs(period(cyc, forms[0])[0]) > 1e-3
 
 
 # a real oval of the circle and a branch-point cycle of a saddles-only cubic
@@ -277,13 +273,14 @@ def _continue_branch_sequential(d):
 
 class TestSharedOracle:
     @pytest.mark.parametrize("text, t, kind", CYCLE_CASES)
-    def test_matches_per_form_quadrature(self, text, t, kind):
+    def test_matches_per_form_quadrature(self, text, t, kind, monkeypatch):
         H = Hamiltonian.from_poly(P(text))
         sysm = assemble_pf_system(H)
         cyc = make_cycle(H, t, sysm.singular)
         assert cyc.kind == kind
-        sample = periods_of_system(sysm, cyc, rel_tol=1e-12)
-        per_form = [period_quadrature_with_error(cyc, w, rel_tol=1e-12) for w in sysm.forms]
+        monkeypatch.setattr(numerics, "PERIOD_REL_TOL", 1e-12)
+        sample = periods_of_system(sysm, cyc)
+        per_form = [period(cyc, w, 1e-12) for w in sysm.forms]
         assert sample.periods == tuple(v for v, _ in per_form)
         assert sample.error_estimate == max(e for _, e in per_form)
 
@@ -291,11 +288,12 @@ class TestSharedOracle:
     def test_refined_points_stay_on_curve(self, text, t, kind):
         H = Hamiltonian.from_poly(P(text))
         cyc = make_cycle(H, t, critical_values(H))
-        n = len(cyc.points)
+        assert cyc.kind == kind
+        X, Y = cyc.points[:, 0], cyc.points[:, 1]
         for _ in range(3):
-            cyc = refine_cycle(cyc)
-        assert cyc.kind == kind and len(cyc.points) == 8 * n
-        resid = max(abs(H.poly.eval_complex({"x": x, "y": y}) - t) for x, y in cyc.points)
+            X, Y = _refine_stack(H, t, X, Y)
+        assert len(X) == 8 * len(cyc.points)
+        resid = np.max(np.abs(H.poly.eval_complex({"x": X, "y": Y}) - t))
         assert resid <= 1e-9 * max(1.0, abs(t))
         # the same projector carries the cycle to a nearby level
         near = _at_level(cyc, t + 1e-3)
@@ -378,7 +376,7 @@ class TestMomentKernel:
         cycles = [base, _at_level(base, t + h), _at_level(base, t - h)]
         stacked, _errs = _richardson_periods(cycles, sysm.forms, numerics.RESIDUAL_REL_TOL)
         for cyc, values in zip(cycles, stacked):
-            alone = periods_of_system(sysm, cyc, numerics.RESIDUAL_REL_TOL).periods
+            (alone,), _ = _richardson_periods([cyc], sysm.forms, numerics.RESIDUAL_REL_TOL)
             assert len(values) == len(alone) == sysm.dim
             for got, want in zip(values, alone):
                 assert abs(got - want) <= max(1e-12 * abs(want), 1e-15)
@@ -401,8 +399,8 @@ class TestMomentKernel:
         stacked, _errs = _richardson_periods(cycles, sysm.forms, numerics.RESIDUAL_REL_TOL)
         assert stack_rows == [3, 3, 3, 3, 2, 1]
         for cyc, values in zip(cycles, stacked):
-            alone = periods_of_system(sysm, cyc, numerics.RESIDUAL_REL_TOL)
-            for got, want in zip(values, alone.periods):
+            (alone,), _ = _richardson_periods([cyc], sysm.forms, numerics.RESIDUAL_REL_TOL)
+            for got, want in zip(values, alone):
                 assert abs(got - want) <= max(1e-12 * abs(want), 1e-15)
 
 
@@ -424,6 +422,23 @@ class TestOracleGuard:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] and len(report["samples"]) == 20
         assert report["worst_residual"] < 1e-8
+
+    def test_branch_lift_polynomials_built_once(self, capsys):
+        # the quadratic in y, its discriminant and their x-coefficients are
+        # built once per H: the branch job takes 135 coeff_in_var calls in
+        # all, against 537 when every sample rebuilt them
+        text = "x^3 - x*y^2 + y"
+        numerics._y_quadratic.cache_clear()
+        calls = []
+        coeff_in_var = MultiPoly.coeff_in_var
+
+        def counted(p, var, k):
+            calls.append(var)
+            return coeff_in_var(p, var, k)
+
+        with mock.patch.object(MultiPoly, "coeff_in_var", counted):
+            assert main(["verify", "-H", text, "--t-samples", ORACLE_LEVELS[text]]) == 0
+        assert len(calls) <= 150
 
     def test_branch_job_working_set(self):
         # quadrature and refinement run in blocks of QUAD_BLOCK nodes, so the

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from pfzero.errors import DegenerateInput, ParseError
 from pfzero.poly import (
@@ -10,6 +10,7 @@ from pfzero.poly import (
     _Dense,
     _heu_bytes,
     _heu_gcd_at,
+    _kronecker_det,
     _primitive,
     _prs_gcd,
     _zgcd,
@@ -17,6 +18,7 @@ from pfzero.poly import (
     poly_gcd,
     resultant,
 )
+from tests.conftest import laplace_det
 
 P = parse_polynomial
 x, y, t = MultiPoly.var("x"), MultiPoly.var("y"), MultiPoly.var("t")
@@ -135,7 +137,7 @@ class TestGcd:
         got = poly_gcd(a * g, b * g)
         # the common factor must divide the gcd
         assert got.degree() >= g.degree() or poly_gcd(a, b).degree() > 0
-        got.exact_div(poly_gcd(got, g.monic()))  # g | got up to the cofactor gcd
+        dense(got).exact_div(dense(poly_gcd(got, g.monic())))  # g | got up to the cofactor gcd
 
 
 class TestResultant:
@@ -202,6 +204,45 @@ class TestResultant:
             for r0 in fr:
                 expect *= complex(g.eval_complex({"t": r0}))
             assert abs(abs(complex(r.constant_value())) - abs(expect)) < 1e-6 * max(1, abs(expect))
+
+
+def sylvester(f, g, var):
+    """The Sylvester matrix in resultant's layout, g rows first."""
+    m, n = f.degree_in(var), g.degree_in(var)
+    fc = [f.coeff_in_var(var, k) for k in range(m, -1, -1)]
+    gc = [g.coeff_in_var(var, k) for k in range(n, -1, -1)]
+    zero = MultiPoly.zero()
+    return [[zero] * i + gc + [zero] * (m - 1 - i) for i in range(m)] + [
+        [zero] * i + fc + [zero] * (n - 1 - i) for i in range(n)
+    ]
+
+
+xyt_polys = polys(variables=("x", "y", "t"), max_deg=3)
+
+
+class TestKroneckerResultant:
+    """Sylvester entries in two variables go through w = u^D on the dense kernel."""
+
+    # degree 0 in var, a zero middle coefficient, a constant coefficient
+    @example(f=x * t + 1, g=y * y - x, var="y")
+    @example(f=y**3 - t, g=x * y * y + t * t, var="y")
+    @example(f=x * x + 2 * y * t, g=x - 1, var="x")
+    @given(xyt_polys, xyt_polys, st.sampled_from("xy"))
+    def test_matches_the_cofactor_expansion(self, f, g, var):
+        # eliminating y leaves coefficients in (x, t), eliminating x in (y, t)
+        assume(not f.is_zero and not g.is_zero)
+        assert resultant(f, g, var) == laplace_det(sylvester(f, g, var))
+
+    @pytest.mark.parametrize("text", ["x^3 - x*y^2 + y", "x^2 + y^2 + x^3 - 3*x*y^2"])
+    def test_level_curve_eliminant(self, text):
+        # Res_y(H - t, Hy) of the benchmark cubics, as critical_values forms it
+        H = P(text)
+        f, g = H - t, H.derive("y")
+        assert resultant(f, g, "y") == laplace_det(sylvester(f, g, "y"))
+
+    def test_three_variables_raise(self):
+        with pytest.raises(ValueError):
+            _kronecker_det([[x, y], [t, MultiPoly.const(1)]])
 
 
 class TestEval:

@@ -48,6 +48,31 @@ def test_no_unused_import_in_the_package():
     assert SOURCES and not found
 
 
+def _unread_parameters(tree: ast.Module):
+    """(function, parameter, line) for each named parameter that its
+    function's body never reads; self, cls, names starting with an
+    underscore and *args / **kwargs are exempt."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = (n for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name))
+        read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+        a = node.args
+        for arg in a.posonlyargs + a.args + a.kwonlyargs:
+            name = arg.arg
+            if name not in ("self", "cls") and not name.startswith("_") and name not in read:
+                yield node.name, name, arg.lineno
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads is an option that does nothing
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} {fn}({name})" for fn, name, line in _unread_parameters(tree)]
+    assert SOURCES and not found
+
+
 # SciPy is the tests' reference for the in-package integrator and mpmath the
 # 250-bit reference for the decimal calculators; the package uses neither
 REFERENCES = ["scipy", "mpmath"]
