@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .errors import InvalidRays, PfzeroError, UsageError
+from .errors import PfzeroError, UsageError
 from .hamiltonian import Hamiltonian, critical_values, is_regular_at_infinity, monomial_basis
 from .linalg import RatFunc
 from .numerics import (
@@ -183,57 +183,18 @@ def _parse_region(spec: str) -> Disc | Polygon:
     raise UsageError(f"unknown domain spec {spec!r}")
 
 
-def _parse_rays(rays_spec: str) -> list[float] | None:
-    """The angles of `angles:a1,a2,...`, or None for `auto`."""
+def _parse_rays(rays_spec: str) -> list[complex] | None:
+    """The directions of `angles:a1,a2,...`, or None for `auto`."""
     if rays_spec == "auto":
         return None
     if rays_spec.startswith("angles:"):
-        return _floats(rays_spec[7:], "ray angles")
+        return [cmath.exp(1j * a) for a in _floats(rays_spec[7:], "ray angles")]
     raise UsageError(f"unknown rays spec {rays_spec!r}")
 
 
 def _parse_domain(spec: str, rho: float, sigma, rays_spec: str, relaxed: bool) -> SimpleDomain:
-    return _simple_domain(_parse_region(spec), _parse_rays(rays_spec), rho, sigma, relaxed)
-
-
-def _simple_domain(region, angles, rho: float, sigma, relaxed: bool) -> SimpleDomain:
-    """The domain over region with one cut per singular value: along the given
-    angles, or (angles None) along a common direction found by a sweep."""
-    pts = sigma.points()
-    if angles is None:
-        # parallel rays never intersect each other when the common direction
-        # is not parallel to any difference of cut points; sweep candidate
-        # angles deterministically until the rays also miss the region
-        if isinstance(region, Disc):
-            center = region.center
-        else:
-            center = sum(region.vertices) / len(region.vertices)
-        mean = sum(pts) / len(pts) if pts else 1.0 + 0j
-        base = cmath.phase(mean - center) if mean != center else 0.0
-        last_err = None
-        for k in range(64):
-            angle = base + k * 0.39996322972865332  # golden-angle sweep
-            u = cmath.exp(1j * angle)
-            if any(
-                abs((pts[i] - pts[j]).real * u.imag - (pts[i] - pts[j]).imag * u.real)
-                < 1e-9 * abs(pts[i] - pts[j])
-                for i in range(len(pts))
-                for j in range(i + 1, len(pts))
-            ):
-                continue
-            try:
-                return simple_domain(sigma, [u] * len(pts), region, rho, relaxed_bounds=relaxed)
-            except InvalidRays as e:
-                last_err = e
-                continue
-        if pts:
-            raise last_err or InvalidRays("no admissible common ray direction found")
-        dirs = []
-    else:
-        if len(angles) != len(pts):
-            raise UsageError("need one ray angle per singular point")
-        dirs = [cmath.exp(1j * a) for a in angles]
-    return simple_domain(sigma, dirs, region, rho, relaxed_bounds=relaxed)
+    region = _parse_region(spec)  # a malformed region is reported before malformed rays
+    return simple_domain(sigma, _parse_rays(rays_spec), region, rho, relaxed)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -329,9 +290,9 @@ def _cmd_count_zeros(cfg: JobConfig) -> dict:
     domain_spec = cfg.domain or DEFAULT_DOMAIN
     rho = float(_parse_fraction(cfg.rho)) if cfg.rho else DEFAULT_RHO
     region = _parse_region(domain_spec)
-    angles = _parse_rays(cfg.rays)
+    rays = _parse_rays(cfg.rays)
     H, sysm, ode = _make_ode(cfg)
-    dom = _simple_domain(region, angles, rho, ode.true_singularities, cfg.relaxed_bounds)
+    dom = simple_domain(ode.true_singularities, rays, region, rho, cfg.relaxed_bounds)
     numeric_fn = None
     if cfg.mode in ("numeric", "both"):
         region = dom.region
@@ -491,9 +452,8 @@ def build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"pfzero {__version__}")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp, needs_h=True):
-        if needs_h:
-            sp.add_argument("-H", "--hamiltonian", required=False, help="Hamiltonian polynomial in x, y")
+    def common(sp):
+        sp.add_argument("-H", "--hamiltonian", required=False, help="Hamiltonian polynomial in x, y")
         sp.add_argument("-o", "--output", help="write the report to this file")
 
     sp = sub.add_parser("analyze", help="degree, regularity, critical values, monomial basis")
@@ -559,33 +519,12 @@ def config_from_args(argv) -> JobConfig:
             raise UsageError(f"bad config file {ns.config}: {e}") from None
     if not ns.command:
         raise UsageError("a subcommand (or --config) is required")
-    kw = {"command": ns.command}
-    for fld in (
-        "hamiltonian",
-        "p_form",
-        "q_form",
-        "component",
-        "domain",
-        "rho",
-        "rays",
-        "mode",
-        "tol",
-        "output",
-        "degree",
-        "const_c",
-        "const_cp",
-        "order_n",
-        "height_m",
-        "param_p",
-    ):
-        if hasattr(ns, fld) and getattr(ns, fld) is not None:
-            kw[fld] = getattr(ns, fld)
-    if getattr(ns, "mu", None):
-        kw["mu"] = [s.strip() for s in ns.mu.split(",")]
-    if getattr(ns, "t_samples", None):
-        kw["t_samples"] = _floats(ns.t_samples, "--t-samples")
-    if getattr(ns, "relaxed_bounds", False):
-        kw["relaxed_bounds"] = True
+    kw = {f.name: getattr(ns, f.name) for f in dataclasses.fields(JobConfig) if getattr(ns, f.name, None) is not None}
+    mu, t_samples = kw.pop("mu", None), kw.pop("t_samples", None)
+    if mu:
+        kw["mu"] = [s.strip() for s in mu.split(",")]
+    if t_samples:
+        kw["t_samples"] = _floats(t_samples, "--t-samples")
     return JobConfig(**kw)
 
 

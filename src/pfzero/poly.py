@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DegenerateInput, ParseError
 
@@ -301,10 +301,6 @@ class MultiPoly:
         elif self.terms:
             out[0] = self.constant_value()
         return out
-
-    @staticmethod
-    def from_univariate_coeffs(var: str, coeffs: Iterable) -> "MultiPoly":
-        return MultiPoly((var,), {(i,): _as_fraction(c) for i, c in enumerate(coeffs) if c})
 
     def monic(self) -> "MultiPoly":
         """Divide by the grevlex-leading coefficient."""

@@ -1,7 +1,12 @@
 """Zero counting and bounding for solutions of the scalar equations.
 
-The pipeline: cut the plane along the domain's rays, cover the region by
-polygons whose boundary segments stay clear of every coefficient pole, bound
+The pipeline: cut the plane along one ray per singular value
+(`simple_domain` owns every cut-plane decision: it validates given
+directions, or sweeps for one common direction, and keeps the region in the
+unit disc and rho away from the singular values), cover the region by
+polygons whose boundary segments stay clear of every coefficient pole
+(`decompose_simple_domain`: a rectangle with a corridor around each ray,
+the rays and the corridor walls clipped to it by one routine), bound
 the modulus of the coefficients on each segment by a rigorous centred form
 on bisected sub-segments, convert to a variation-of-argument bound per segment
 (pi (n+1) (1 + l C / log(3/2))), and sum over 2 pi. The argument principle
@@ -129,7 +134,6 @@ class SimpleDomain:
     ray_directions: tuple[complex, ...]
     region: Disc | Polygon
     rho: float
-    relaxed_bounds: bool = False
 
 
 def simple_domain(
@@ -139,12 +143,39 @@ def simple_domain(
     rho: float,
     relaxed_bounds: bool = False,
 ) -> SimpleDomain:
-    """Validated constructor; see the class invariants."""
-    if rho <= 0:
-        raise UsageError("rho must be positive")
+    """Validated constructor; see the class invariants. The region must lie
+    in the closed unit disc unless relaxed_bounds is set.
+
+    ray_directions None (`--rays auto`) cuts along one common direction,
+    which keeps the rays disjoint when it is parallel to no difference of two
+    singular points: 64 candidates spaced by the golden angle from the phase
+    of (mean singular point - region centre), parallel ones skipped, the
+    first that validates taken, else the last InvalidRays raised again.
+    """
     pts = sigma.points()
+    if ray_directions is None:
+        center = region.center if isinstance(region, Disc) else sum(region.vertices) / len(region.vertices)
+        mean = sum(pts) / len(pts) if pts else 1.0 + 0j
+        base = cmath.phase(mean - center) if mean != center else 0.0
+        last_err = InvalidRays("no admissible common ray direction found")
+        for k in range(64):
+            u = cmath.exp(1j * (base + k * 0.39996322972865332))
+            if any(
+                abs((pts[i] - pts[j]).real * u.imag - (pts[i] - pts[j]).imag * u.real)
+                < 1e-9 * abs(pts[i] - pts[j])
+                for i in range(len(pts))
+                for j in range(i + 1, len(pts))
+            ):
+                continue
+            try:
+                return simple_domain(sigma, [u] * len(pts), region, rho, relaxed_bounds)
+            except InvalidRays as e:
+                last_err = e
+        raise last_err
     if len(ray_directions) != len(pts):
         raise InvalidRays("one ray direction per singular point is required")
+    if rho <= 0:
+        raise UsageError("rho must be positive")
     dirs = []
     for u in ray_directions:
         u = complex(u)
@@ -183,13 +214,7 @@ def simple_domain(
         raise UsageError(
             "region exceeds the closed unit disc; pass relaxed_bounds to allow this"
         )
-    return SimpleDomain(
-        sigma=sigma,
-        ray_directions=tuple(dirs),
-        region=region,
-        rho=rho,
-        relaxed_bounds=relaxed_bounds,
-    )
+    return SimpleDomain(sigma=sigma, ray_directions=tuple(dirs), region=region, rho=rho)
 
 
 @dataclass(frozen=True)
@@ -232,33 +257,22 @@ def decompose_simple_domain(dom: SimpleDomain, poles: list[complex]) -> SegmentS
     xmin, xmax, ymin, ymax = dom.region.bbox()
 
     # rectangle sides, one offset each, clearing all poles
-    def side_offset(axis: str, direction: int):
-        span_lo, span_hi = rho / 4.0, 7.0 * rho / 8.0
+    def side_offset(coords, base: float, direction: int):
         blocked = []
-        for p in poles:
-            coord = p.real if axis == "x" else p.imag
-            base = {
-                ("x", +1): xmax,
-                ("x", -1): xmin,
-                ("y", +1): ymax,
-                ("y", -1): ymin,
-            }[(axis, direction)]
+        for coord in coords:
             c = (coord - base) * direction
             blocked.append((c - delta, c + delta))
-        v = _free_value(span_lo, span_hi, blocked)
+        v = _free_value(rho / 4.0, 7.0 * rho / 8.0, blocked)
         if v is None:
             raise InfeasibleClearance(
                 "cannot place the covering rectangle clear of the poles"
             )
         return v
 
-    e_r = side_offset("x", +1)
-    e_l = side_offset("x", -1)
-    e_t = side_offset("y", +1)
-    e_b = side_offset("y", -1)
-    X0, X1 = xmin - e_l, xmax + e_r
-    Y0, Y1 = ymin - e_b, ymax + e_t
-    frame = (X0 - rho / 2, X1 + rho / 2, Y0 - rho / 2, Y1 + rho / 2)
+    xs, ys = [p.real for p in poles], [p.imag for p in poles]
+    X0, X1 = xmin - side_offset(xs, xmin, -1), xmax + side_offset(xs, xmax, +1)
+    Y0, Y1 = ymin - side_offset(ys, ymin, -1), ymax + side_offset(ys, ymax, +1)
+    rect = (X0, X1, Y0, Y1)
 
     corners = [complex(X0, Y0), complex(X1, Y0), complex(X1, Y1), complex(X0, Y1)]
     sides = [(corners[i], corners[(i + 1) % 4]) for i in range(4)]
@@ -268,7 +282,7 @@ def decompose_simple_domain(dom: SimpleDomain, poles: list[complex]) -> SegmentS
     pts = dom.sigma.points()
     for i, s in enumerate(pts):
         u = dom.ray_directions[i]
-        hit = _clip_ray_to_rect(s, u, X0, X1, Y0, Y1)
+        hit = _clip_to_rect(s, u, math.inf, 0.0, rect)
         if hit is None:
             continue
         tau0, tau1 = hit
@@ -292,25 +306,21 @@ def decompose_simple_domain(dom: SimpleDomain, poles: list[complex]) -> SegmentS
         for sgn in (+1, -1):
             a = s + u * start_tau + sgn * w * nvec
             b = s + u * tau1 + sgn * w * nvec
-            seg = _clip_segment_to_rect(a, b, X0, X1, Y0, Y1)
-            if seg is not None:
-                segments.append(seg)
+            d = b - a
+            hit = _clip_to_rect(a, d, 1.0, 1e-12, rect)
+            if hit is not None:
+                segments.append((a + hit[0] * d, a + hit[1] * d))
         if tau0 <= 0:
             cap_a = s + u * start_tau + w * nvec
             cap_b = s + u * start_tau - w * nvec
             segments.append((cap_a, cap_b))
-        # record the crossing on the rectangle side where the corridor exits
-        exit_pt = s + u * tau1
-        for k, (a, b) in enumerate(sides):
-            proj = _project_on_segment(exit_pt, a, b)
-            if proj is not None and abs(exit_pt - (a + proj * (b - a))) < 1e-9 * (1 + abs(exit_pt)):
-                half = w / abs(b - a)
-                side_cuts[k].append((proj - half, proj + half))
-        if tau0 > 0:
-            entry_pt = s + u * tau0
+        # record the crossings on the rectangle sides where the corridor
+        # exits and, for a singular point outside, enters
+        for tau in (tau1, tau0) if tau0 > 0 else (tau1,):
+            pt = s + u * tau
             for k, (a, b) in enumerate(sides):
-                proj = _project_on_segment(entry_pt, a, b)
-                if proj is not None and abs(entry_pt - (a + proj * (b - a))) < 1e-9 * (1 + abs(entry_pt)):
+                proj = _project_on_segment(pt, a, b)
+                if proj is not None and abs(pt - (a + proj * (b - a))) < 1e-9 * (1 + abs(pt)):
                     half = w / abs(b - a)
                     side_cuts[k].append((proj - half, proj + half))
 
@@ -335,11 +345,11 @@ def decompose_simple_domain(dom: SimpleDomain, poles: list[complex]) -> SegmentS
         raise InfeasibleClearance(
             f"segment clearance {min_clear:.3e} below rho/(4|Z|) = {delta:.3e}"
         )
-    fx0, fx1, fy0, fy1 = frame
+    # the outer frame is the rectangle grown by rho/2, so a segment keeps
+    # rho/2 from it when it stays in the rectangle
     for a, b in segments:
         for z in (a, b):
-            dframe = min(z.real - fx0, fx1 - z.real, z.imag - fy0, fy1 - z.imag)
-            if dframe < rho / 2 - 1e-12:
+            if min(z.real - X0, X1 - z.real, z.imag - Y0, Y1 - z.imag) < -1e-12:
                 raise InfeasibleClearance("segment too close to the outer frame")
     return SegmentSet(
         segments=tuple(segments),
@@ -347,33 +357,15 @@ def decompose_simple_domain(dom: SimpleDomain, poles: list[complex]) -> SegmentS
     )
 
 
-def _clip_ray_to_rect(s: complex, u: complex, X0, X1, Y0, Y1):
-    """Parameter range [tau0, tau1] of {s + tau u : tau >= 0} inside the box."""
-    t0, t1 = 0.0, float("inf")
-    for comp, lo, hi in (("re", X0, X1), ("im", Y0, Y1)):
-        sc = s.real if comp == "re" else s.imag
-        uc = u.real if comp == "re" else u.imag
+def _clip_to_rect(a: complex, d: complex, t1: float, tol: float, rect):
+    """Parameter interval [t0, t1] of {a + t d : 0 <= t <= t1} inside the box
+    (X0, X1, Y0, Y1) (Liang-Barsky), or None when it is empty; a direction
+    parallel to a side keeps the line when it lies within tol of the box."""
+    X0, X1, Y0, Y1 = rect
+    t0 = 0.0
+    for sc, uc, lo, hi in ((a.real, d.real, X0, X1), (a.imag, d.imag, Y0, Y1)):
         if abs(uc) < 1e-15:
-            if sc < lo or sc > hi:
-                return None
-            continue
-        ta, tb = (lo - sc) / uc, (hi - sc) / uc
-        if ta > tb:
-            ta, tb = tb, ta
-        t0, t1 = max(t0, ta), min(t1, tb)
-    if not (t0 < t1) or t1 <= 0 or math.isinf(t1):
-        return None
-    return (t0 if t0 > 0 else 0.0, t1)
-
-
-def _clip_segment_to_rect(a: complex, b: complex, X0, X1, Y0, Y1):
-    t0, t1 = 0.0, 1.0
-    d = b - a
-    for comp, lo, hi in (("re", X0, X1), ("im", Y0, Y1)):
-        sc = a.real if comp == "re" else a.imag
-        uc = d.real if comp == "re" else d.imag
-        if abs(uc) < 1e-15:
-            if sc < lo - 1e-12 or sc > hi + 1e-12:
+            if sc < lo - tol or sc > hi + tol:
                 return None
             continue
         ta, tb = (lo - sc) / uc, (hi - sc) / uc
@@ -382,7 +374,7 @@ def _clip_segment_to_rect(a: complex, b: complex, X0, X1, Y0, Y1):
         t0, t1 = max(t0, ta), min(t1, tb)
     if t0 >= t1:
         return None
-    return (a + t0 * d, a + t1 * d)
+    return (t0, t1)
 
 
 def _project_on_segment(z: complex, a: complex, b: complex):

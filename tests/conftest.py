@@ -56,6 +56,11 @@ def random_regular_hamiltonian(rng: random.Random, d, coeff_range=5):
             return H
 
 
+def tpoly(coeffs):
+    """The polynomial sum_i coeffs[i] t^i over Q."""
+    return MultiPoly(("t",), {(i,): Fraction(c) for i, c in enumerate(coeffs) if c})
+
+
 def laplace_det(M):
     """Reference determinant: cofactor expansion along the first row."""
     if not M:

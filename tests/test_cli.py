@@ -123,6 +123,34 @@ class TestExitCodes:
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith(f"error[{error}]: ")
 
+    @pytest.mark.parametrize("command", ["scalar-ode", "count-zeros"])
+    def test_component_zero_is_1(self, capsys, command):
+        # -m 0 reaches the job: a truthiness filter on the parsed options
+        # would replace it by the default component 1
+        argv = [command, "-H", "x^2+y^2", "-m", "0"]
+        if command == "count-zeros":
+            argv += ["--domain", "disc:0.5,0,0.3", "--rho", "0.1"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.splitlines() == ["error[UsageError]: component 0 out of range 1..1"]
+
+    def test_wrong_ray_count_is_1(self, capsys):
+        # one angle for the four singular values of the branch cubic
+        code, _, err = run_cli(
+            capsys,
+            "count-zeros",
+            "-H",
+            "x^3 - x*y^2 + y",
+            "--domain",
+            "disc:0.5,0,0.3",
+            "--rho",
+            "0.1",
+            "--rays",
+            "angles:0.3",
+        )
+        assert code == 1
+        assert err.splitlines() == ["error[InvalidRays]: one ray direction per singular point is required"]
+
     @pytest.mark.parametrize(
         "domain, rays",
         [("disc:a,0,0.3", "auto"), ("disc:0.5,0,0.3", "angles:x")],

@@ -12,7 +12,7 @@ from pfzero.linalg import (
     solve_sparse_exact,
 )
 from pfzero.poly import MultiPoly, _Dense, parse_polynomial
-from tests.conftest import laplace_det
+from tests.conftest import laplace_det, tpoly
 
 P = parse_polynomial
 t = MultiPoly.var("t")
@@ -41,9 +41,7 @@ def dense_rows(rows):
     return [[_Dense.from_poly(e) for e in row] for row in rows]
 
 
-tpolys = st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)), max_size=3).map(
-    lambda cs: MultiPoly.from_univariate_coeffs("t", cs)
-)
+tpolys = st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)), max_size=3).map(tpoly)
 
 
 @st.composite

@@ -18,7 +18,7 @@ from pfzero.poly import (
     poly_gcd,
     resultant,
 )
-from tests.conftest import laplace_det
+from tests.conftest import laplace_det, tpoly
 
 P = parse_polynomial
 x, y, t = MultiPoly.var("x"), MultiPoly.var("y"), MultiPoly.var("t")
@@ -365,7 +365,7 @@ def wide_tpolys(draw, max_len=7):
     """Polynomials in t with wide rational coefficients, zero and constants included."""
     coeffs = draw(st.lists(wide_ints(), max_size=max_len))
     den = draw(st.integers(1, 1 << draw(st.integers(0, 200))))
-    return MultiPoly.from_univariate_coeffs("t", [Fraction(c, den) for c in coeffs])
+    return tpoly([Fraction(c, den) for c in coeffs])
 
 
 def dense(p):
@@ -380,7 +380,7 @@ def int_seq(p):
 @st.composite
 def int_tpolys(draw, max_len=6, bits=64):
     coeffs = draw(st.lists(st.integers(-(1 << bits), 1 << bits), min_size=1, max_size=max_len))
-    return MultiPoly.from_univariate_coeffs("t", coeffs)
+    return tpoly(coeffs)
 
 
 class TestDenseKernel:

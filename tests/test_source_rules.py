@@ -1,6 +1,7 @@
 """Rules every module of the package keeps."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +71,50 @@ def test_every_parameter_is_read():
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line} {fn}({name})" for fn, name, line in _unread_parameters(tree)]
+    assert SOURCES and not found
+
+
+def _referenced_names() -> set[str]:
+    """Every name that code in src/, scripts/ or perfbench/ reads, calls,
+    imports or looks up as an attribute; a definition itself is no
+    reference."""
+    root = Path(pfzero.__file__).parents[2]
+    names = set()
+    for path in sorted(p for d in ("src", "scripts", "perfbench") for p in (root / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def _overrides(module, tree: ast.Module):
+    """Methods of the module's classes that replace an inherited one, which
+    the base class calls, such as argparse.ArgumentParser.error."""
+    for node in tree.body:
+        cls = getattr(module, node.name, None) if isinstance(node, ast.ClassDef) else None
+        if isinstance(cls, type):
+            yield from (m for m in vars(cls) if any(m in vars(base) for base in cls.__mro__[1:]))
+
+
+def test_every_definition_is_referenced():
+    # a function, method or class that no code names is dead code kept for
+    # tests alone. The check goes by name only: a reference to any function
+    # of the same name, or a call of a function from its own body, counts
+    referenced = _referenced_names()
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exempt = set(_overrides(importlib.import_module(f"pfzero.{path.stem}"), tree))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                dunder = name.startswith("__") and name.endswith("__")
+                if not dunder and name not in referenced and name not in exempt:
+                    found.append(f"{path.name}:{node.lineno} {name}")
     assert SOURCES and not found
 
 

@@ -33,6 +33,7 @@ from pfzero.zerocount import (
     yakovenko_varbound,
     zero_count_bound,
 )
+from tests.conftest import tpoly
 
 P = parse_polynomial
 t = MultiPoly.var("t")
@@ -62,6 +63,18 @@ D2_ODE = ScalarODE(
 )
 
 
+# the mu equation of the branch cubic has poles near -0.43, beside this disc
+HEAVY_BRANCH_DISC = Disc(complex(-0.5022, -0.2693), 0.1398)
+
+
+@pytest.fixture(scope="module")
+def branch_mu_ode():
+    """The mu = (1, 0, 1, 0) equation of the branch cubic x^3 - x y^2 + y."""
+    from pfzero.cli import JobConfig, _make_ode
+
+    return _make_ode(JobConfig(command="count-zeros", hamiltonian="x^3 - x*y^2 + y", mu=["1", "0", "1", "0"]))[2]
+
+
 class TestDomains:
     def test_empty_sigma_square(self):
         dom = simple_domain(EMPTY, [], Disc(0j, 0.5), 0.1)
@@ -85,6 +98,16 @@ class TestDomains:
     def test_ray_through_region_rejected(self):
         with pytest.raises(InvalidRays):
             simple_domain(ORIGIN, [1.0], Disc(1 + 0j, 0.4), 0.5, relaxed_bounds=True)
+
+    def test_auto_rays_without_singular_values(self):
+        assert simple_domain(EMPTY, None, Disc(0.2 + 0j, 0.3), 0.1).ray_directions == ()
+
+    def test_auto_rays_on_the_branch_disc(self, branch_mu_ode):
+        # the golden-angle sweep's pick, recorded before the sweep moved
+        # from the command line into simple_domain
+        sigma = branch_mu_ode.true_singularities
+        dom = simple_domain(sigma, None, HEAVY_BRANCH_DISC, 0.1)
+        assert dom.ray_directions == (0.8812868452186609 + 0.4725817351998912j,) * 4
 
     def test_unit_disc_guard(self):
         with pytest.raises(UsageError):
@@ -267,13 +290,11 @@ class TestCoefficientSup:
             # a lower bound for |F| at the centre or an end of the piece
             assert lower <= sampled * (1 + 1e-9)
 
-    def test_pass_count_on_the_heavy_branch_disc(self, monkeypatch):
+    def test_pass_count_on_the_heavy_branch_disc(self, monkeypatch, branch_mu_ode):
         # one vectorised pass per bisection level: a per-box evaluation
         # would show here as hundreds of calls per segment
-        from pfzero.cli import JobConfig, _make_ode, _parse_region, _simple_domain
-
-        _H, _sysm, ode = _make_ode(JobConfig(command="count-zeros", hamiltonian="x^3 - x*y^2 + y", mu=["1", "0", "1", "0"]))
-        dom = _simple_domain(_parse_region("disc:-0.5022,-0.2693,0.1398"), None, 0.1, ode.true_singularities, False)
+        ode = branch_mu_ode
+        dom = simple_domain(ode.true_singularities, None, HEAVY_BRANCH_DISC, 0.1)
         segs = decompose_simple_domain(dom, [cv.value for cv in ode.pole_set])
         calls = []
         real_pass = zerocount._sup_pass
@@ -327,9 +348,7 @@ def _rat_funcs(draw, near, num_deg, den_deg):
     coefficients of heights from 10^-40 to 10^46; D is such a constant times
     real roots and conjugate pairs of modulus up to about 200, and the pair
     near, conj(near) when near is given."""
-    num = MultiPoly.from_univariate_coeffs(
-        "t", draw(st.lists(st.one_of(st.just(0), _wide_rationals), min_size=1, max_size=num_deg + 1))
-    )
+    num = tpoly(draw(st.lists(st.one_of(st.just(0), _wide_rationals), min_size=1, max_size=num_deg + 1)))
     assume(not num.is_zero)
     den = MultiPoly.const(draw(_wide_rationals))
     pairs = [] if near is None else [(Fraction(near.real), Fraction(near.imag))]
