@@ -36,12 +36,14 @@ t +- h in lockstep, as one stack; each (cycle, form) Richardson column stops
 at the first level that meets the tolerance, and a cycle leaves the stack
 once all its columns have. Real ovals stay in float64.
 `continuation_callable`, the one continuation engine, carries a period
-vector along a path in complex t and returns the dense solution. It
-integrates the polynomial system with DOP853, the Dormand-Prince 8(5,3)
-pair with its 7th-degree dense output (Hairer, Norsett and Wanner, Solving
-Ordinary Differential Equations I, Sec. II.10). `solve_ivp` is an
-in-package port of SciPy's DOP853 that gives the same floats; the package
-does not import SciPy.
+vector along a path in complex t and returns the dense solution. Each
+segment is one `solve_ivp` run of Taylor steps: a and A are shifted to the
+step's start by synthetic division, and the Taylor coefficients of I follow
+from the linear recurrence of a I' = A I (Chudnovsky and Chudnovsky, 1990;
+van der Hoeven, "Fast evaluation of holonomic functions", TCS 210, 1999).
+The step is half the distance to the nearest pole disc, halved again until
+the series meets its tail test, and the series is the dense output. The
+tail test is a-posteriori; no enclosure is claimed.
 """
 
 from __future__ import annotations
@@ -91,6 +93,8 @@ BRANCH_LIFT_POINTS = 256  # first sample count of a branch lift
 # continuation
 PATH_MARGIN = 1e-3  # least distance from a path segment to a pole
 ODE_RTOL = 1e-10
+TAYLOR_MAX_ORDER = 60  # most Taylor terms of one step before it is halved
+MIN_STEP = 1e-12  # least step, as a share of its segment
 
 
 def _polyline(X, Y) -> np.ndarray:
@@ -525,386 +529,32 @@ def periods_of_system(sys: PFSystem, cycle: CyclePolyline) -> PeriodSample:
     return PeriodSample(t=cycle.level, periods=tuple(vals), error_estimate=max([0.0, *errs]))
 
 
-# -- DOP853 --------------------------------------------------------------------------
-#
-# Dormand-Prince 8(5,3) with its 7th-degree dense output: Hairer, Norsett and
-# Wanner, Solving Ordinary Differential Equations I (2nd ed., Springer 1993),
-# Sec. II.10, and their Fortran code DOP853. The tables, the initial step, the
-# step controller and the interpolant are a port of SciPy's scipy/integrate/_ivp
-# (dop853_coefficients.py, rk.py, common.py, base.py and ivp.py) that keeps its
-# order of floating-point operations, so every value equals that of
-# scipy.integrate.solve_ivp(method="DOP853") bit for bit. Those files carry
-# this notice:
-#
-# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
-# All rights reserved.
-#
-# Redistribution and use in source and binary forms, with or without
-# modification, are permitted provided that the following conditions
-# are met:
-#
-# 1. Redistributions of source code must retain the above copyright
-#    notice, this list of conditions and the following disclaimer.
-#
-# 2. Redistributions in binary form must reproduce the above
-#    copyright notice, this list of conditions and the following
-#    disclaimer in the documentation and/or other materials provided
-#    with the distribution.
-#
-# 3. Neither the name of the copyright holder nor the names of its
-#    contributors may be used to endorse or promote products derived
-#    from this software without specific prior written permission.
-#
-# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
-# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
-# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
-# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
-# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
-# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
-# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
-# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
-# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
-# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
-# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
-
-DOP853_STAGES = 12  # stages of one step; stages 13-15 only feed the interpolant
-DOP853_SAFETY = 0.9
-DOP853_MIN_FACTOR = 0.2  # least and largest change of the step size
-DOP853_MAX_FACTOR = 10
-DOP853_EXPONENT = -1 / 8  # the error estimate is of order 7
-DOP853_FINISHED = "The solver successfully reached the end of the integration interval."
-DOP853_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-
-
-def _coefficient_table(shape, rows):
-    table = np.zeros(shape)
-    for i, row in rows.items():
-        for j, v in row.items():
-            table[i, j] = v
-    return table
-
-
-_DOP853_C = np.array(
-    [
-        0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
-        0.118350341907227396726757197510, 0.281649658092772603273242802490, 0.333333333333333333333333333333, 0.25,
-        0.307692307692307692307692307692, 0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142,
-        1.0, 1.0, 0.1, 0.2, 0.777777777777777777777777777778,
-    ]
-)
-_DOP853_A = _coefficient_table(
-    (16, 16),
-    {
-        1: {0: 5.26001519587677318785587544488e-2},
-        2: {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
-        3: {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
-        4: {
-            0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
-            3: 9.24834003261792003115737966543e-1,
-        },
-        5: {
-            0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
-            4: 1.25467687566822425016691814123e-1,
-        },
-        6: {
-            0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1, 4: 6.02165389804559606850219397283e-2,
-            5: -1.7578125e-2,
-        },
-        7: {
-            0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
-            4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
-            6: 8.27378916381402288758473766002e-3,
-        },
-        8: {
-            0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
-            4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
-            6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1,
-        },
-        9: {
-            0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
-            4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
-            6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
-            8: -2.03312017085086261358222928593e-2,
-        },
-        10: {
-            0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
-            4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
-            6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
-            8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022,
-        },
-        11: {
-            0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
-            4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
-            6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
-            8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
-            10: 6.43392746015763530355970484046e-1,
-        },
-        12: {
-            0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
-            6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
-            8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
-            10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2,
-        },
-        13: {
-            0: 5.61675022830479523392909219681e-2, 6: 2.53500210216624811088794765333e-1,
-            7: -2.46239037470802489917441475441e-1, 8: -1.24191423263816360469010140626e-1,
-            9: 1.5329179827876569731206322685e-1, 10: 8.20105229563468988491666602057e-3,
-            11: 7.56789766054569976138603589584e-3, 12: -8.298e-3,
-        },
-        14: {
-            0: 3.18346481635021405060768473261e-2, 5: 2.83009096723667755288322961402e-2,
-            6: 5.35419883074385676223797384372e-2, 7: -5.49237485713909884646569340306e-2,
-            10: -1.08347328697249322858509316994e-4, 11: 3.82571090835658412954920192323e-4,
-            12: -3.40465008687404560802977114492e-4, 13: 1.41312443674632500278074618366e-1,
-        },
-        15: {
-            0: -4.28896301583791923408573538692e-1, 5: -4.69762141536116384314449447206,
-            6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
-            8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
-            13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138,
-        },
-    },
-)
-_DOP853_D = _coefficient_table(
-    (4, 16),
-    {
-        0: {
-            0: -0.84289382761090128651353491142e+1, 5: 0.56671495351937776962531783590,
-            6: -0.30689499459498916912797304727e+1, 7: 0.23846676565120698287728149680e+1,
-            8: 0.21170345824450282767155149946e+1, 9: -0.87139158377797299206789907490,
-            10: 0.22404374302607882758541771650e+1, 11: 0.63157877876946881815570249290,
-            12: -0.88990336451333310820698117400e-1, 13: 0.18148505520854727256656404962e+2,
-            14: -0.91946323924783554000451984436e+1, 15: -0.44360363875948939664310572000e+1,
-        },
-        1: {
-            0: 0.10427508642579134603413151009e+2, 5: 0.24228349177525818288430175319e+3,
-            6: 0.16520045171727028198505394887e+3, 7: -0.37454675472269020279518312152e+3,
-            8: -0.22113666853125306036270938578e+2, 9: 0.77334326684722638389603898808e+1,
-            10: -0.30674084731089398182061213626e+2, 11: -0.93321305264302278729567221706e+1,
-            12: 0.15697238121770843886131091075e+2, 13: -0.31139403219565177677282850411e+2,
-            14: -0.93529243588444783865713862664e+1, 15: 0.35816841486394083752465898540e+2,
-        },
-        2: {
-            0: 0.19985053242002433820987653617e+2, 5: -0.38703730874935176555105901742e+3,
-            6: -0.18917813819516756882830838328e+3, 7: 0.52780815920542364900561016686e+3,
-            8: -0.11573902539959630126141871134e+2, 9: 0.68812326946963000169666922661e+1,
-            10: -0.10006050966910838403183860980e+1, 11: 0.77771377980534432092869265740,
-            12: -0.27782057523535084065932004339e+1, 13: -0.60196695231264120758267380846e+2,
-            14: 0.84320405506677161018159903784e+2, 15: 0.11992291136182789328035130030e+2,
-        },
-        3: {
-            0: -0.25693933462703749003312586129e+2, 5: -0.15418974869023643374053993627e+3,
-            6: -0.23152937917604549567536039109e+3, 7: 0.35763911791061412378285349910e+3,
-            8: 0.93405324183624310003907691704e+2, 9: -0.37458323136451633156875139351e+2,
-            10: 0.10409964950896230045147246184e+3, 11: 0.29840293426660503123344363579e+2,
-            12: -0.43533456590011143754432175058e+2, 13: 0.96324553959188282948394950600e+2,
-            14: -0.39177261675615439165231486172e+2, 15: -0.14972683625798562581422125276e+3,
-        },
-    },
-)
-_DOP853_B = _DOP853_A[DOP853_STAGES, :DOP853_STAGES]
-_DOP853_E3 = np.zeros(DOP853_STAGES + 1)
-_DOP853_E3[:-1] = _DOP853_B
-_DOP853_E3[0] -= 0.244094488188976377952755905512
-_DOP853_E3[8] -= 0.733846688281611857341361741547
-_DOP853_E3[11] -= 0.220588235294117647058823529412e-1
-_DOP853_E5 = np.array(
-    [
-        0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e+1,
-        -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
-        0.3341791187130174790297318841, 0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
-        0.0,
-    ]
-)
-
-
-@dataclass(frozen=True, eq=False)
-class OdeResult:
-    """The accepted times t, the states y (one column per time), the dense
-    solution sol(s) over [t0, tf], the number of right-hand side
-    evaluations, and whether tf was reached."""
-
-    t: np.ndarray
-    y: np.ndarray
-    sol: object
-    nfev: int
-    success: bool
-    message: str
-
-
-def _rms(x):
-    return np.linalg.norm(x) / x.size**0.5
-
-
-def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
-    """Hairer's starting step: an explicit Euler trial step sized from |y0|
-    and |f0|, then the step at which its difference quotient of f meets the
-    tolerance, capped at 100 times the trial step and at the interval."""
-    interval_length = abs(t_bound - t0)
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0, y0 + h0 * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, interval_length)
-
-
-def _dop853_stages(fun, t, y, f, h, K):
-    """The 8th-order solution after one step h, and f there; rows 0-12 of K
-    receive the stages."""
-    K[0] = f
-    for s in range(1, DOP853_STAGES):
-        dy = np.dot(K[:s].T, _DOP853_A[s, :s]) * h
-        K[s] = fun(t + _DOP853_C[s] * h, y + dy)
-    y_new = y + h * np.dot(K[:DOP853_STAGES].T, _DOP853_B)
-    f_new = fun(t + h, y_new)
-    K[DOP853_STAGES] = f_new
-    return y_new, f_new
-
-
-def _dop853_error_norm(K, h, scale):
-    """The combined 5th- and 3rd-order error estimate of the step, scaled."""
-    err5 = np.dot(K[: DOP853_STAGES + 1].T, _DOP853_E5) / scale
-    err3 = np.dot(K[: DOP853_STAGES + 1].T, _DOP853_E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
-        return 0.0
-    denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
-
-
-def _dop853_step(fun, t, y, f, h_abs, t_bound, rtol, atol, K):
-    """One accepted step from t, clipped at t_bound: (t_new, h, y_new, f_new,
-    next |h|), or None once the step would be below ten ulps of t."""
-    min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-    if h_abs < min_step:
-        h_abs = min_step
-    rejected = False
-    while True:
-        if h_abs < min_step:
-            return None
-        t_new = t + h_abs
-        if t_new - t_bound > 0:
-            t_new = t_bound
-        h = t_new - t
-        h_abs = np.abs(h)
-        y_new, f_new = _dop853_stages(fun, t, y, f, h, K)
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _dop853_error_norm(K, h, scale)
-        if error_norm < 1:
-            if error_norm == 0:
-                factor = DOP853_MAX_FACTOR
-            else:
-                factor = min(DOP853_MAX_FACTOR, DOP853_SAFETY * error_norm**DOP853_EXPONENT)
-            if rejected:
-                factor = min(1, factor)
-            return t_new, h, y_new, f_new, h_abs * factor
-        h_abs *= max(DOP853_MIN_FACTOR, DOP853_SAFETY * error_norm**DOP853_EXPONENT)
-        rejected = True
-
-
-def _dop853_interpolant(fun, t, y, h, y_new, f_new, K):
-    """Coefficients of the 7th-degree dense output over the accepted step from
-    (t, y); three more stages fill rows 13-15 of K."""
-    for s in range(DOP853_STAGES + 1, len(K)):
-        dy = np.dot(K[:s].T, _DOP853_A[s, :s]) * h
-        K[s] = fun(t + _DOP853_C[s] * h, y + dy)
-    F = np.empty((7, len(y)), dtype=complex)
-    f_old = K[0]
-    delta_y = y_new - y
-    F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (f_new + f_old)
-    F[3:] = h * np.dot(_DOP853_D, K)
-    return F
-
-
-def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> OdeResult:
-    """Integrate y' = fun(t, y) over t_span = (t0, tf), t0 < tf, with DOP853,
-    in complex arithmetic.
-
-    The local error estimate of every step stays below atol + rtol |y|. The
-    run fails (success False) when the step size falls below ten ulps of t,
-    which is how a pole or a blow-up shows. sol(s) evaluates the dense output
-    at a scalar s; a time shared by two steps takes the earlier one.
-    """
-    t, t_bound = map(float, t_span)
-    y = np.asarray(y0, dtype=complex)
-    if not t < t_bound or y.ndim != 1 or not np.isfinite(y).all():
-        raise ValueError("solve_ivp needs t0 < tf and a finite vector y0")
-    nfev = 0
-
-    def counted(t, y):
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(fun(t, y), dtype=complex)
-
-    f = counted(t, y)
-    h_abs = _initial_step(counted, t, y, t_bound, f, rtol, atol)
-    K = np.empty((len(_DOP853_C), len(y)), dtype=complex)
-    ts, ys, pieces = [t], [y], []
-    message = DOP853_FINISHED
-    while t < t_bound:
-        step = _dop853_step(counted, t, y, f, h_abs, t_bound, rtol, atol, K)
-        if step is None:
-            message = DOP853_TOO_SMALL_STEP
-            break
-        t_new, h, y_new, f_new, h_abs = step
-        pieces.append((t, h, y, _dop853_interpolant(counted, t, y, h, y_new, f_new, K)))
-        t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.append(y)
-    ts = np.array(ts)
-
-    def sol(s):
-        k = min(max(int(np.searchsorted(ts, s, side="left")) - 1, 0), len(pieces) - 1)
-        t_old, h, y_old, F = pieces[k]
-        x = (s - t_old) / h
-        v = np.zeros_like(y_old)
-        for i, c in enumerate(reversed(F)):
-            v += c
-            v *= x if i % 2 == 0 else 1 - x
-        return v + y_old
-
-    return OdeResult(
-        t=ts,
-        y=np.vstack(ys).T,
-        sol=sol,
-        nfev=nfev,
-        success=message == DOP853_FINISHED,
-        message=message,
-    )
-
-
 # -- continuation of the period system ---------------------------------------------
 
 
-def _matrix_evaluator(sys: PFSystem):
-    """t -> A(t) / a(t). The entries of A sit in one zero-padded (deg+1, n, n)
-    coefficient tensor, highest power first, evaluated by Horner's rule in
-    np.polyval's order."""
+def _coefficient_arrays(sys: PFSystem):
+    """The coefficients of a(t) and of the entries of A(t), lowest power
+    first, in complex128: a vector for a and one zero-padded (deg A + 1, n, n)
+    tensor for A."""
     n = sys.dim
-    acoef = np.array([complex(c) for c in sys.a.univariate_coeffs("t")][::-1], dtype=complex)
-    deg = max(sys.A.max_degree(), 0)
-    coefs = np.zeros((deg + 1, n, n), dtype=complex)
+    acoef = np.array([complex(c) for c in sys.a.univariate_coeffs("t")], dtype=complex)
+    Acoef = np.zeros((max(sys.A.max_degree(), 0) + 1, n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
             if not sys.A[i, j].is_zero:
                 for k, c in enumerate(sys.A[i, j].univariate_coeffs("t")):
-                    coefs[deg - k, i, j] = complex(c)
+                    Acoef[k, i, j] = complex(c)
+    return acoef, Acoef
+
+
+def _matrix_evaluator(sys: PFSystem):
+    """t -> A(t) / a(t): Horner's rule over the coefficient tensor of A,
+    highest power first, in np.polyval's order, and np.polyval for a."""
+    acoef, Acoef = _coefficient_arrays(sys)
+    acoef, coefs = acoef[::-1], Acoef[::-1]
 
     def rhs_matrix(t: complex):
-        M = np.zeros((n, n), dtype=complex)
+        M = np.zeros(coefs.shape[1:], dtype=complex)
         for c in coefs:
             M = M * t + c
         return M / np.polyval(acoef, t)
@@ -912,40 +562,142 @@ def _matrix_evaluator(sys: PFSystem):
     return rhs_matrix
 
 
+def _taylor_shift(coefs: np.ndarray, t0: complex) -> np.ndarray:
+    """The coefficients of p(t0 + u) in powers of u, for each polynomial p
+    whose coefficients, lowest power first, run down the first axis of coefs:
+    repeated synthetic division by t - t0, vectorised over the other axes."""
+    c = coefs[::-1].copy()  # highest power first
+    deg = len(c) - 1
+    for i in range(deg):
+        for j in range(1, deg + 1 - i):
+            c[j] += t0 * c[j - 1]
+    return c[::-1]
+
+
+def _taylor_terms(shifted: np.ndarray, step: complex, y: np.ndarray, tol: float):
+    """Taylor coefficients c_0 = y, c_1, ... in sigma of the solution of
+    a I' = A I over t = t0 + sigma step, where shifted stacks the
+    coefficients of a and of the entries of A in powers of t - t0. With
+    alpha_j and B_j the coefficients of sigma^j in a and in step A,
+
+        alpha_0 (m+1) c_(m+1) = sum_j B_j c_(m-j) - sum_(j>=1) alpha_j (m+1-j) c_(m+1-j),
+
+    one einsum per order of the blocks [B_j, -alpha_(j+1) Id] against the
+    rows [c_k, k c_k]. Returns the terms up to the first two consecutive ones
+    below tol in max-norm, or None when TAYLOR_MAX_ORDER terms do not get
+    there."""
+    deg, n = len(shifted) - 1, len(y)
+    powers = step ** np.arange(deg + 1)
+    alpha = shifted[:, 0] * powers
+    M = np.zeros((deg + 1, n, 2 * n), dtype=complex)
+    M[:, :, :n] = (shifted[:, 1:] * (step * powers)[:, None]).reshape(deg + 1, n, n)
+    M[:-1, :, n:] = -alpha[1:, None, None] * np.eye(n)
+    Z = np.zeros((TAYLOR_MAX_ORDER + 1, 2 * n), dtype=complex)  # rows [c_k, k c_k]
+    Z[0, :n] = y
+    small = False
+    for m in range(TAYLOR_MAX_ORDER):
+        J = min(m, deg)
+        Z[m + 1, n:] = np.einsum("jik,jk->i", M[: J + 1], Z[m - J : m + 1][::-1]) / alpha[0]
+        Z[m + 1, :n] = Z[m + 1, n:] / (m + 1)
+        below = np.abs(Z[m + 1, :n]).max() < tol
+        if below and small:
+            return Z[: m + 2, :n]
+        small = below
+    return None
+
+
+@dataclass(frozen=True, eq=False)
+class TaylorSolution:
+    """The solution of one segment, s in [0, 1], in Taylor pieces: piece k
+    starts at starts[k], spans steps[k] and has the coefficient rows
+    terms[k] in sigma = (s - starts[k]) / steps[k], lowest order first. y is
+    the value at s = 1 and nfev the number of coefficient vectors computed,
+    those of halved steps included."""
+
+    starts: np.ndarray
+    steps: tuple[float, ...]
+    terms: tuple[np.ndarray, ...]
+    y: np.ndarray
+    nfev: int
+
+    def sol(self, s: float) -> np.ndarray:
+        """The dense solution at s by Horner's rule on its piece; an s shared
+        by two pieces takes the earlier one."""
+        k = min(max(int(np.searchsorted(self.starts, s, side="left")) - 1, 0), len(self.terms) - 1)
+        x = (s - self.starts[k]) / self.steps[k]
+        c = self.terms[k]
+        v = c[-1]
+        for row in c[-2::-1]:
+            v = v * x + row
+        return v
+
+
+def solve_ivp(coefs: np.ndarray, a: complex, b: complex, discs, y0: np.ndarray) -> TaylorSolution:
+    """Taylor-series solution of a I' = A I along t = a + s (b - a), s in
+    [0, 1], from I(a) = y0. coefs stacks the coefficients of a(t) (column 0)
+    and of the flattened entries of A(t), lowest power first; discs are the
+    (centre, radius) discs of the roots of a, none of which meets the segment.
+
+    From s0 the step is h = min(1 - s0, d / (2 |b - a|)), d the distance
+    from t(s0) to the nearest disc, so the series converges at least like
+    2^(-m). Its terms stop below ODE_RTOL 1e-2 max|I(s0)| (`_taylor_terms`);
+    a step that needs more than TAYLOR_MAX_ORDER terms is halved. The test is
+    a-posteriori, like an embedded error estimate; no enclosure is claimed.
+    Raises StiffnessFailure when the step falls below MIN_STEP.
+    """
+    dt = b - a
+    y = np.asarray(y0, dtype=complex)
+    starts, steps, terms, nfev = [], [], [], 0
+    s0 = 0.0
+    while s0 < 1.0:
+        t0 = a + s0 * dt
+        d = min((abs(t0 - p) - r for p, r in discs), default=math.inf)
+        h = min(1.0 - s0, 0.5 * d / abs(dt)) if dt else 1.0 - s0
+        shifted = _taylor_shift(coefs, t0)
+        tol = ODE_RTOL * 1e-2 * (float(np.max(np.abs(y))) or 1.0)
+        while (c := _taylor_terms(shifted, h * dt, y, tol)) is None:
+            nfev += TAYLOR_MAX_ORDER
+            h /= 2
+            if h < MIN_STEP:
+                raise StiffnessFailure(f"Taylor step below {MIN_STEP} of the segment from {a} to {b}, at s = {s0}")
+        nfev += len(c) - 1
+        starts.append(s0)
+        steps.append(h)
+        terms.append(c)
+        y = c.sum(axis=0)
+        s0 = 1.0 if h == 1.0 - s0 else s0 + h
+    return TaylorSolution(starts=np.array(starts), steps=tuple(steps), terms=tuple(terms), y=y, nfev=nfev)
+
+
 def continuation_callable(sys: PFSystem, path: list[complex], initial: PeriodSample):
     """Dense continuation of the period vector along the path, for
     winding-number use: f(s) for s in [0, 1]. Each of the n segments is one
-    DOP853 solution and takes an equal share 1/n of s, whatever its length,
-    so s = k/n is vertex k. Raises ValueError unless the path has two
+    `solve_ivp` solution and takes an equal share 1/n of s, whatever its
+    length, so s = k/n is vertex k. Raises ValueError unless the path has two
     vertices and starts at initial.t, PathTooClose when a segment comes
-    within PATH_MARGIN of a pole of the system and StiffnessFailure when the
-    integrator gives up."""
+    within PATH_MARGIN of a pole of the system or meets its isolation disc,
+    and StiffnessFailure when the step size collapses."""
     if len(path) < 2:
         raise ValueError("path needs at least two vertices")
     if abs(complex(path[0]) - complex(initial.t)) > 1e-12 * max(1.0, abs(initial.t)):
         raise ValueError("initial sample must sit on the first path vertex")
-    poles = [cv.value for cv in sys.pole_candidates()]
+    discs = [(cv.value, cv.radius) for cv in sys.pole_candidates()]
     for k in range(len(path) - 1):
         a, b = complex(path[k]), complex(path[k + 1])
-        for p in poles:
-            if _dist_point_segment(p, a, b) < PATH_MARGIN:
-                raise PathTooClose(f"path segment {k} passes within {PATH_MARGIN} of a pole")
-    rhs_matrix = _matrix_evaluator(sys)
+        for p, r in discs:
+            dist = _dist_point_segment(p, a, b)
+            if dist < PATH_MARGIN or dist <= r:
+                raise PathTooClose(f"path segment {k} passes within {max(PATH_MARGIN, r)} of a pole")
+    acoef, Acoef = _coefficient_arrays(sys)
+    coefs = np.zeros((max(len(acoef), len(Acoef)), 1 + sys.dim**2), dtype=complex)
+    coefs[: len(acoef), 0] = acoef
+    coefs[: len(Acoef), 1:] = Acoef.reshape(len(Acoef), -1)
     sols = []
     yvec = np.array(initial.periods, dtype=complex)
     for k in range(len(path) - 1):
-        a, b = complex(path[k]), complex(path[k + 1])
-        dt = b - a
-
-        def rhs(s, y, a=a, dt=dt):
-            return dt * (rhs_matrix(a + s * dt) @ y)
-
-        scale = float(np.max(np.abs(yvec))) or 1.0
-        sol = solve_ivp(rhs, (0.0, 1.0), yvec, rtol=ODE_RTOL, atol=ODE_RTOL * scale * 1e-2)
-        if not sol.success:
-            raise StiffnessFailure(f"integrator failed on segment {k}: {sol.message}")
+        sol = solve_ivp(coefs, complex(path[k]), complex(path[k + 1]), discs, yvec)
         sols.append(sol)
-        yvec = sol.y[:, -1]
+        yvec = sol.y
     nseg = len(sols)
 
     def f(s: float) -> np.ndarray:

@@ -26,17 +26,17 @@ from pfzero.numerics import (
     make_cycle,
     periods_of_system,
     residual_check,
-    solve_ivp,
     trace_cycle,
 )
 from pfzero.petrov import OneForm, petrov_decompose
-from pfzero.pfsystem import assemble_pf_system
+from pfzero.pfsystem import PFSystem, assemble_pf_system
 from pfzero.poly import MultiPoly, parse_polynomial
 from tests.conftest import random_poly
 
 P = parse_polynomial
 ZERO = MultiPoly.zero()
 X_DY = OneForm(ZERO, P("x"))
+BRANCH_CUBIC = "x^3 - x*y^2 + y"
 
 
 def period(cycle, omega, rel_tol=numerics.PERIOD_REL_TOL):
@@ -163,72 +163,151 @@ class TestContinuation:
         with pytest.raises(ValueError, match="first path vertex"):
             continuation_callable(circle_sys, [2.0, 3.0], init)
 
-    def test_integrator_failure_is_a_stiffness_failure(self, circle_sys, monkeypatch):
-        # the right-hand side y / (2.5 - t)^2 blows up at t = 2.5, which no
-        # pole of the system flags, so the step size collapses
-        monkeypatch.setattr(
-            numerics, "_matrix_evaluator", lambda sys: lambda t: np.array([[1 / (2.5 - t) ** 2]], dtype=complex)
-        )
-        init = PeriodSample(t=2.0, periods=(2.0 + 0j,), error_estimate=0.0)
-        with np.errstate(all="ignore"), pytest.raises(StiffnessFailure, match="spacing between numbers"):
-            continuation_callable(circle_sys, [2.0, 3.0], init)
+    def test_step_collapse_is_a_stiffness_failure(self, monkeypatch):
+        # a segment that starts on a root of a, hidden from the pole guard and
+        # from the step rule: no step, however small, gives a series that
+        # converges, so the step halves down to MIN_STEP
+        sysm = assemble_pf_system(Hamiltonian.from_poly(P(BRANCH_CUBIC)))
+        root = complex(_real_pole(sysm))
+        monkeypatch.setattr(PFSystem, "pole_candidates", lambda self: [])
+        init = PeriodSample(t=root, periods=tuple(_generic_vector(sysm)), error_estimate=0.0)
+        with np.errstate(all="ignore"), pytest.raises(StiffnessFailure, match="Taylor step below"):
+            continuation_callable(sysm, [root, 1.0], init)
 
 
 # period systems, each on a 48-gon around some of its poles
 DOP853_CASES = [
-    ("x^3 - x*y^2 + y", 0.62, 0.3),
+    (BRANCH_CUBIC, 0.62, 0.3),
     ("x^2 + y^2 + x^3 - 3*x*y^2", 0.074, 0.2),
     ("x^2+y^2", 0.0, 1.0),
 ]
 
 
-class TestDop853MatchesScipy:
-    """The in-package DOP853 is a port of SciPy's: same floats, same counts."""
+def _generic_vector(sysm):
+    return np.linspace(1.0, 2.0, sysm.dim) * (1 - 0.5j)
 
-    def test_coefficient_tables(self):
-        from scipy.integrate._ivp import dop853_coefficients as tables
 
-        for name in ("A", "B", "C", "D", "E3", "E5"):
-            assert np.array_equal(getattr(numerics, f"_DOP853_{name}"), getattr(tables, name)), name
+def _real_pole(sysm):
+    """The pole of the branch cubic's system at t = 0.6204..."""
+    [pole] = [cv.value for cv in sysm.pole_candidates() if cv.value.real > 0.5]
+    return pole
+
+
+def _scipy_segments(sysm, path, y):
+    """SciPy's DOP853 at rtol 1e-12 along each segment of the path, from y:
+    one dense solution per segment, s in [0, 1], each started at the end of
+    the one before."""
+    from scipy.integrate import solve_ivp as reference
+
+    rhs_matrix = _matrix_evaluator(sysm)
+    sols = []
+    for a, b in zip(path, path[1:]):
+
+        def rhs(s, v, a=a, dt=b - a):
+            return dt * (rhs_matrix(a + s * dt) @ v)
+
+        sol = reference(
+            rhs, (0.0, 1.0), y, method="DOP853", dense_output=True, rtol=1e-12, atol=1e-14 * np.max(np.abs(y))
+        )
+        assert sol.success
+        sols.append(sol)
+        y = sol.y[:, -1]
+    return sols
+
+
+def _assert_matches_scipy(f, sols, samples=31):
+    """f(s) of a continuation against the SciPy segments, at the given
+    number of points per segment, endpoints included, to 1e-9 relative."""
+    for k, want in enumerate(sols):
+        for s in np.linspace(0.0, 1.0, samples):
+            ref = want.sol(s)
+            got = f((k + s) / len(sols))
+            assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref)), (k, s)
+
+
+def _record_solutions(monkeypatch) -> list:
+    """The list that receives each `numerics.solve_ivp` result from now on."""
+    results = []
+    solve = numerics.solve_ivp
+    monkeypatch.setattr(numerics, "solve_ivp", lambda *args: results.append(solve(*args)) or results[-1])
+    return results
+
+
+class TestTaylorMatchesScipy:
+    """SciPy's DOP853 at rtol 1e-12 is the reference of the Taylor engine."""
 
     @pytest.mark.parametrize("text, center, radius", DOP853_CASES)
     def test_period_system_along_a_48_gon(self, text, center, radius):
-        from scipy.integrate import solve_ivp as reference
-
         sysm = assemble_pf_system(Hamiltonian.from_poly(P(text)))
-        rhs_matrix = _matrix_evaluator(sysm)
         path = [center + radius * cmath.exp(2j * math.pi * k / 48) for k in range(49)]
-        y = np.linspace(1.0, 2.0, sysm.dim) * (1 - 0.5j)
-        for k in range(48):
-            a, dt = path[k], path[k + 1] - path[k]
+        y = _generic_vector(sysm)
+        f = continuation_callable(sysm, path, PeriodSample(t=path[0], periods=tuple(y), error_estimate=0.0))
+        _assert_matches_scipy(f, _scipy_segments(sysm, path, y))
 
-            def rhs(s, v, a=a, dt=dt):
-                return dt * (rhs_matrix(a + s * dt) @ v)
+    def test_circle_closed_form_on_the_32_gon(self, circle_sys):
+        # the periods of x^2 + y^2 are pi t, a polynomial, on every chord
+        loop = [np.exp(2j * np.pi * k / 32) for k in range(33)]
+        f = continuation_callable(circle_sys, loop, PeriodSample(t=1.0, periods=(math.pi + 0j,), error_estimate=0.0))
+        for k in range(32):
+            for s in np.linspace(0.0, 1.0, 31):
+                t = loop[k] + s * (loop[k + 1] - loop[k])
+                assert abs(f((k + s) / 32)[0] - math.pi * t) <= 1e-12
 
-            tol = {"rtol": numerics.ODE_RTOL, "atol": numerics.ODE_RTOL * float(np.max(np.abs(y))) * 1e-2}
-            got = solve_ivp(rhs, (0.0, 1.0), y, **tol)
-            want = reference(rhs, (0.0, 1.0), y, method="DOP853", dense_output=True, **tol)
-            assert got.success and want.success
-            assert (got.message, got.nfev) == (want.message, want.nfev)
-            assert np.array_equal(got.t, want.t) and np.array_equal(got.y, want.y)
-            for s in [*np.linspace(0.0, 1.0, 31), *want.t]:
-                assert np.array_equal(got.sol(s), want.sol(s))
-            y = want.y[:, -1]
+    def test_segment_near_a_pole_takes_substeps(self, monkeypatch):
+        # the segment passes 2 PATH_MARGIN above the pole at 0.6204, so the
+        # steps shrink with the distance to it and grow again past it
+        sysm = assemble_pf_system(Hamiltonian.from_poly(P(BRANCH_CUBIC)))
+        c = _real_pole(sysm) + 2j * numerics.PATH_MARGIN
+        path = [c - 0.3, c + 0.3]
+        y = _generic_vector(sysm)
+        solutions = _record_solutions(monkeypatch)
+        f = continuation_callable(sysm, path, PeriodSample(t=path[0], periods=tuple(y), error_estimate=0.0))
+        [sol] = solutions
+        assert len(sol.terms) >= 20
+        steps = np.array(sol.steps)
+        assert steps.min() < 0.01 * steps.max()
+        sols = _scipy_segments(sysm, path, y)
+        _assert_matches_scipy(f, sols, samples=301)
+        for s in sol.starts:
+            assert np.max(np.abs(f(s) - sols[0].sol(s))) <= 1e-9 * np.max(np.abs(sols[0].sol(s)))
 
-    def test_pole_inside_the_interval_fails_alike(self):
-        from scipy.integrate import solve_ivp as reference
 
-        def rhs(s, v):
-            return v / (0.5 - s) ** 2
+# the `--mode both` jobs of the benchmark's zeros_cubic workload, seeds 1-2,
+# rounds 0-2, with the numeric_count that the DOP853 engine gave them
+ZEROS_CUBIC_JOBS = [
+    (BRANCH_CUBIC, "disc:0.0596,0.0329,0.2585", 0),
+    (BRANCH_CUBIC, "disc:-0.5022,-0.2693,0.1398", 0),
+    (BRANCH_CUBIC, "disc:-0.3529,0.5885,0.1883", 0),
+    (BRANCH_CUBIC, "disc:0.5586,0.3449,0.2013", 0),
+    (BRANCH_CUBIC, "disc:-0.1472,-0.0121,0.1542", 0),
+    (BRANCH_CUBIC, "disc:-0.0006,0.3321,0.138", 0),
+    ("x^2 + y^2 + x^3 - 3*x*y^2", "disc:0.5235,0.4181,0.2098", 0),
+    ("x^2 + y^2 + x^3 - 3*x*y^2", "disc:-0.5391,-0.2699,0.228", 0),
+    ("x^2 + y^2 + x^3 - 3*x*y^2", "disc:-0.1706,0.4095,0.2365", 0),
+    ("x^2 + y^2 + x^3 - 3*x*y^2", "disc:0.418,0.3337,0.1993", 0),
+    ("x^2 + y^2 + x^3 - 3*x*y^2", "disc:-0.6237,-0.5749,0.1237", 0),
+    ("x^2 + y^2 + x^3 - 3*x*y^2", "disc:-0.3151,0.4518,0.2147", 0),
+]
 
-        y0 = np.array([2.0 + 0j])
-        tol = {"rtol": 1e-10, "atol": 1e-12}
-        with np.errstate(all="ignore"):
-            got = solve_ivp(rhs, (0.0, 1.0), y0, **tol)
-            want = reference(rhs, (0.0, 1.0), y0, method="DOP853", dense_output=True, **tol)
-        assert not got.success and not want.success
-        assert (got.message, got.nfev) == (want.message, want.nfev)
-        assert np.array_equal(got.t, want.t) and 0.49 < got.t[-1] < 0.5
+
+def _count_zeros(capsys, text, domain):
+    argv = ["count-zeros", "-H", text, "--mode", "both", "-m", "1", "--domain", domain, "--rho", "0.1", "--tol", "1e-3"]
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+class TestContinuationGuard:
+    def test_term_count_on_the_branch_disc(self, capsys, monkeypatch):
+        # a deterministic cost: 398 Taylor terms in 48 pieces, one per
+        # segment, against 2256 right-hand sides of the DOP853 engine
+        solutions = _record_solutions(monkeypatch)
+        _count_zeros(capsys, BRANCH_CUBIC, "disc:0.5505,0.2971,0.1108")
+        assert len(solutions) == 48 and all(len(s.terms) == 1 for s in solutions)
+        assert sum(s.nfev for s in solutions) <= 420
+
+    @pytest.mark.parametrize("text, domain, count", ZEROS_CUBIC_JOBS)
+    def test_numeric_count_of_the_benchmark_jobs(self, capsys, text, domain, count):
+        assert _count_zeros(capsys, text, domain)["numeric_count"] == count
 
 
 class TestResiduals:

@@ -76,13 +76,13 @@ def test_every_parameter_is_read():
 
 def _referenced_names() -> set[str]:
     """Every name that code in src/, scripts/ or perfbench/ reads, calls,
-    imports or looks up as an attribute; a definition itself is no
-    reference."""
+    imports or looks up as an attribute; a definition or an assignment to a
+    bare name is no reference."""
     root = Path(pfzero.__file__).parents[2]
     names = set()
     for path in sorted(p for d in ("src", "scripts", "perfbench") for p in (root / d).rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -100,26 +100,40 @@ def _overrides(module, tree: ast.Module):
             yield from (m for m in vars(cls) if any(m in vars(base) for base in cls.__mro__[1:]))
 
 
+def _module_level_names(tree: ast.Module):
+    """(name, line) for each bare name that a top-level assignment of the
+    module binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from ((n.id, n.lineno) for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
 def test_every_definition_is_referenced():
-    # a function, method or class that no code names is dead code kept for
-    # tests alone. The check goes by name only: a reference to any function
-    # of the same name, or a call of a function from its own body, counts
+    # a function, method, class or module-level name that no code names is
+    # dead code kept for tests alone. The check goes by name only: a
+    # reference to anything of the same name, or a call of a function from
+    # its own body, counts
     referenced = _referenced_names()
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         exempt = set(_overrides(importlib.import_module(f"pfzero.{path.stem}"), tree))
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = node.name
-                dunder = name.startswith("__") and name.endswith("__")
-                if not dunder and name not in referenced and name not in exempt:
-                    found.append(f"{path.name}:{node.lineno} {name}")
+        defined = [
+            (node.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        ]
+        for name, line in defined + list(_module_level_names(tree)):
+            dunder = name.startswith("__") and name.endswith("__")
+            if not dunder and name not in referenced and name not in exempt:
+                found.append(f"{path.name}:{line} {name}")
     assert SOURCES and not found
 
 
-# SciPy is the tests' reference for the in-package integrator and mpmath the
-# 250-bit reference for the decimal calculators; the package uses neither
+# SciPy's DOP853 is the tests' tolerance reference for the Taylor continuation
+# and mpmath the 250-bit reference for the decimal calculators; the package
+# uses neither
 REFERENCES = ["scipy", "mpmath"]
 
 
