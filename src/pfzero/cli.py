@@ -94,6 +94,8 @@ class JobConfig:
             raise UsageError("bounds requires the degree (-d)")
         if self.tol <= 0:
             raise UsageError("tolerance must be positive")
+        if self.mode not in ("bound", "both"):
+            raise UsageError(f"mode must be bound or both, got {self.mode!r}")
 
 
 def _conforms(value, hint) -> bool:
@@ -294,27 +296,24 @@ def _cmd_count_zeros(cfg: JobConfig) -> dict:
     H, sysm, ode = _make_ode(cfg)
     dom = simple_domain(ode.true_singularities, rays, region, rho, cfg.relaxed_bounds)
     numeric_fn = None
-    if cfg.mode in ("numeric", "both"):
+    if cfg.mode == "both":
         region = dom.region
         if isinstance(region, Disc):
             path = [region.center + region.radius * cmath.exp(2j * math.pi * k / 48) for k in range(49)]
         else:
             path = list(region.vertices) + [region.vertices[0]]
-        t0 = complex(path[0])
-        cyc = make_cycle(H, t0.real if abs(t0.imag) < 1e-12 else t0, sysm.singular)
-        init = periods_of_system(sysm, cyc)
+        init = periods_of_system(sysm, make_cycle(H, complex(path[0]), sysm.singular))
         f = continuation_callable(sysm, path, init)
-        comp = 0 if cfg.mu is not None else cfg.component - 1
         if cfg.mu is not None:
             mu = [complex(_parse_fraction(v)) for v in cfg.mu]
             numeric_fn = lambda s: sum(m * v for m, v in zip(mu, f(s)))
         else:
-            numeric_fn = lambda s: f(s)[comp]
+            numeric_fn = lambda s: f(s)[cfg.component - 1]
     report = zero_count_bound(
         ode,
         dom,
         tol=cfg.tol,
-        numeric_fn=numeric_fn if cfg.mode in ("numeric", "both") else None,
+        numeric_fn=numeric_fn,
         degree=H.degree,
     )
     return {
@@ -470,16 +469,16 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("scalar-ode", help="scalar equation for one component or a mu-combination")
     common(sp)
     sp.add_argument("-m", "--component", type=int, default=1, help="1-based basis component")
-    sp.add_argument("--mu", help="comma separated rationals; derives the augmented equation")
+    sp.add_argument("--mu", help="comma separated rationals; derives the equation of mu . I")
 
     sp = sub.add_parser("count-zeros", help="bound (and optionally count) zeros in a simple domain")
     common(sp)
     sp.add_argument("-m", "--component", type=int, default=1)
-    sp.add_argument("--mu", help="comma separated rationals for the augmented equation")
+    sp.add_argument("--mu", help="comma separated rationals; counts the zeros of mu . I")
     sp.add_argument("--domain", help="disc:cx,cy,r or poly:x1,y1;x2,y2;...")
     sp.add_argument("--rho", help="clearance to the singular set")
     sp.add_argument("--rays", default="auto", help="auto or angles:a1,a2,...")
-    sp.add_argument("--mode", choices=["bound", "numeric", "both"], default="bound")
+    sp.add_argument("--mode", choices=["bound", "both"], default="bound", help="both adds the numeric count")
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--relaxed-bounds", action="store_true", help="allow regions outside the unit disc")
 

@@ -12,6 +12,7 @@ critical points of H.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -363,9 +364,13 @@ def _critical_values(H: Hamiltonian) -> SingularSet:
     candidates: list[CriticalValue] = []
     for main, other in (("x", "y"), ("y", "x")):
         g1 = res[other]
-        if g1.is_constant():
+        G = hy if other == "y" else hx
+        coeffs = [G.coeff_in_var(other, k) for k in range(G.degree_in(other) + 1)]
+        if g1.is_constant() or not functools.reduce(poly_gcd, coeffs, g1).is_constant():
+            # at a common root x* of g1 and of G's coefficients in `other`,
+            # every Sylvester row of G vanishes, so T = 0
             continue
-        A = resultant(Ht, hy if other == "y" else hx, other)
+        A = resultant(Ht, G, other)
         if A.is_zero:
             continue
         T = resultant(A, g1, main)

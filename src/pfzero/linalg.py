@@ -153,9 +153,6 @@ class PolyMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int) -> list[MultiPoly]:
-        return list(self.entries[i])
-
     def __eq__(self, other):
         return (
             isinstance(other, PolyMatrix)

@@ -34,7 +34,9 @@ most QUAD_BLOCK nodes; a form's period is its coefficients dotted with those
 moments. The residual check refines its base cycle and the projections to
 t +- h in lockstep, as one stack; each (cycle, form) Richardson column stops
 at the first level that meets the tolerance, and a cycle leaves the stack
-once all its columns have. Real ovals stay in float64.
+once all its columns have. Real ovals stay in float64. The check evaluates
+A(t) / a(t) by Horner's rule from the one packed coefficient tensor of a and
+A (`_coefficient_arrays`) that the continuation reads too.
 `continuation_callable`, the one continuation engine, carries a period
 vector along a path in complex t and returns the dense solution. Each
 segment is one `solve_ivp` run of Taylor steps: a and A are shifted to the
@@ -42,8 +44,9 @@ step's start by synthetic division, and the Taylor coefficients of I follow
 from the linear recurrence of a I' = A I (Chudnovsky and Chudnovsky, 1990;
 van der Hoeven, "Fast evaluation of holonomic functions", TCS 210, 1999).
 The step is half the distance to the nearest pole disc, halved again until
-the series meets its tail test, and the series is the dense output. The
-tail test is a-posteriori; no enclosure is claimed.
+the series meets its tail test, and the series, summed by the same Horner
+rule, is the dense output. The tail test is a-posteriori; no enclosure is
+claimed.
 """
 
 from __future__ import annotations
@@ -532,34 +535,26 @@ def periods_of_system(sys: PFSystem, cycle: CyclePolyline) -> PeriodSample:
 # -- continuation of the period system ---------------------------------------------
 
 
-def _coefficient_arrays(sys: PFSystem):
-    """The coefficients of a(t) and of the entries of A(t), lowest power
-    first, in complex128: a vector for a and one zero-padded (deg A + 1, n, n)
-    tensor for A."""
+def _coefficient_arrays(sys: PFSystem) -> np.ndarray:
+    """The packed coefficient tensor of the system: the coefficients of a(t)
+    (column 0) and of the entries of A(t), row by row (columns 1..n^2), lowest
+    power first, zero-padded to a common length, in complex128."""
     n = sys.dim
-    acoef = np.array([complex(c) for c in sys.a.univariate_coeffs("t")], dtype=complex)
-    Acoef = np.zeros((max(sys.A.max_degree(), 0) + 1, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if not sys.A[i, j].is_zero:
-                for k, c in enumerate(sys.A[i, j].univariate_coeffs("t")):
-                    Acoef[k, i, j] = complex(c)
-    return acoef, Acoef
+    entries = [sys.a] + [sys.A[i, j] for i in range(n) for j in range(n)]
+    coefs = np.zeros((max(sys.a.degree(), sys.A.max_degree()) + 1, 1 + n * n), dtype=complex)
+    for col, p in enumerate(entries):
+        if not p.is_zero:
+            for k, c in enumerate(p.univariate_coeffs("t")):
+                coefs[k, col] = complex(c)
+    return coefs
 
 
-def _matrix_evaluator(sys: PFSystem):
-    """t -> A(t) / a(t): Horner's rule over the coefficient tensor of A,
-    highest power first, in np.polyval's order, and np.polyval for a."""
-    acoef, Acoef = _coefficient_arrays(sys)
-    acoef, coefs = acoef[::-1], Acoef[::-1]
-
-    def rhs_matrix(t: complex):
-        M = np.zeros(coefs.shape[1:], dtype=complex)
-        for c in coefs:
-            M = M * t + c
-        return M / np.polyval(acoef, t)
-
-    return rhs_matrix
+def _horner(rows: np.ndarray, x) -> np.ndarray:
+    """sum_k rows[k] x^k by Horner's rule, highest power first."""
+    v = rows[-1]
+    for row in rows[-2::-1]:
+        v = v * x + row
+    return v
 
 
 def _taylor_shift(coefs: np.ndarray, t0: complex) -> np.ndarray:
@@ -625,11 +620,7 @@ class TaylorSolution:
         by two pieces takes the earlier one."""
         k = min(max(int(np.searchsorted(self.starts, s, side="left")) - 1, 0), len(self.terms) - 1)
         x = (s - self.starts[k]) / self.steps[k]
-        c = self.terms[k]
-        v = c[-1]
-        for row in c[-2::-1]:
-            v = v * x + row
-        return v
+        return _horner(self.terms[k], x)
 
 
 def solve_ivp(coefs: np.ndarray, a: complex, b: complex, discs, y0: np.ndarray) -> TaylorSolution:
@@ -688,10 +679,7 @@ def continuation_callable(sys: PFSystem, path: list[complex], initial: PeriodSam
             dist = _dist_point_segment(p, a, b)
             if dist < PATH_MARGIN or dist <= r:
                 raise PathTooClose(f"path segment {k} passes within {max(PATH_MARGIN, r)} of a pole")
-    acoef, Acoef = _coefficient_arrays(sys)
-    coefs = np.zeros((max(len(acoef), len(Acoef)), 1 + sys.dim**2), dtype=complex)
-    coefs[: len(acoef), 0] = acoef
-    coefs[: len(Acoef), 1:] = Acoef.reshape(len(Acoef), -1)
+    coefs = _coefficient_arrays(sys)
     sols = []
     yvec = np.array(initial.periods, dtype=complex)
     for k in range(len(path) - 1):
@@ -766,7 +754,7 @@ def residual_check(sys: PFSystem, t_samples: list[float]) -> list[ResidualReport
     at t +- h are the nodes of the base cycle projected onto those levels,
     and all three are refined in lockstep.
     """
-    rhs_matrix = _matrix_evaluator(sys)
+    coefs = _coefficient_arrays(sys)
     reports = []
     for t in t_samples:
         if sys.singular.is_near(complex(t)):
@@ -778,7 +766,8 @@ def residual_check(sys: PFSystem, t_samples: list[float]) -> list[ResidualReport
         )
         I, I_p, I_m = (np.array(v) for v in vals)
         Ip = (I_p - I_m) / (2 * h)
-        MI = rhs_matrix(t) @ I
+        v = _horner(coefs, t)
+        MI = (v[1:].reshape(sys.dim, sys.dim) / v[0]) @ I
         num = np.linalg.norm(Ip - MI)
         den = np.linalg.norm(MI) + 1e-30
         reports.append(

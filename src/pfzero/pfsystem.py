@@ -9,14 +9,14 @@ A / a = K^(-1) (L - K') over the rational functions, cleared to a polynomial
 matrix over a single monic denominator a(t). The result is certified by the
 polynomial identity K A = a (L - K').
 
-Scalar equations for single components use the iterated rows
-a^j I_m^(j) = r_j I, generated lazily by the row recurrence r_0 = e_m,
-r_{j+1} = a r_j' + r_j (A - j a' Id) (row m of the matrix recurrence; the
-other rows are never needed). One incremental fraction-free elimination
-stops at the first row that depends on the earlier ones over the rational
-functions and yields the monic equation. Appending the row
-I0' = mu^T (A/a) I gives the equation satisfied by an arbitrary combination
-of the basis periods, whose solutions always include the constants.
+Every scalar equation comes from the iterated rows a^j y^(j) = r_j I of a
+combination y = r_0 I, generated lazily by the row recurrence
+r_{j+1} = a r_j' + r_j (A - j a' Id). One incremental fraction-free
+elimination stops at the first row that depends on the earlier ones over the
+rational functions and yields the monic equation. A component I_m starts at
+e_m. A combination I0 = mu . I starts at mu and drops that row, since the
+constants leave I0 free: the rows from r_1 on give the equation of I0', and
+raising every derivative by one gives that of I0.
 
 Everything after the Petrov solves is a polynomial in t alone, so it runs on
 the dense kernel `poly._Dense`: the product adj(K) (L - K'), the content
@@ -27,7 +27,7 @@ reduction of the coefficients. `MultiPoly` stays at the boundaries:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -197,14 +197,15 @@ def _dense(M: PolyMatrix) -> list[list[_Dense]]:
     return [[_Dense.from_poly(e) for e in row] for row in M.entries]
 
 
-def _iterated_rows(A: PolyMatrix, a: MultiPoly, m_index: int) -> Iterator[list[_Dense]]:
-    """Rows r_j with a^j I_m^(j) = r_j I for j = 0, 1, ..., generated lazily
-    and without end: r_0 = e_m, r_{j+1} = a r_j' + r_j (A - j a' Id)."""
+def _iterated_rows(A: PolyMatrix, a: MultiPoly, start: Sequence[Fraction]) -> Iterator[list[_Dense]]:
+    """Rows r_j with a^j y^(j) = r_j I for y = start . I and j = 0, 1, ...,
+    generated lazily and without end: r_0 = start,
+    r_{j+1} = a r_j' + r_j (A - j a' Id)."""
     n = A.rows
     Ad = _dense(A)
     ad = _Dense.from_poly(a)
     ap = ad.derive()
-    r = [_Dense.const(1 if i == m_index else 0) for i in range(n)]
+    r = [_Dense.const(v) for v in start]
     j = 0
     while True:
         yield r
@@ -220,14 +221,10 @@ def _iterated_rows(A: PolyMatrix, a: MultiPoly, m_index: int) -> Iterator[list[_
         j += 1
 
 
-def _scalar_from_matrix(
-    A: PolyMatrix,
-    a: MultiPoly,
-    m_index: int,
-    singular: SingularSet | None,
-) -> ScalarODE:
-    # D r_k = sum_l num_l r_l, so I^(k) = sum_l (num_l / (D a^(k-l))) I^(l)
-    k, D, num = first_dependence(_iterated_rows(A, a, m_index))
+def _scalar_from_rows(rows: Iterator[list[_Dense]], a: MultiPoly, singular: SingularSet) -> ScalarODE:
+    """The monic equation of z from rows a^(j+s) z^(j) = r_j I, any fixed s:
+    D r_k = sum_l num_l r_l, so z^(k) = sum_l (num_l / (D a^(k-l))) z^(l)."""
+    k, D, num = first_dependence(rows)
     ad = _Dense.from_poly(a)
     coeffs = []
     a_power = ad
@@ -246,34 +243,18 @@ def derive_scalar_ode(sys: PFSystem, m: int) -> ScalarODE:
     """Monic scalar equation for the m-th basis period (m is 1-based)."""
     if not 1 <= m <= sys.dim:
         raise ValueError(f"component {m} out of range 1..{sys.dim}")
-    return _scalar_from_matrix(sys.A, sys.a, m - 1, sys.singular)
+    rows = _iterated_rows(sys.A, sys.a, [1 if i == m - 1 else 0 for i in range(sys.dim)])
+    return _scalar_from_rows(rows, sys.a, sys.singular)
 
 
 def augment_and_reduce(sys: PFSystem, mu: list[Fraction]) -> ScalarODE:
-    """Scalar equation for I0 = sum mu_l I_l via the augmented system.
-
-    The augmented matrix carries I0 in component 0; its equation has order at
-    most dim + 1 and constants are always solutions (the coefficient of y in
-    the result vanishes identically).
-    """
-    n = sys.dim
-    if len(mu) != n:
-        raise ValueError(f"mu must have {n} entries")
-    mu = [Fraction(v) for v in mu]
-    zero = MultiPoly.zero()
-    top = [zero] + [
-        sum(
-            (MultiPoly.const(mu[l]) * sys.A[l, j] for l in range(n)),
-            start=zero,
-        )
-        for j in range(n)
-    ]
-    rows = [top]
-    for i in range(n):
-        rows.append([zero] + sys.A.row(i))
-    Ahat = PolyMatrix(rows)
-    ode = _scalar_from_matrix(Ahat, sys.a, 0, sys.singular)
-    const_coeff = ode.coeffs[-1]
-    if not const_coeff.is_zero:
-        raise CertificateFailed("constants are not annihilated by the augmented equation")
-    return ode
+    """Scalar equation for I0 = sum mu_l I_l: that of I0', from the rows after
+    r_0 = mu, with every derivative raised by one. Its order is at most
+    dim + 1 and its coefficient of y is zero, so the constants solve it."""
+    if len(mu) != sys.dim:
+        raise ValueError(f"mu must have {sys.dim} entries")
+    rows = _iterated_rows(sys.A, sys.a, mu)
+    next(rows)
+    ode = _scalar_from_rows(rows, sys.a, sys.singular)
+    zero = RatFunc(MultiPoly.zero(), MultiPoly.const(1))
+    return replace(ode, order=ode.order + 1, coeffs=ode.coeffs + (zero,))

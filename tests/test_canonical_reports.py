@@ -6,13 +6,16 @@ must stay byte-identical across refactors of the exact core, and the
 calculators: exact digits, floats that overflow to null, exponents too large
 to form, negative and fractional constants, heights below and just above rho.
 Each case pins the sha256 of the report that `pfzero` prints for one command
-line.
+line. Three of the benchmark's quartics are checked against the benchmark's
+own reference digests, so that a change which moves them fails here too.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from perfbench.workloads import DIGESTS, EXACT_COMMANDS, digest_key, quartic
 from pfzero.cli import main
 from tests.conftest import H4
 
@@ -104,3 +107,16 @@ def test_report_is_byte_identical(capsys, argv, digest):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+BENCH_QUARTICS = [(1, -2), (-3, -3), (2, 3)]
+BENCH_CASES = [(command, extra, u, v) for u, v in BENCH_QUARTICS for _kind, command, extra in EXACT_COMMANDS]
+
+
+@pytest.mark.parametrize(
+    "command, extra, u, v", BENCH_CASES, ids=[digest_key(c, u, v) for c, _e, u, v in BENCH_CASES]
+)
+def test_benchmark_quartic_report_keeps_its_digest(capsys, command, extra, u, v):
+    assert main([command, *extra, "-H", quartic(u, v)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == json.loads(DIGESTS.read_text())[digest_key(command, u, v)]

@@ -61,6 +61,19 @@ class TestExitCodes:
         assert code == 3
         assert err.splitlines() == ["error[InfeasibleClearance]: segment too close to the outer frame"]
 
+    @pytest.mark.parametrize("config", [None, '{"command": "count-zeros", "hamiltonian": "x^2+y^2", "mode": "numeric"}'])
+    def test_numeric_mode_is_gone(self, capsys, tmp_path, config):
+        # --mode both gives the numeric count along with the bound, which is
+        # always computed, so a numeric-only mode would be the same job
+        argv = ("count-zeros", "-H", "x^2+y^2", "--domain", "disc:0.5,0,0.3", "--rho", "0.1", "--mode", "numeric")
+        if config is not None:
+            path = tmp_path / "job.json"
+            path.write_text(config)
+            argv = ("--config", str(path))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.splitlines()[-1].startswith("error[UsageError]: ")
+
     @pytest.mark.parametrize(
         "argv, config",
         [

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from pfzero import hamiltonian
 from pfzero.errors import NonIsolatedCritical, NotRegularAtInfinity, UnsupportedDegree
 from pfzero.hamiltonian import (
     Hamiltonian,
@@ -13,8 +14,8 @@ from pfzero.hamiltonian import (
     monomial_basis,
     yun_squarefree_decomposition,
 )
-from pfzero.poly import MultiPoly, parse_polynomial
-from tests.conftest import random_regular_hamiltonian
+from pfzero.poly import MultiPoly, parse_polynomial, resultant
+from tests.conftest import Q4, random_regular_hamiltonian
 
 P = parse_polynomial
 
@@ -129,6 +130,21 @@ class TestCriticalValues:
             assert len(scaled.values) == len(base.values)
             for v in base.values:
                 assert min(abs(w.value / float(c) - v.value) for w in scaled.values) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "text, calls",
+        [("x^2 + y^2 + x^3 - 3*x*y^2", 4), ("x^2*y + x*y^2 + x*y", 2), ("x^3 - x*y^2 + y", 4), (Q4, 4)],
+        ids=["oval-cubic", "split-cubic", "branch-cubic", "Q4"],
+    )
+    def test_routes_that_must_vanish_are_skipped(self, monkeypatch, text, calls):
+        # Res_y(Hx, Hy) and Res_x(Hx, Hy), then two per route built. A route
+        # whose eliminant shares a root with the content of its partial
+        # gives T = 0 and is skipped: the y-eliminating route of the oval
+        # cubic, where Hy = 2 y (1 - 3 x), and both routes of the split cubic
+        made = []
+        monkeypatch.setattr(hamiltonian, "resultant", lambda *a: made.append(a) or resultant(*a))
+        critical_values(H(text))
+        assert len(made) == calls
 
 
 class TestPartials:

@@ -16,7 +16,8 @@ from pfzero.hamiltonian import Hamiltonian, critical_values
 from pfzero.numerics import (
     PeriodSample,
     _at_level,
-    _matrix_evaluator,
+    _coefficient_arrays,
+    _horner,
     _moments,
     _richardson_periods,
     branch_point_cycle,
@@ -199,12 +200,13 @@ def _scipy_segments(sysm, path, y):
     the one before."""
     from scipy.integrate import solve_ivp as reference
 
-    rhs_matrix = _matrix_evaluator(sysm)
+    coefs, n = _coefficient_arrays(sysm), sysm.dim
     sols = []
     for a, b in zip(path, path[1:]):
 
         def rhs(s, v, a=a, dt=b - a):
-            return dt * (rhs_matrix(a + s * dt) @ v)
+            w = _horner(coefs, a + s * dt)
+            return dt * ((w[1:].reshape(n, n) / w[0]) @ v)
 
         sol = reference(
             rhs, (0.0, 1.0), y, method="DOP853", dense_output=True, rtol=1e-12, atol=1e-14 * np.max(np.abs(y))
@@ -308,6 +310,93 @@ class TestContinuationGuard:
     @pytest.mark.parametrize("text, domain, count", ZEROS_CUBIC_JOBS)
     def test_numeric_count_of_the_benchmark_jobs(self, capsys, text, domain, count):
         assert _count_zeros(capsys, text, domain)["numeric_count"] == count
+
+
+OVAL_CUBIC = "x^2 + y^2 + x^3 - 3*x*y^2"
+
+
+def _mu_count(capsys, text, mu, domain, rho):
+    """numeric_count of count-zeros --mode both for the combination mu . I."""
+    argv = ["count-zeros", "-H", text, f"--mu={mu}", "--mode", "both", "--domain", domain, "--rho", rho]
+    assert main(argv + ["--tol", "1e-3"]) == 0
+    return json.loads(capsys.readouterr().out)["numeric_count"]
+
+
+def _oracle_around(sysm, centre, radius):
+    """The 48-gon of count-zeros around the disc, and quadrature periods at
+    its vertices and chord midpoints (s = k/96) to RESIDUAL_REL_TOL, of the
+    cycle at the first vertex carried from level to level."""
+    path = [centre + radius * cmath.exp(2j * math.pi * k / 48) for k in range(49)]
+    cycles = [make_cycle(sysm.hamiltonian, path[0], sysm.singular)]
+    for k in range(1, 96):
+        t = path[k // 2] if k % 2 == 0 else (path[k // 2] + path[k // 2 + 1]) / 2
+        cycles.append(_at_level(cycles[-1], t))
+    vals, _errs = _richardson_periods(cycles, sysm.forms, numerics.RESIDUAL_REL_TOL)
+    return path, [np.array(v) for v in vals]
+
+
+def _continued_periods(sysm, path, periods) -> float:
+    """The largest deviation of the continuation, from the first oracle
+    sample, from the others, relative to the largest period. The Taylor tail
+    test stops at 1e-12 of the periods, and the oracle's error estimates on
+    the discs below stay under 3e-12."""
+    f = continuation_callable(sysm, path, PeriodSample(t=path[0], periods=tuple(periods[0]), error_estimate=0.0))
+    scale = max(np.max(np.abs(p)) for p in periods)
+    return max(np.max(np.abs(f(k / 96) - p)) for k, p in enumerate(periods)) / scale
+
+
+def _winding(values) -> float:
+    """Turns of a closed sequence of nonzero values about 0, each step the
+    principal angle."""
+    return sum(cmath.phase(b / a) for a, b in zip(values, values[1:] + values[:1])) / (2 * math.pi)
+
+
+class TestPlantedZeros:
+    """Nonzero counts through the continuation, the expected count taken from
+    quadrature periods alone, which the continuation also has to match along
+    the 48-gon."""
+
+    @pytest.fixture(scope="class")
+    def oval_loop(self):
+        sysm = assemble_pf_system(Hamiltonian.from_poly(P(OVAL_CUBIC)))
+        return (sysm, *_oracle_around(sysm, 0.075, 0.03))
+
+    @pytest.mark.parametrize("mu, count", [("1,0,0,-47", 1), ("1,0,0,-30", 0)], ids=["planted", "control"])
+    def test_oval_cubic_on_the_real_diameter(self, capsys, oval_loop, mu, count):
+        # the oval periods are real on the real axis, and mu . I changes sign
+        # on the diameter once for the planted mu and never for the control
+        sysm, path, periods = oval_loop
+        H = sysm.hamiltonian
+        weights = [int(m) for m in mu.split(",")]
+        signs = []
+        for t in np.linspace(0.045, 0.105, 13):
+            I = periods_of_system(sysm, make_cycle(H, float(t), sysm.singular)).periods
+            signs.append(np.sign(np.dot(weights, I).real))
+        assert np.count_nonzero(np.diff(signs)) == count
+        assert round(_winding([np.dot(weights, p) for p in periods])) == count
+        assert _continued_periods(sysm, path, periods) <= 1e-10
+        assert _mu_count(capsys, OVAL_CUBIC, mu, "disc:0.075,0,0.03", "0.01") == count
+
+    def test_branch_cubic_zero_at_the_centre(self, capsys):
+        # mu = (1, 0, m3, m4) rational and orthogonal to Re I and Im I at the
+        # centre up to rounding, with I the periods of the cycle carried there
+        # from the first vertex of the 48-gon
+        H = Hamiltonian.from_poly(P(BRANCH_CUBIC))
+        sysm = assemble_pf_system(H)
+        centre, radius = 0.2 + 0.1j, 0.15
+        path, periods = _oracle_around(sysm, centre, radius)
+        cyc = make_cycle(H, path[0], sysm.singular)
+        for u in np.linspace(0.0, 1.0, 9)[1:]:
+            cyc = _at_level(cyc, path[0] + u * (centre - path[0]))
+        I = np.array(periods_of_system(sysm, cyc).periods)
+        m3, m4 = np.linalg.solve([[I[2].real, I[3].real], [I[2].imag, I[3].imag]], [-I[0].real, -I[0].imag])
+        mu = [Fraction(1), Fraction(0)] + [Fraction(float(m)).limit_denominator(1000) for m in (m3, m4)]
+        weights = [float(m) for m in mu]
+        assert abs(np.dot(weights, I)) <= 1e-4 * np.max(np.abs(I))
+        assert round(_winding([np.dot(weights, p) for p in periods])) == 1
+        assert _continued_periods(sysm, path, periods) <= 1e-10
+        domain = f"disc:{centre.real},{centre.imag},{radius}"
+        assert _mu_count(capsys, BRANCH_CUBIC, ",".join(map(str, mu)), domain, "0.1") == 1
 
 
 class TestResiduals:

@@ -139,11 +139,11 @@ class TestBatch:
         f2 = euler_multiplier(H) ** 2
         for ell, w in enumerate(forms):
             [dec_k] = petrov_decompose([w.scale(f2)], H, forms)
-            assert list(dec_k.coeffs) == sysm.K.row(ell)
+            assert list(dec_k.coeffs) == sysm.K.entries[ell]
             [alpha] = gelfand_leray_rhs(H, [w])
             assert alpha.degree == sysm.gl_cofactor_degrees[ell]
             [dec_l] = petrov_decompose([alpha], H, forms)
-            assert list(dec_l.coeffs) == sysm.L.row(ell)
+            assert list(dec_l.coeffs) == sysm.L.entries[ell]
 
     def test_ideal_batch_with_mixed_cofactor_degrees(self, rng):
         H = Hamiltonian.from_poly(P("x^3 - x*y^2 + y"))

@@ -17,6 +17,7 @@ from pfzero.pfsystem import (
     make_basis_forms,
     _as_tpoly,
     _iterated_rows,
+    _scalar_from_rows,
 )
 from pfzero.poly import MultiPoly, parse_polynomial
 from tests.conftest import H4, Q4, random_regular_hamiltonian
@@ -169,7 +170,7 @@ class TestD3System:
         _, sys3 = d3
         bound = max(sys3.a.degree(), sys3.A.max_degree())
         n = sys3.dim
-        rows = itertools.islice(_iterated_rows(sys3.A, sys3.a, 0), n + 2)  # r_0 .. r_{n+1}
+        rows = itertools.islice(_iterated_rows(sys3.A, sys3.a, [1] + [0] * (n - 1)), n + 2)  # r_0 .. r_{n+1}
         for j, row in enumerate(rows):
             degs = [e.degree() for e in row if not e.is_zero]
             if degs:
@@ -221,3 +222,34 @@ class TestRandomSystems:
             aug = augment_and_reduce(sysm, mu)
             assert aug.coeffs[-1].is_zero
             assert aug.order <= sysm.dim + 1
+
+
+def augmented_reference(sysm, mu):
+    """The mu-equation the long way: the system extended by I0' = mu^T (A/a) I
+    in component 0, reduced as the equation of that component."""
+    n, zero = sysm.dim, MultiPoly.zero()
+    top = [zero] + [sum((MultiPoly.const(m) * sysm.A[l, j] for l, m in enumerate(mu)), zero) for j in range(n)]
+    Ahat = PolyMatrix([top] + [[zero] + [sysm.A[i, j] for j in range(n)] for i in range(n)])
+    return _scalar_from_rows(_iterated_rows(Ahat, sysm.a, [1] + [0] * n), sysm.a, sysm.singular)
+
+
+class TestMuEquationMatchesTheAugmentedSystem:
+    # the rows from mu on follow the same elimination as the augmented rows
+    # after their inert pivot on e_0, so order, coefficients and pole discs
+    # agree exactly
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got == want and got.coeffs[-1].is_zero
+
+    @pytest.mark.parametrize("text", ["x^2+y^2", "x^3 - x*y^2 + y", "x^2 + y^2 + x^3 - 3*x*y^2"])
+    def test_random_rational_mu(self, rng, text):
+        sysm = assemble_pf_system(Hamiltonian.from_poly(P(text)))
+        mus = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(sysm.dim)] for _ in range(4)]
+        for mu in mus + [[Fraction(0)] * sysm.dim, [Fraction(1)] + [Fraction(0)] * (sysm.dim - 1)]:
+            self.assert_same(augment_and_reduce(sysm, mu), augmented_reference(sysm, mu))
+
+    def test_quartic(self):
+        sysm = assemble_pf_system(Hamiltonian.from_poly(P(Q4)))
+        mu = [Fraction(1), Fraction(0), Fraction(-1, 2)] + [Fraction(0)] * (sysm.dim - 3)
+        self.assert_same(augment_and_reduce(sysm, mu), augmented_reference(sysm, mu))
