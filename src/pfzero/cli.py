@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .errors import PfzeroError, UsageError
-from .hamiltonian import Hamiltonian, critical_values, is_regular_at_infinity, monomial_basis
+from .errors import InvalidRho, PfzeroError, UsageError
+from .hamiltonian import Hamiltonian, SingularSet, critical_values, is_regular_at_infinity, monomial_basis
 from .linalg import RatFunc
 from .numerics import (
     continuation_callable,
@@ -128,16 +128,14 @@ def _ratfunc_to_json(c: RatFunc) -> dict:
     return {"num": c.num.to_text(), "den": c.den.to_text()}
 
 
-def _ode_to_json(ode: ScalarODE) -> dict:
+def _ode_to_json(ode: ScalarODE, singular: SingularSet) -> dict:
     return {
         "kind": "scalar-ode",
         "order": ode.order,
         "coeffs": [_ratfunc_to_json(c) for c in ode.coeffs],
         "ode_text": ode.to_text(),
         "pole_set": _values_to_json(ode.pole_set),
-        "true_singularities": _values_to_json(ode.true_singularities.values)
-        if ode.true_singularities is not None
-        else None,
+        "true_singularities": _values_to_json(singular.values),
     }
 
 
@@ -171,6 +169,8 @@ def _parse_region(spec: str) -> Disc | Polygon:
         if len(parts) != 3:
             raise UsageError("disc domain takes disc:cx,cy,r")
         cx, cy, r = parts
+        if r <= 0:
+            raise UsageError(f"disc radius must be positive, got {r!r}")
         return Disc(complex(cx, cy), r)
     if spec.startswith("poly:"):
         verts = []
@@ -181,6 +181,12 @@ def _parse_region(spec: str) -> Disc | Polygon:
             verts.append(complex(xy[0], xy[1]))
         if len(verts) < 3:
             raise UsageError("polygon needs at least three vertices")
+        if any(a == b for a, b in zip(verts, verts[1:] + verts[:1])):
+            raise UsageError("polygon repeats a vertex in consecutive places")
+        w = [v - verts[0] for v in verts]
+        cross = [(a.conjugate() * b).imag for a, b in zip(w, w[1:])]  # sums to twice the signed area
+        if abs(math.fsum(cross)) <= 1e-12 * math.fsum(map(abs, cross)):
+            raise UsageError("polygon has zero signed area")
         return Polygon(tuple(verts))
     raise UsageError(f"unknown domain spec {spec!r}")
 
@@ -219,7 +225,7 @@ def _cmd_analyze(cfg: JobConfig) -> dict:
         "regular_at_infinity": regular,
         "critical_values": _values_to_json(sing.values),
         "critical_point_count": sing.count_with_multiplicity,
-        "atypical_warning": sing.may_miss_atypical,
+        "atypical_warning": not regular,
     }
     basis = monomial_basis(H)  # raises NotRegularAtInfinity when not regular
     payload["basis"] = [{"a": a, "b": b} for a, b in basis.monomials]
@@ -278,8 +284,8 @@ def _make_ode(cfg: JobConfig):
 
 
 def _cmd_scalar_ode(cfg: JobConfig) -> dict:
-    _H, _sysm, ode = _make_ode(cfg)
-    return _ode_to_json(ode)
+    _H, sysm, ode = _make_ode(cfg)
+    return _ode_to_json(ode, sysm.singular)
 
 
 def _cmd_count_zeros(cfg: JobConfig) -> dict:
@@ -290,11 +296,15 @@ def _cmd_count_zeros(cfg: JobConfig) -> dict:
             file=sys.stderr,
         )
     domain_spec = cfg.domain or DEFAULT_DOMAIN
-    rho = float(_parse_fraction(cfg.rho)) if cfg.rho else DEFAULT_RHO
+    q = _parse_fraction(cfg.rho) if cfg.rho else Fraction(DEFAULT_RHO)
+    # zero_count_bound hands the calculators rho rounded to a denominator of at most 10^9
+    if not 0 < q < 1 or not 0 < Fraction(float(q)).limit_denominator(10**9) < 1:
+        raise InvalidRho(f"rho must lie in (0, 1), also when rounded to a denominator of 10^9; got {cfg.rho}")
+    rho = float(q)
     region = _parse_region(domain_spec)
     rays = _parse_rays(cfg.rays)
     H, sysm, ode = _make_ode(cfg)
-    dom = simple_domain(ode.true_singularities, rays, region, rho, cfg.relaxed_bounds)
+    dom = simple_domain(sysm.singular, rays, region, rho, cfg.relaxed_bounds)
     numeric_fn = None
     if cfg.mode == "both":
         region = dom.region

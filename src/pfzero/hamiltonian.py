@@ -26,6 +26,7 @@ from .linalg import solve_sparse_exact
 from .poly import MultiPoly, _Dense, poly_gcd, resultant
 
 DEFAULT_ISOLATION_RADIUS = 1e-10
+CRITICAL_POINT_TOL = 1e-8  # relative size below which a polynomial value counts as zero
 
 
 # -- basic objects ---------------------------------------------------------
@@ -57,19 +58,19 @@ class CriticalValue:
 
 @dataclass(frozen=True)
 class SingularSet:
-    """Isolated singular values with certified-style radii.
+    """The affine critical values of H with certified-style radii.
 
-    `count_with_multiplicity` counts the distinct critical points found in the
-    plane; `may_miss_atypical` is raised for Hamiltonians that are not regular
-    at infinity, where atypical values can exceed the critical ones.
-    `extrema` lists the real critical points (x, y) whose Hessian determinant
-    is nonnegative up to rounding: the local extrema and degenerate points.
-    No report writes it.
+    For H regular at infinity these are all its singular values. For any
+    other H atypical values at infinity can add to them; they are not
+    searched for, and whether H is regular is `is_regular_at_infinity`'s to
+    tell. `count_with_multiplicity` counts the distinct critical points found
+    in the plane. `extrema` lists the real critical points (x, y) whose
+    Hessian determinant is nonnegative up to rounding: the local extrema and
+    degenerate points. No report writes it.
     """
 
     values: tuple[CriticalValue, ...]
     count_with_multiplicity: int
-    may_miss_atypical: bool = False
     extrema: tuple[tuple[float, float], ...] = ()
 
     def points(self) -> list[complex]:
@@ -85,7 +86,6 @@ class MonomialBasis:
 
     monomials: tuple[tuple[int, int], ...]
     leading_term_diagram: tuple[tuple[int, int], ...]
-    degree: int  # degree of the Hamiltonian this basis belongs to
 
 
 # -- highest part and regularity --------------------------------------------
@@ -155,11 +155,7 @@ def monomial_basis(H: Hamiltonian) -> MonomialBasis:
         raise NotRegularAtInfinity(
             f"quotient dimension {len(monos)} != {(d - 1) ** 2}"
         )
-    return MonomialBasis(
-        monomials=tuple(monos),
-        leading_term_diagram=tuple(sorted(corners)),
-        degree=d,
-    )
+    return MonomialBasis(monomials=tuple(monos), leading_term_diagram=tuple(sorted(corners)))
 
 
 # -- univariate root isolation -------------------------------------------------
@@ -173,7 +169,7 @@ def yun_squarefree_decomposition(p: MultiPoly, var: str) -> list[tuple[MultiPoly
     df = f.derive()
     g = f.gcd(df)
     if g.is_constant():
-        return [(p.monic(), 1)]
+        return [(f.monic().to_poly(var), 1)]
     w = f.exact_div(g)
     y = df.exact_div(g)
     z = y - w.derive()
@@ -194,9 +190,9 @@ def yun_squarefree_decomposition(p: MultiPoly, var: str) -> list[tuple[MultiPoly
     return out
 
 
-def _newton_polish(coeffs: np.ndarray, z: complex, steps: int = 40) -> complex:
+def _newton_polish(coeffs: np.ndarray, z: complex) -> complex:
     dcoeffs = np.array([k * coeffs[k] for k in range(1, len(coeffs))], dtype=complex)
-    for _ in range(steps):
+    for _ in range(40):
         pv = np.polyval(coeffs[::-1], z)
         dv = np.polyval(dcoeffs[::-1], z)
         if dv == 0:
@@ -264,17 +260,16 @@ def _abs_poly(p: MultiPoly) -> MultiPoly:
     return MultiPoly(p.vars, {e: abs(c) for e, c in p.terms.items()})
 
 
-def _numeric_critical_points(
-    H: Hamiltonian, res_y: MultiPoly, tol: float = 1e-8
-) -> list[tuple[complex, complex]]:
+def _numeric_critical_points(H: Hamiltonian, res_y: MultiPoly) -> list[tuple[complex, complex]]:
     """Critical points of H, polished by Newton from the roots x* of
     res_y = Res_y(Hx, Hy) and the roots in y of Hx(x*, y) and Hy(x*, y).
 
     Both numeric tests are relative to the size of the evaluated terms, so
     scaling H by a constant scales the critical values and nothing else: a
-    polynomial q(x*, y) counts as zero when its coefficients are below tol
-    times the terms of q at (|x*|, 1), and a polished point is kept when Hx
-    and Hy there are below tol times their own terms.
+    polynomial q(x*, y) counts as zero when its coefficients are below
+    CRITICAL_POINT_TOL times the terms of q at (|x*|, 1), and a polished
+    point is kept when Hx and Hy there are below CRITICAL_POINT_TOL times
+    their own terms.
     """
     hx, hy = H.hx, H.hy
     newton = (hx, hy, hx.derive("x"), hx.derive("y"), hy.derive("x"), hy.derive("y"))
@@ -287,7 +282,7 @@ def _numeric_critical_points(
             # roots of q(x*, .) in y
             qc = [q.coeff_in_var("y", k).eval_complex({"x": xv}) for k in range(q.degree_in("y") + 1)]
             arr = np.array(qc, dtype=complex)
-            if np.all(np.abs(arr) <= tol * q_size.eval_complex({"x": abs(xv), "y": 1}).real):
+            if np.all(np.abs(arr) <= CRITICAL_POINT_TOL * q_size.eval_complex({"x": abs(xv), "y": 1}).real):
                 continue
             while len(arr) > 1 and arr[-1] == 0:
                 arr = arr[:-1]
@@ -298,18 +293,21 @@ def _numeric_critical_points(
         for yv in cands:
             xr, yr = _newton_2d(newton, xv, yv)
             at, at_abs = {"x": xr, "y": yr}, {"x": abs(xr), "y": abs(yr)}
-            if all(abs(f.eval_complex(at)) <= tol * g.eval_complex(at_abs).real for f, g in zip(newton[:2], sizes)):
+            if all(
+                abs(f.eval_complex(at)) <= CRITICAL_POINT_TOL * g.eval_complex(at_abs).real
+                for f, g in zip(newton[:2], sizes)
+            ):
                 if not any(abs(xr - a) + abs(yr - b) < 1e-7 * (1 + abs(xr) + abs(yr)) for a, b in pts):
                     pts.append((xr, yr))
     return pts
 
 
-def _newton_2d(polys, x: complex, y: complex, steps: int = 60):
+def _newton_2d(polys, x: complex, y: complex):
     """Newton iteration on (Hx, Hy) = 0 from (x, y); polys are Hx, Hy, Hxx,
     Hxy, Hyx and Hyy."""
     x = complex(x)
     y = complex(y)
-    for _ in range(steps):
+    for _ in range(60):
         at = {"x": x, "y": y}
         f1, f2, a, b, c, dd = (p.eval_complex(at) for p in polys)
         det = a * dd - b * c
@@ -358,7 +356,6 @@ def _critical_values(H: Hamiltonian) -> SingularSet:
     res = {v: resultant(hx, hy, v) for v in ("y", "x")}
     if res["y"].is_zero or res["x"].is_zero:
         raise NonIsolatedCritical("partials share a nonconstant factor")
-    warn = not is_regular_at_infinity(H)
 
     Ht = H.poly - MultiPoly.var("t")
     candidates: list[CriticalValue] = []
@@ -400,9 +397,4 @@ def _critical_values(H: Hamiltonian) -> SingularSet:
             if a * c - b * b >= -1e-9 * (a * a + b * b + c * c):
                 extrema.append((x.real, y.real))
     merged = merge_close_values(kept)
-    return SingularSet(
-        values=tuple(merged),
-        count_with_multiplicity=len(pts),
-        may_miss_atypical=warn,
-        extrema=tuple(extrema),
-    )
+    return SingularSet(values=tuple(merged), count_with_multiplicity=len(pts), extrema=tuple(extrema))

@@ -27,7 +27,9 @@ since its points solve the quadratic in y directly.
 
 Periods are computed chord-wise with Gauss-Legendre nodes (exact for the
 polygon) and Richardson extrapolation over dyadic refinements of the
-polyline, which converges to the curve integral with an error estimate. Per
+polyline, which converges to the curve integral with an error estimate;
+every period, of a continuation's start and of the residual check alike,
+meets the one relative tolerance PERIOD_REL_TOL. Per
 level, `_moments` forms the chord-point powers once per node and sums them
 into the dx and dy moments of every monomial the forms use, in blocks of at
 most QUAD_BLOCK nodes; a form's period is its coefficients dotted with those
@@ -85,8 +87,7 @@ BBOX_FLOOR = 10.0
 ABS_TOL = 1e-12  # floor for periods that vanish identically
 MAX_LEVELS = 14
 MIN_POINTS = 64
-PERIOD_REL_TOL = 1e-9  # periods of `periods_of_system`
-RESIDUAL_REL_TOL = 1e-12  # periods behind the residual check
+PERIOD_REL_TOL = 1e-12  # periods of `periods_of_system` and of the residual check
 FD_STEP = 1e-5  # central-difference step of the residual check, relative to max(1, |t|)
 
 QUAD_BLOCK = 4096  # most nodes, over all cycles of a stack, in one block of quadrature or refinement
@@ -111,12 +112,9 @@ def _polyline(X, Y) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CyclePolyline:
     """Closed polyline on {H = t}; the edge from the last point back to the
-    first is implicit. points is an (N, 2) complex array of (x, y) rows.
-    closure_gap records the mismatch of the traced loop before it was snapped
-    shut."""
+    first is implicit. points is an (N, 2) complex array of (x, y) rows."""
 
     points: np.ndarray
-    closure_gap: float
     level: complex
     hamiltonian: Hamiltonian
     kind: str = "real"  # "real" oval or "branch" lift
@@ -215,20 +213,12 @@ def trace_cycle(
             if d < 1.5 * h:
                 s = (x - x0) * tx0 + (y - y0) * ty0
                 if abs(s) < h:
-                    gap = _closure_gap(H, t, (x, y), (x0, y0), (tx0, ty0), tol)
-                    if gap > 1e-9 * scale:
+                    if _closure_gap(H, t, (x, y), (x0, y0), (tx0, ty0), tol) > 1e-9 * scale:
                         raise NumericFailure("oval failed to close within tolerance")
                     pts.pop()  # the landing point duplicates the start
                     xy = np.array(pts)
-                    return _orient_ccw(
-                        CyclePolyline(
-                            points=_polyline(xy[:, 0], xy[:, 1]),
-                            closure_gap=gap,
-                            level=complex(t),
-                            hamiltonian=H,
-                            kind="real",
-                        )
-                    )
+                    cyc = CyclePolyline(points=_polyline(xy[:, 0], xy[:, 1]), level=complex(t), hamiltonian=H)
+                    return _orient_ccw(cyc)
         h = min(H_MAX, max(H_MIN, h * min(2.0, max(0.3, TURN_TARGET / max(turn, 1e-12)))))
     raise NotCompactComponent("tracing budget exhausted before the oval closed")
 
@@ -360,21 +350,19 @@ def branch_point_cycle(H: Hamiltonian, t: complex) -> CyclePolyline:
         X, disc, Y = _branch_lift(H, t, contour, thetas)
         closes = abs(disc[0] - disc[-1]) < abs(disc[0] + disc[-1])
         if closes and np.all(np.isfinite(Y)):
-            cyc = CyclePolyline(
-                points=_polyline(X, Y), closure_gap=0.0, level=complex(t), hamiltonian=H, kind="branch"
-            )
+            cyc = CyclePolyline(points=_polyline(X, Y), level=complex(t), hamiltonian=H, kind="branch")
             _assert_on_curve(cyc)
             return cyc
         n_points *= 2
     raise NumericFailure("branch lift did not close; contour may graze a branch point")
 
 
-def _assert_on_curve(cycle: CyclePolyline, tol: float = 1e-9):
+def _assert_on_curve(cycle: CyclePolyline):
     t = cycle.level
     scale = max(1.0, abs(t))
     on_curve = cycle.hamiltonian.poly.eval_complex({"x": cycle.points[:, 0], "y": cycle.points[:, 1]})
     resid = np.max(np.abs(on_curve - t))
-    if resid > tol * scale:
+    if resid > 1e-9 * scale:
         raise NumericFailure(f"cycle points off the level curve by {resid:.2e}")
 
 
@@ -749,7 +737,7 @@ def residual_check(sys: PFSystem, t_samples: list[float]) -> list[ResidualReport
     """Check a(t) I' = A(t) I of sys.hamiltonian against quadrature periods
     at real samples.
 
-    Periods are computed to relative tolerance RESIDUAL_REL_TOL. Derivatives
+    Periods are computed to relative tolerance PERIOD_REL_TOL. Derivatives
     come from central differences with step FD_STEP * max(1, |t|); the cycles
     at t +- h are the nodes of the base cycle projected onto those levels,
     and all three are refined in lockstep.
@@ -762,7 +750,7 @@ def residual_check(sys: PFSystem, t_samples: list[float]) -> list[ResidualReport
         base = make_cycle(sys.hamiltonian, t, sys.singular)
         h = FD_STEP * max(1.0, abs(t))
         vals, _errs = _richardson_periods(
-            [base, _at_level(base, t + h), _at_level(base, t - h)], sys.forms, RESIDUAL_REL_TOL
+            [base, _at_level(base, t + h), _at_level(base, t - h)], sys.forms, PERIOD_REL_TOL
         )
         I, I_p, I_m = (np.array(v) for v in vals)
         Ip = (I_p - I_m) / (2 * h)

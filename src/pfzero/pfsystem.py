@@ -71,16 +71,16 @@ class PFSystem:
 
 @dataclass(frozen=True)
 class ScalarODE:
-    """Monic linear equation y^(n) + coeffs[0] y^(n-1) + ... + coeffs[n-1] y = 0."""
+    """Monic linear equation y^(n) + coeffs[0] y^(n-1) + ... + coeffs[n-1] y = 0
+    of order n = len(coeffs); pole_set holds the roots of the coefficient
+    denominators. The singular set belongs to the system (`PFSystem.singular`)."""
 
-    order: int
     coeffs: tuple[RatFunc, ...]
     pole_set: tuple[CriticalValue, ...]
-    true_singularities: SingularSet | None = None
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.order:
-            raise ValueError("coefficient count must equal the order")
+    @property
+    def order(self) -> int:
+        return len(self.coeffs)
 
     def to_text(self) -> str:
         def dname(k: int) -> str:
@@ -221,7 +221,7 @@ def _iterated_rows(A: PolyMatrix, a: MultiPoly, start: Sequence[Fraction]) -> It
         j += 1
 
 
-def _scalar_from_rows(rows: Iterator[list[_Dense]], a: MultiPoly, singular: SingularSet) -> ScalarODE:
+def _scalar_from_rows(rows: Iterator[list[_Dense]], a: MultiPoly) -> ScalarODE:
     """The monic equation of z from rows a^(j+s) z^(j) = r_j I, any fixed s:
     D r_k = sum_l num_l r_l, so z^(k) = sum_l (num_l / (D a^(k-l))) z^(l)."""
     k, D, num = first_dependence(rows)
@@ -235,8 +235,7 @@ def _scalar_from_rows(rows: Iterator[list[_Dense]], a: MultiPoly, singular: Sing
         if not c_num.is_zero:
             pole_poly = _lcm(pole_poly, c_den)
         a_power = a_power * ad
-    poles = tuple(isolate_roots(pole_poly.to_poly("t"), "t"))
-    return ScalarODE(order=k, coeffs=tuple(coeffs), pole_set=poles, true_singularities=singular)
+    return ScalarODE(coeffs=tuple(coeffs), pole_set=tuple(isolate_roots(pole_poly.to_poly("t"), "t")))
 
 
 def derive_scalar_ode(sys: PFSystem, m: int) -> ScalarODE:
@@ -244,7 +243,7 @@ def derive_scalar_ode(sys: PFSystem, m: int) -> ScalarODE:
     if not 1 <= m <= sys.dim:
         raise ValueError(f"component {m} out of range 1..{sys.dim}")
     rows = _iterated_rows(sys.A, sys.a, [1 if i == m - 1 else 0 for i in range(sys.dim)])
-    return _scalar_from_rows(rows, sys.a, sys.singular)
+    return _scalar_from_rows(rows, sys.a)
 
 
 def augment_and_reduce(sys: PFSystem, mu: list[Fraction]) -> ScalarODE:
@@ -255,6 +254,6 @@ def augment_and_reduce(sys: PFSystem, mu: list[Fraction]) -> ScalarODE:
         raise ValueError(f"mu must have {sys.dim} entries")
     rows = _iterated_rows(sys.A, sys.a, mu)
     next(rows)
-    ode = _scalar_from_rows(rows, sys.a, sys.singular)
+    ode = _scalar_from_rows(rows, sys.a)
     zero = RatFunc(MultiPoly.zero(), MultiPoly.const(1))
-    return replace(ode, order=ode.order + 1, coeffs=ode.coeffs + (zero,))
+    return replace(ode, coeffs=ode.coeffs + (zero,))

@@ -128,8 +128,8 @@ class MultiPoly:
         return MultiPoly((), {(): c} if c else {})
 
     @staticmethod
-    def var(name: str, power: int = 1) -> "MultiPoly":
-        return MultiPoly((name,), {(power,): Fraction(1)})
+    def var(name: str) -> "MultiPoly":
+        return MultiPoly((name,), {(1,): Fraction(1)})
 
     @staticmethod
     def monomial(c, **powers) -> "MultiPoly":
@@ -264,16 +264,6 @@ class MultiPoly:
             raise ValueError("not a constant")
         return next(iter(self.terms.values()))
 
-    def leading(self):
-        """(exponent, coefficient) of the grevlex-leading term."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=grevlex_key)
-        return e, self.terms[e]
-
-    def leading_coeff(self) -> Fraction:
-        return self.leading()[1]
-
     def homogeneous_part(self, deg: int) -> "MultiPoly":
         return MultiPoly(self.vars, {e: c for e, c in self.terms.items() if sum(e) == deg})
 
@@ -301,13 +291,6 @@ class MultiPoly:
         elif self.terms:
             out[0] = self.constant_value()
         return out
-
-    def monic(self) -> "MultiPoly":
-        """Divide by the grevlex-leading coefficient."""
-        if not self.terms:
-            return self
-        lc = self.leading_coeff()
-        return MultiPoly(self.vars, {e: c / lc for e, c in self.terms.items()})
 
     # -- calculus ------------------------------------------------------------
 

@@ -131,12 +131,7 @@ def test_criterion_5_zero_counting_soundness(rng):
     f = lambda s: math.pi * (1 + 0.4 * cmath.exp(2j * math.pi * s))
     w = winding_count([f(k / 64) for k in range(64)], refine=f)
     origin = SingularSet(values=(CriticalValue(0j, 1e-10, 1),), count_with_multiplicity=1)
-    d2_ode = ScalarODE(
-        order=1,
-        coeffs=(RatFunc(MultiPoly.const(-1), t),),
-        pole_set=(CriticalValue(0j, 1e-10, 1),),
-        true_singularities=origin,
-    )
+    d2_ode = ScalarODE(coeffs=(RatFunc(MultiPoly.const(-1), t),), pole_set=(CriticalValue(0j, 1e-10, 1),))
     dom = simple_domain(origin, [-1.0], Disc(1 + 0j, 0.4), 0.5, relaxed_bounds=True)
     rep = zero_count_bound(d2_ode, dom, degree=2)
     ok = w == 0 and rep.total_bound >= 0 and rep.total_bound >= w
@@ -157,12 +152,7 @@ def test_criterion_5_zero_counting_soundness(rng):
         center, radius = 1 + 0j, 0.4
         if any(abs(abs(cv.value - center) - radius) < 0.05 for cv in roots):
             continue
-        ode = ScalarODE(
-            order=1,
-            coeffs=(RatFunc(-p.derive("t"), p),),
-            pole_set=tuple(roots),
-            true_singularities=empty,
-        )
+        ode = ScalarODE(coeffs=(RatFunc(-p.derive("t"), p),), pole_set=tuple(roots))
         dom = simple_domain(empty, [], Disc(center, radius), 0.1, relaxed_bounds=True)
 
         def feval(s, p=p):

@@ -166,8 +166,27 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "domain, rays",
-        [("disc:a,0,0.3", "auto"), ("disc:0.5,0,0.3", "angles:x")],
-        ids=["domain", "rays"],
+        [
+            ("disc:a,0,0.3", "auto"),
+            ("disc:0.5,0,0.3", "angles:x"),
+            # degenerate regions: a radius <= 0, zero signed area, a zero-length edge
+            ("disc:0.5,0,0", "auto"),
+            ("disc:0.5,0,-0.2", "auto"),
+            ("poly:0,0.5;0.1,0.5;0.2,0.5", "auto"),
+            ("poly:0,0;0.1,0.1;0.3,0.3", "auto"),
+            ("poly:0,0;0.2,0;0.2,0;0,0.2", "auto"),
+            ("poly:0,0;0.2,0;0,0.2;0,0", "auto"),
+        ],
+        ids=[
+            "domain",
+            "rays",
+            "zero-radius",
+            "negative-radius",
+            "collinear",
+            "collinear-diagonal",
+            "repeated",
+            "repeated-closing",
+        ],
     )
     def test_domain_is_parsed_before_assembly(self, capsys, monkeypatch, domain, rays):
         def no_assembly(H):
@@ -188,6 +207,33 @@ class TestExitCodes:
         )
         assert code == 1
         assert err.splitlines()[-1].startswith("error[UsageError]: ")
+
+    @pytest.mark.parametrize(
+        "hamiltonian, domain, rho",
+        [
+            ("x^4 + 2*x^2*y^2 + 2*y^4 + x - 2*y", "disc:0.5,0.5,0.1", "1.5"),
+            ("x^2+y^2", "disc:5,0,0.1", "1.5"),
+            ("x^2+y^2", "disc:0.5,0,0.1", "1e-300"),
+            ("x^2+y^2", "disc:0.5,0,0.1", "0"),
+            ("x^2+y^2", "disc:0.5,0,0.1", "-1/2"),
+            ("x^2+y^2", "disc:0.5,0,0.1", "1"),
+            ("x^2+y^2", "disc:0.5,0,0.1", "0.99999999999"),
+            ("x^2+y^2", "disc:0.5,0,0.1", "1e400"),
+        ],
+        ids=["quartic", "circle", "tiny", "zero", "negative", "one", "rounds-to-one", "huge"],
+    )
+    def test_rho_outside_the_unit_interval_is_1_before_assembly(self, capsys, monkeypatch, hamiltonian, domain, rho):
+        # the calculators that end every count-zeros run need 0 < rho < 1 at
+        # their resolution; the message names the rho as given
+        def no_assembly(H):
+            raise RuntimeError("the system must not be assembled for an invalid rho")
+
+        monkeypatch.setattr("pfzero.cli.assemble_pf_system", no_assembly)
+        argv = ["count-zeros", "-H", hamiltonian, "--domain", domain, "--rho", rho, "--relaxed-bounds"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        (line,) = err.splitlines()
+        assert line.startswith("error[InvalidRho]: ") and line.endswith(f"got {rho}")
 
 
 class TestBoundsReport:

@@ -115,10 +115,6 @@ class TestCriticalValues:
                 d = min(abs(moved - w.value) for w in shifted.values)
                 assert d <= max(1e-8, 2 * v.radius)
 
-    def test_warning_flag_for_irregular(self):
-        s = critical_values(H("x^3 + y^2"))
-        assert s.may_miss_atypical
-
     @pytest.mark.parametrize("text", ["x^3 - x*y^2 + y", "x^2 + y^2 + x^3 - 3*x*y^2"])
     def test_scaling_scales_the_values(self, text):
         # c H has the critical points of H and c times its critical values
@@ -195,8 +191,8 @@ class TestRootIsolation:
         tvar = MultiPoly.var("t")
         p = (tvar - 1) ** 2 * (tvar + 3)
         factors = yun_squarefree_decomposition(p, "t")
-        assert ((tvar + 3).monic(), 1) in factors
-        assert ((tvar - 1).monic(), 2) in factors
+        assert (tvar + 3, 1) in factors
+        assert (tvar - 1, 2) in factors
 
     @pytest.mark.parametrize("k", [8, 24, 56])
     def test_yun_with_a_root_at_a_power_of_256(self, k):

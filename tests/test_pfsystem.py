@@ -230,7 +230,7 @@ def augmented_reference(sysm, mu):
     n, zero = sysm.dim, MultiPoly.zero()
     top = [zero] + [sum((MultiPoly.const(m) * sysm.A[l, j] for l, m in enumerate(mu)), zero) for j in range(n)]
     Ahat = PolyMatrix([top] + [[zero] + [sysm.A[i, j] for j in range(n)] for i in range(n)])
-    return _scalar_from_rows(_iterated_rows(Ahat, sysm.a, [1] + [0] * n), sysm.a, sysm.singular)
+    return _scalar_from_rows(_iterated_rows(Ahat, sysm.a, [1] + [0] * n), sysm.a)
 
 
 class TestMuEquationMatchesTheAugmentedSystem:

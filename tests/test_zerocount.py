@@ -47,20 +47,10 @@ def ode_from_poly(p: MultiPoly) -> ScalarODE:
     from pfzero.hamiltonian import isolate_roots
 
     coeff = RatFunc(-p.derive("t"), p)
-    return ScalarODE(
-        order=1,
-        coeffs=(coeff,),
-        pole_set=tuple(isolate_roots(p)),
-        true_singularities=EMPTY,
-    )
+    return ScalarODE(coeffs=(coeff,), pole_set=tuple(isolate_roots(p)))
 
 
-D2_ODE = ScalarODE(
-    order=1,
-    coeffs=(RatFunc(MultiPoly.const(-1), t),),
-    pole_set=(CriticalValue(0j, 1e-10, 1),),
-    true_singularities=ORIGIN,
-)
+D2_ODE = ScalarODE(coeffs=(RatFunc(MultiPoly.const(-1), t),), pole_set=(CriticalValue(0j, 1e-10, 1),))
 
 
 # the mu equation of the branch cubic has poles near -0.43, beside this disc
@@ -68,11 +58,12 @@ HEAVY_BRANCH_DISC = Disc(complex(-0.5022, -0.2693), 0.1398)
 
 
 @pytest.fixture(scope="module")
-def branch_mu_ode():
-    """The mu = (1, 0, 1, 0) equation of the branch cubic x^3 - x y^2 + y."""
+def branch_mu():
+    """The period system of the branch cubic x^3 - x y^2 + y and its
+    mu = (1, 0, 1, 0) equation."""
     from pfzero.cli import JobConfig, _make_ode
 
-    return _make_ode(JobConfig(command="count-zeros", hamiltonian="x^3 - x*y^2 + y", mu=["1", "0", "1", "0"]))[2]
+    return _make_ode(JobConfig(command="count-zeros", hamiltonian="x^3 - x*y^2 + y", mu=["1", "0", "1", "0"]))[1:]
 
 
 class TestDomains:
@@ -102,11 +93,10 @@ class TestDomains:
     def test_auto_rays_without_singular_values(self):
         assert simple_domain(EMPTY, None, Disc(0.2 + 0j, 0.3), 0.1).ray_directions == ()
 
-    def test_auto_rays_on_the_branch_disc(self, branch_mu_ode):
+    def test_auto_rays_on_the_branch_disc(self, branch_mu):
         # the golden-angle sweep's pick, recorded before the sweep moved
         # from the command line into simple_domain
-        sigma = branch_mu_ode.true_singularities
-        dom = simple_domain(sigma, None, HEAVY_BRANCH_DISC, 0.1)
+        dom = simple_domain(branch_mu[0].singular, None, HEAVY_BRANCH_DISC, 0.1)
         assert dom.ray_directions == (0.8812868452186609 + 0.4725817351998912j,) * 4
 
     def test_unit_disc_guard(self):
@@ -198,7 +188,7 @@ class TestCoefficientSup:
                 coeff = RatFunc(num, den)
             except Exception:
                 continue
-            ode = ScalarODE(order=1, coeffs=(coeff,), pole_set=(), true_singularities=EMPTY)
+            ode = ScalarODE(coeffs=(coeff,), pole_set=())
             # reject segments passing near a zero of the denominator
             from pfzero.hamiltonian import isolate_roots
 
@@ -231,23 +221,21 @@ class TestCoefficientSup:
     def test_grazing_pole_collapses_the_subdivision(self):
         # the pole 1/3 lies 1e-16 off the segment and is not in the pole set,
         # so only the collapsed subdivision can report it
-        ode = ScalarODE(
-            order=1, coeffs=(RatFunc(MultiPoly.const(1), 3 * t - 1),), pole_set=(), true_singularities=EMPTY
-        )
+        ode = ScalarODE(coeffs=(RatFunc(MultiPoly.const(1), 3 * t - 1),), pole_set=())
         with pytest.raises(PoleOnSegment, match="collapsed"):
             coefficient_sup(ode, -1 + 1e-16j, 1 + 1e-16j, 1e-6)
 
     def test_heights_beyond_the_float_range(self):
         big = 10**400
         coeff = RatFunc(big * t + 1, t + (big + 3))
-        ode = ScalarODE(order=1, coeffs=(coeff,), pole_set=(), true_singularities=EMPTY)
+        ode = ScalarODE(coeffs=(coeff,), pole_set=())
         C = coefficient_sup(ode, 1 + 0j, 2 + 0j, 1e-6)
         sampled = _exact_sampled_max([coeff], 1 + 0j, 2 + 0j)
         assert sampled * (1 - 1e-12) <= C <= sampled * (1 + 1e-5)
 
     def test_value_beyond_the_float_range_is_a_numeric_failure(self):
         coeff = RatFunc(MultiPoly.const(10**400), t + 3)
-        ode = ScalarODE(order=1, coeffs=(coeff,), pole_set=(), true_singularities=EMPTY)
+        ode = ScalarODE(coeffs=(coeff,), pole_set=())
         with pytest.raises(NumericFailure):
             coefficient_sup(ode, 1 + 0j, 2 + 0j, 1e-6)
 
@@ -258,7 +246,7 @@ class TestCoefficientSup:
         coeffs = [c for c, _poles in drawn]
         delta = min((_dist(p, a, b) for _c, poles in drawn for p in poles), default=math.inf)
         assume(delta >= 0.02)
-        ode = ScalarODE(order=len(coeffs), coeffs=tuple(coeffs), pole_set=(), true_singularities=EMPTY)
+        ode = ScalarODE(coeffs=tuple(coeffs), pole_set=())
         tol = 1e-6
         C = coefficient_sup(ode, a, b, tol)
         sampled = _exact_sampled_max(coeffs, a, b)
@@ -290,11 +278,11 @@ class TestCoefficientSup:
             # a lower bound for |F| at the centre or an end of the piece
             assert lower <= sampled * (1 + 1e-9)
 
-    def test_pass_count_on_the_heavy_branch_disc(self, monkeypatch, branch_mu_ode):
+    def test_pass_count_on_the_heavy_branch_disc(self, monkeypatch, branch_mu):
         # one vectorised pass per bisection level: a per-box evaluation
         # would show here as hundreds of calls per segment
-        ode = branch_mu_ode
-        dom = simple_domain(ode.true_singularities, None, HEAVY_BRANCH_DISC, 0.1)
+        sysm, ode = branch_mu
+        dom = simple_domain(sysm.singular, None, HEAVY_BRANCH_DISC, 0.1)
         segs = decompose_simple_domain(dom, [cv.value for cv in ode.pole_set])
         calls = []
         real_pass = zerocount._sup_pass
