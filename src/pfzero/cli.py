@@ -139,15 +139,18 @@ def _ode_to_json(ode: ScalarODE, singular: SingularSet) -> dict:
     }
 
 
-def emit(payload: dict, output: str | None):
-    payload = dict(payload)
-    payload["schema_version"] = SCHEMA_VERSION
-    text = json.dumps(payload, sort_keys=True, indent=2)
+def emit(payload: dict | str, output: str | None):
+    """Write a report to output, or to stdout: CSV text as it is, a dict as
+    canonical JSON."""
+    if isinstance(payload, str):
+        text = payload
+    else:
+        text = json.dumps({**payload, "schema_version": SCHEMA_VERSION}, sort_keys=True, indent=2) + "\n"
     if output:
         with open(output, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 # -- input parsing --------------------------------------------------------------
@@ -212,6 +215,16 @@ def _parse_fraction(text: str) -> Fraction:
         raise UsageError(f"bad rational number {text!r}: {e}")
 
 
+def _parse_mu(cfg: JobConfig) -> list[Fraction] | None:
+    """The --mu entries, or None without --mu; all zero is a UsageError."""
+    if cfg.mu is None:
+        return None
+    mu = [_parse_fraction(v) for v in cfg.mu]
+    if not any(mu):
+        raise UsageError(f"mu must have a nonzero entry, got {','.join(cfg.mu)}")
+    return mu
+
+
 # -- commands --------------------------------------------------------------------
 
 
@@ -269,12 +282,11 @@ def _cmd_pf_system(cfg: JobConfig) -> dict:
     }
 
 
-def _make_ode(cfg: JobConfig):
+def _make_ode(cfg: JobConfig, mu: list[Fraction] | None):
     H = Hamiltonian.from_poly(parse_polynomial(cfg.hamiltonian))
     sysm = assemble_pf_system(H)
     try:
-        if cfg.mu is not None:
-            mu = [_parse_fraction(v) for v in cfg.mu]
+        if mu is not None:
             ode = augment_and_reduce(sysm, mu)
         else:
             ode = derive_scalar_ode(sysm, cfg.component)
@@ -284,7 +296,7 @@ def _make_ode(cfg: JobConfig):
 
 
 def _cmd_scalar_ode(cfg: JobConfig) -> dict:
-    _H, sysm, ode = _make_ode(cfg)
+    _H, sysm, ode = _make_ode(cfg, _parse_mu(cfg))
     return _ode_to_json(ode, sysm.singular)
 
 
@@ -303,7 +315,8 @@ def _cmd_count_zeros(cfg: JobConfig) -> dict:
     rho = float(q)
     region = _parse_region(domain_spec)
     rays = _parse_rays(cfg.rays)
-    H, sysm, ode = _make_ode(cfg)
+    mu = _parse_mu(cfg)
+    H, sysm, ode = _make_ode(cfg, mu)
     dom = simple_domain(sysm.singular, rays, region, rho, cfg.relaxed_bounds)
     numeric_fn = None
     if cfg.mode == "both":
@@ -314,9 +327,11 @@ def _cmd_count_zeros(cfg: JobConfig) -> dict:
             path = list(region.vertices) + [region.vertices[0]]
         init = periods_of_system(sysm, make_cycle(H, complex(path[0]), sysm.singular))
         f = continuation_callable(sysm, path, init)
-        if cfg.mu is not None:
-            mu = [complex(_parse_fraction(v)) for v in cfg.mu]
-            numeric_fn = lambda s: sum(m * v for m, v in zip(mu, f(s)))
+        if mu is not None:
+            # a positive scale keeps the zeros and brings every entry into the float range
+            scale = max(map(abs, mu))
+            weights = [complex(m / scale) for m in mu]
+            numeric_fn = lambda s: sum(m * v for m, v in zip(weights, f(s)))
         else:
             numeric_fn = lambda s: f(s)[cfg.component - 1]
     report = zero_count_bound(
@@ -411,6 +426,7 @@ _COMMANDS = {
     "scalar-ode": _cmd_scalar_ode,
     "count-zeros": _cmd_count_zeros,
     "verify": _cmd_verify,
+    "periods": _cmd_periods,
     "bounds": _cmd_bounds,
 }
 
@@ -418,19 +434,10 @@ _COMMANDS = {
 def run(cfg: JobConfig) -> int:
     """Execute a job; returns the exit status and writes artifacts."""
     cfg.validate()
-    if cfg.command == "periods":
-        text = _cmd_periods(cfg)
-        if cfg.output:
-            with open(cfg.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
     handler = _COMMANDS.get(cfg.command)
     if handler is None:
         raise UsageError(f"unknown command {cfg.command!r}")
-    payload = handler(cfg)
-    emit(payload, cfg.output)
+    emit(handler(cfg), cfg.output)
     return 0
 
 

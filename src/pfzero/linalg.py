@@ -7,11 +7,12 @@ that the decomposition routines produce and for the Macaulay matrices of the
 staircase; it is exact and deterministic, sweeps the columns in a fixed order
 and chooses each pivot row by fill, and it carries any number of right-hand
 sides through the one elimination. Over Q[t], `PolyMatrix.determinant`,
-`PolyMatrix.adjugate` and `first_dependence` are fraction-free Bareiss
-eliminations that share the one update step `poly._bareiss_step` on the
-dense kernel `poly._Dense`. The two `PolyMatrix` methods take `MultiPoly`
-entries in one shared variable (ValueError otherwise) and hand back
-`MultiPoly`; `first_dependence` takes and returns `_Dense`. `RatFunc`
+`PolyMatrix.adjugate` and `first_dependence` are one fraction-free (Bareiss)
+echelon, `poly._reduce` and `poly._add_pivot`, on the dense kernel
+`poly._Dense`; the adjugate and the dependence end in the one
+back-substitution `poly._back_substitute`. The two `PolyMatrix` methods take
+`MultiPoly` entries in one shared variable (ValueError otherwise) and hand
+back `MultiPoly`; `first_dependence` takes and returns `_Dense`. `RatFunc`
 reduces its parts on the dense kernel too.
 """
 
@@ -22,7 +23,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CertificateFailed, DegenerateInput, DivisionByZeroPolynomial, Inconsistent
-from .poly import MultiPoly, _bareiss_det_poly, _bareiss_step, _Dense, _kernel_rows, _zgcd
+from .poly import MultiPoly, _Dense, _kernel_rows, _zgcd
+from .poly import _add_pivot, _back_substitute, _bareiss_det_poly, _echelon, _reduce
 
 
 # -- sparse exact solver --------------------------------------------------------
@@ -154,16 +156,7 @@ class PolyMatrix:
         return self.entries[i][j]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PolyMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                self.entries[i][j] == other.entries[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
-        )
+        return isinstance(other, PolyMatrix) and self.entries == other.entries
 
     def max_degree(self) -> int:
         degs = [e.degree() for row in self.entries for e in row]
@@ -177,32 +170,23 @@ class PolyMatrix:
     def adjugate(self) -> "PolyMatrix":
         """Transposed cofactor matrix: adj(M) * M = det(M) * Id, exactly.
 
-        One fraction-free (Bareiss) Gauss-Jordan elimination of [M | Id]; every
-        division is exact. The left block ends as D * Id with D the last
-        pivot, and the right block as D * M^(-1) = sign * adj(M), where sign
-        is the parity of the row swaps. Requires det(M) != 0: a singular
-        matrix raises DegenerateInput.
+        One fraction-free echelon of the columns m_l of M gives det(M); the
+        back-substitution of each unit vector e_j then gives the c with
+        det(M) e_j = sum_l c_l m_l, column j of adj(M). Requires
+        det(M) != 0: a singular matrix raises DegenerateInput.
         """
         n = self.rows
         if n != self.cols:
             raise ValueError("adjugate of a non-square matrix")
         var, m = _kernel_rows(self.entries)
+        echelon = _echelon(zip(*m))
+        if echelon is None:
+            raise DegenerateInput("adjugate of a singular matrix")
+        pivots, det = echelon
         zero, one = _Dense.zero(), _Dense.const(1)
-        m = [m[i] + [one if j == i else zero for j in range(n)] for i in range(n)]
-        sign = 1
-        prev = one
-        for k in range(n):
-            sel = next((i for i in range(k, n) if not m[i][k].is_zero), None)
-            if sel is None:
-                raise DegenerateInput("adjugate of a singular matrix")
-            if sel != k:
-                m[k], m[sel] = m[sel], m[k]
-                sign = -sign
-            for i in range(n):
-                if i != k:
-                    _bareiss_step(m[i], m[k], k, prev, range(k + 1, 2 * n))
-            prev = m[k][k]
-        return PolyMatrix([[(e if sign == 1 else -e).to_poly(var) for e in row[n:]] for row in m])
+        units = ([one if i == j else zero for i in range(n)] for j in range(n))
+        cols = [_back_substitute(_reduce(e, pivots)[0], det, pivots) for e in units]
+        return PolyMatrix([[e.to_poly(var) for e in row] for row in zip(*cols)])
 
 
 def _mat_mul(a: list[list], b: list[list]) -> list[list]:
@@ -225,53 +209,25 @@ def _mat_mul(a: list[list], b: list[list]) -> list[list]:
 def first_dependence(vectors: Iterable[Sequence]) -> tuple | None:
     """First vector that depends on the vectors before it over the fraction field.
 
-    One incremental fraction-free (Bareiss) elimination of the matrix whose
-    columns are the vectors r_0, r_1, ...: each arriving column goes through
-    the elimination steps taken so far and either gives a new pivot or, at
-    the first dependent r_k, stops the scan. Fraction-free back-substitution
-    over the pivot rows, with the last pivot D as common denominator, then
-    gives every c_l = D w_l of r_k = sum_{l<k} w_l r_l by exact division. The
-    relation D r_k = sum_l c_l r_l is checked exactly (CertificateFailed).
-    Returns (k, D, [c_0, ..., c_{k-1}]), or None when the vectors run out and
-    all of them are independent. Entries and results are `_Dense`.
+    One incremental fraction-free echelon of the vectors r_0, r_1, ...: each
+    arriving vector goes through `poly._reduce` and either gives a new pivot
+    or, at the first dependent r_k, stops the scan. `poly._back_substitute`
+    with the last pivot D as common denominator then gives every
+    c_l = D w_l of r_k = sum_{l<k} w_l r_l. The relation D r_k = sum_l c_l r_l
+    is checked exactly (CertificateFailed). Returns (k, D, [c_0, ..., c_{k-1}]),
+    or None when the vectors run out and all of them are independent. Entries
+    and results are `_Dense`.
     """
     seen: list[list] = []  # the vectors as given
-    cols: list[list] = []  # column l after elimination steps 0..l-1
-    piv_rows: list[int] = []  # pivot row of each step
+    pivots: list = []
     for k, r in enumerate(vectors):
-        r = list(r)
-        seen.append(r)
-        n = len(r)
-        col = list(r)
-        prev = _Dense.const(1)
-        for s, p_row in enumerate(piv_rows):
-            below = [i for i in range(n) if i not in piv_rows[: s + 1]]
-            _bareiss_step(col, cols[s], p_row, prev, below)
-            prev = cols[s][p_row]
-        cols.append(col)
-        sel = next((i for i in range(n) if i not in piv_rows and not col[i].is_zero), None)
-        if sel is not None:
-            piv_rows.append(sel)
+        seen.append(list(r))
+        reduced, D = _reduce(seen[-1], pivots)
+        if _add_pivot(reduced, pivots):
             continue
-        D = prev  # the last pivot, cols[k - 1][piv_rows[k - 1]]
-        c = [_Dense.zero()] * k
-        for l in range(k - 1, -1, -1):
-            row = piv_rows[l]
-            if l == k - 1:
-                c[l] = col[row]  # D col[row] / D
-                continue
-            acc = D * col[row]
-            for m in range(l + 1, k):
-                if not cols[m][row].is_zero and not c[m].is_zero:
-                    acc = acc - cols[m][row] * c[m]
-            c[l] = acc.exact_div(cols[l][row])
-        for i in range(n):
-            acc = _Dense.zero()
-            for cl, rl in zip(c, seen):
-                if not cl.is_zero and not rl[i].is_zero:
-                    acc = acc + cl * rl[i]
-            if acc != D * r[i]:
-                raise CertificateFailed(f"vector {k} is not the combination the elimination found")
+        c = _back_substitute(reduced, D, pivots)
+        if any(not e.is_zero for e in _mat_mul([c + [-D]], seen)[0]):
+            raise CertificateFailed(f"vector {k} is not the combination the elimination found")
         return k, D, c
     return None
 

@@ -137,9 +137,9 @@ def assemble_pf_system(H: Hamiltonian) -> PFSystem:
 
     The K and L rows are one batch of Petrov decompositions, each certified
     by its reconstruction identity and degree bound. K^(-1) goes through the
-    exact adjugate over Q[t] (one fraction-free Gauss-Jordan elimination);
-    the common polynomial content of det K and the numerator matrix is
-    cancelled and a(t) is made monic. The result is checked against
+    exact adjugate over Q[t] (one fraction-free echelon of the columns of K
+    and a back-substitution per unit vector); the common polynomial content
+    of det K and the numerator matrix is cancelled and a(t) is made monic. The result is checked against
     K A = a (L - K') and a failure raises CertificateFailed.
     """
     basis = monomial_basis(H)
@@ -201,7 +201,6 @@ def _iterated_rows(A: PolyMatrix, a: MultiPoly, start: Sequence[Fraction]) -> It
     """Rows r_j with a^j y^(j) = r_j I for y = start . I and j = 0, 1, ...,
     generated lazily and without end: r_0 = start,
     r_{j+1} = a r_j' + r_j (A - j a' Id)."""
-    n = A.rows
     Ad = _dense(A)
     ad = _Dense.from_poly(a)
     ap = ad.derive()
@@ -210,14 +209,7 @@ def _iterated_rows(A: PolyMatrix, a: MultiPoly, start: Sequence[Fraction]) -> It
     while True:
         yield r
         jap = ap * _Dense.const(j)
-        nxt = []
-        for c in range(n):
-            acc = ad * r[c].derive() - jap * r[c]
-            for i in range(n):
-                if not r[i].is_zero and not Ad[i][c].is_zero:
-                    acc = acc + r[i] * Ad[i][c]
-            nxt.append(acc)
-        r = nxt
+        r = [ad * e.derive() - jap * e + f for e, f in zip(r, _mat_mul([r], Ad)[0])]
         j += 1
 
 

@@ -11,10 +11,10 @@ The private `_Dense` holds a polynomial in one variable as a Fraction content
 times a primitive integer coefficient tuple. Products and exact quotients go
 through Kronecker substitution (one big-integer multiplication or division),
 gcds through the heuristic GCDHEU with the subresultant sequence as fallback.
-Every fraction-free elimination (`_bareiss_step`, behind determinants,
-resultants, the adjugate and the first dependence) runs on it. A resultant
-whose Sylvester entries hold two variables gets there by the Kronecker
-substitution of `_kronecker_det`.
+Determinants, resultants, the adjugate and the first dependence run on it
+as one incremental fraction-free (Bareiss) echelon: `_reduce`, `_add_pivot`
+and `_back_substitute`. A resultant whose Sylvester entries hold two
+variables gets there by the Kronecker substitution of `_kronecker_det`.
 
 The text grammar (round-trips bit-exactly):
 
@@ -857,40 +857,73 @@ def _kronecker_det(rows: list[list[MultiPoly]]) -> MultiPoly:
     return MultiPoly(names, {(k % D, k // D): c for (k,), c in det.terms.items()})
 
 
-def _bareiss_step(vec, pivot_vec, k, prev, idx) -> None:
-    """vec[i] = (p * vec[i] - vec[k] * pivot_vec[i]) / prev for i in idx, in
-    place, with p = pivot_vec[k]; exact when prev is the pivot before p.
+def _reduce(r, pivots) -> tuple[list, "_Dense"]:
+    """A copy of r taken through the fraction-free (Bareiss) steps of the
+    pivots, and the last pivot (1 before any). A pivot (v, k, free) holds a
+    reduced vector v, its pivot position k and the free positions after k;
+    its step sets r[i] = (v[k] r[i] - r[k] v[i]) / prev on those, exactly."""
+    r = list(r)
+    prev = _Dense.const(1)
+    for v, k, free in pivots:
+        p, f = v[k], r[k]
+        for i in free:
+            a, b = r[i], v[i]
+            if f.is_zero or b.is_zero:
+                if not a.is_zero:
+                    r[i] = (p * a).exact_div(prev)
+            else:
+                r[i] = (p * a - f * b).exact_div(prev)
+        prev = p
+    return r, prev
 
-    The one fraction-free (Bareiss) update of the exact core: determinants,
-    resultants, the adjugate and the first dependence all run through it, on
-    `_Dense` entries.
-    """
-    p, f = pivot_vec[k], vec[k]
-    for i in idx:
-        a, b = vec[i], pivot_vec[i]
-        if f.is_zero or b.is_zero:
-            if not a.is_zero:
-                vec[i] = (p * a).exact_div(prev)
-        else:
-            vec[i] = (p * a - f * b).exact_div(prev)
+
+def _add_pivot(r, pivots) -> bool:
+    """Append r from `_reduce` as a pivot at its first nonzero free position;
+    False, appending nothing, when r depends on the pivots' vectors."""
+    free = pivots[-1][2] if pivots else range(len(r))
+    k = next((i for i in free if not r[i].is_zero), None)
+    if k is not None:
+        pivots.append((r, k, [i for i in free if i != k]))
+    return k is not None
+
+
+def _back_substitute(r, D, pivots) -> list:
+    """c with D u = sum_l c_l u_l, for (r, _) = _reduce(u, pivots), u in the
+    span of the pivots' vectors u_l and D plus or minus the last pivot: the
+    fraction-free back-substitution, every division exact."""
+    c = [_Dense.zero()] * len(pivots)
+    last = len(pivots) - 1
+    for l in range(last, -1, -1):
+        v, k, _ = pivots[l]
+        if l == last:  # D r[k] / v[k] with D = +-v[k]
+            c[l] = r[k] if D == v[k] else -r[k]
+            continue
+        acc = D * r[k]
+        for m in range(l + 1, last + 1):
+            u = pivots[m][0][k]
+            if not u.is_zero and not c[m].is_zero:
+                acc = acc - u * c[m]
+        c[l] = acc.exact_div(v[k])
+    return c
+
+
+def _echelon(vectors) -> tuple[list, "_Dense"] | None:
+    """The pivots of independent vectors and the determinant of the square
+    matrix they form, the last pivot times the parity of the pivot
+    positions; None at the first vector that depends on those before it."""
+    pivots: list = []
+    for u in vectors:
+        if not _add_pivot(_reduce(u, pivots)[0], pivots):
+            return None
+    pos = [k for _, k, _ in pivots]
+    det = pivots[-1][0][pos[-1]] if pivots else _Dense.const(1)
+    odd = sum(a > b for i, a in enumerate(pos) for b in pos[i + 1 :]) % 2
+    return pivots, -det if odd else det
 
 
 def _bareiss_det_poly(rows: list[list[MultiPoly]]) -> MultiPoly:
     """Fraction-free determinant on the dense kernel of a matrix whose
     entries share one variable (ValueError otherwise); 1 for 0 x 0."""
     var, m = _kernel_rows(rows)
-    n = len(m)
-    sign = 1
-    prev = _Dense.const(1)
-    for k in range(n - 1):
-        sel = next((i for i in range(k, n) if not m[i][k].is_zero), None)
-        if sel is None:
-            return MultiPoly.zero()
-        if sel != k:
-            m[k], m[sel] = m[sel], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            _bareiss_step(m[i], m[k], k, prev, range(k + 1, n))
-        prev = m[k][k]
-    det = m[n - 1][n - 1] if n else prev
-    return (det if sign == 1 else -det).to_poly(var)
+    echelon = _echelon(m)
+    return MultiPoly.zero() if echelon is None else echelon[1].to_poly(var)

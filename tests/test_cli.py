@@ -236,6 +236,29 @@ class TestExitCodes:
         assert line.startswith("error[InvalidRho]: ") and line.endswith(f"got {rho}")
 
 
+    @pytest.mark.parametrize("mu", ["1e400", "1e-400"], ids=["huge", "tiny"])
+    def test_mu_scale_leaves_the_count_zeros_report(self, capsys, mu):
+        # the exact equation is monic and the winding count ignores a positive
+        # scale, so mu and 1 give one report; the float weights stay finite
+        argv = ["count-zeros", "-H", "x^2+y^2", "--domain", "disc:0.5,0,0.1", "--rho", "0.1", "--mode", "both"]
+        reports = [run_cli(capsys, *argv, "--mu", m) for m in ("1", mu)]
+        assert reports[0][0] == 0 and reports[1] == reports[0]
+
+    @pytest.mark.parametrize("command", ["scalar-ode", "count-zeros"])
+    @pytest.mark.parametrize("mu", ["0", "0,0", "1/0"], ids=["zero", "zeros", "bad"])
+    def test_bad_mu_is_1_before_assembly(self, capsys, monkeypatch, command, mu):
+        def no_assembly(H):
+            raise RuntimeError("the system must not be assembled for an invalid mu")
+
+        monkeypatch.setattr("pfzero.cli.assemble_pf_system", no_assembly)
+        argv = [command, "-H", "x^2+y^2", "--mu", mu]
+        if command == "count-zeros":
+            argv += ["--domain", "disc:0.5,0,0.1", "--rho", "0.1", "--mode", "both"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.splitlines()[-1].startswith("error[UsageError]: ")
+
+
 class TestBoundsReport:
     @pytest.mark.parametrize(
         "argv",
@@ -309,13 +332,17 @@ class TestReports:
         assert doc["order"] == 2
         assert all(c == {"num": "0", "den": "1"} for c in doc["coeffs"])
 
-    def test_periods_csv(self, capsys):
+    def test_periods_csv(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "periods", "-H", "x^2+y^2", "--t-samples", "1")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "t_re,t_im,I1_re,I1_im,error"
         cells = lines[1].split(",")
         assert abs(float(cells[2]) - 3.14159265) < 1e-6
+        # -o writes the same bytes as stdout, CSV and not JSON
+        path = tmp_path / "periods.csv"
+        code, written, _ = run_cli(capsys, "periods", "-H", "x^2+y^2", "--t-samples", "1", "-o", str(path))
+        assert code == 0 and written == "" and path.read_text() == out
 
     def test_count_zeros_both(self, capsys):
         code, out, _ = run_cli(

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pfzero.errors import DegenerateInput, DivisionByZeroPolynomial, Inconsistent
 from pfzero.linalg import (
@@ -178,24 +178,25 @@ class TestPolyMatrix:
     def test_determinant_matches_laplace_expansion(self, M):
         assert PolyMatrix(M).determinant() == laplace_det(M)
 
-    def test_adjugate_identity(self, rng):
-        from tests.conftest import random_poly
+    @given(tpoly_matrices())
+    @example([[MultiPoly.zero(), t, MultiPoly.const(1)], [t + 1, t * t, t], [t, MultiPoly.zero(), 2 * t - 1]])
+    def test_adjugate_identity(self, M):
+        # entry (i, j) of adj(M) is the cofactor of M's entry (j, i)
+        n = len(M)
+        if laplace_det(M).is_zero:
+            with pytest.raises(DegenerateInput):
+                PolyMatrix(M).adjugate()
+            return
+        minor = lambda i, j: [row[:j] + row[j + 1 :] for r, row in enumerate(M) if r != i]
+        cofactors = [[(-1) ** (i + j) * laplace_det(minor(j, i)) for j in range(n)] for i in range(n)]
+        assert PolyMatrix(M).adjugate() == PolyMatrix(cofactors)
 
-        for _ in range(10):
-            n = rng.randint(1, 3)
-            M = PolyMatrix(
-                [[random_poly(rng, ("t",), 2) for _ in range(n)] for _ in range(n)]
-            )
-            det = M.determinant()
-            if det.is_zero:
-                continue
-            prod = mat_mul(M.adjugate(), M)
-            for i in range(n):
-                for j in range(n):
-                    assert prod[i][j] == (det if i == j else MultiPoly.zero())
+    def test_adjugate_of_empty_and_1x1(self):
+        assert PolyMatrix([]).adjugate() == PolyMatrix([])
+        assert PolyMatrix([[t + 2]]).adjugate() == PolyMatrix([[MultiPoly.const(1)]])
 
     def test_adjugate_with_row_swap(self):
-        # the zero top-left entry forces a swap; adj [[0, t], [1, 1]] = [[1, -t], [-1, 0]]
+        # the zero top-left entry moves the first pivot; adj [[0, t], [1, 1]] = [[1, -t], [-1, 0]]
         one, zero = MultiPoly.const(1), MultiPoly.zero()
         M = PolyMatrix([[zero, t], [one, one]])
         assert M.adjugate() == PolyMatrix([[one, -t], [-one, zero]])
@@ -224,6 +225,17 @@ class TestPolyMatrix:
         k, D, num = first_dependence(dense_rows([[t, zero], [one, t], [t * t + 1, t]]))
         assert k == 2
         assert [RatFunc(c.to_poly("t"), D.to_poly("t")) for c in num] == [RatFunc(t, one), RatFunc(one, one)]
+
+    def test_zero_first_vector(self):
+        zero = MultiPoly.zero()
+        assert first_dependence(dense_rows([[zero, zero], [t, t]])) == (0, _Dense.const(1), [])
+
+    def test_dependence_with_pivots_out_of_position_order(self):
+        # (0, t) pivots at position 1, then (1, 1) at position 0; (1, t + 1) is their sum
+        one, zero = MultiPoly.const(1), MultiPoly.zero()
+        k, D, num = first_dependence(dense_rows([[zero, t], [one, one], [one, t + 1]]))
+        assert k == 2
+        assert [RatFunc(c.to_poly("t"), D.to_poly("t")) for c in num] == [RatFunc(one, one)] * 2
 
     def test_no_dependence_when_inconsistent(self):
         # t*w = t and t*w = t + 1 have no common solution w

@@ -63,7 +63,7 @@ def branch_mu():
     mu = (1, 0, 1, 0) equation."""
     from pfzero.cli import JobConfig, _make_ode
 
-    return _make_ode(JobConfig(command="count-zeros", hamiltonian="x^3 - x*y^2 + y", mu=["1", "0", "1", "0"]))[1:]
+    return _make_ode(JobConfig(command="count-zeros", hamiltonian="x^3 - x*y^2 + y"), [1, 0, 1, 0])[1:]
 
 
 class TestDomains:
