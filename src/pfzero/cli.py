@@ -284,6 +284,9 @@ def _cmd_pf_system(cfg: JobConfig) -> dict:
 
 def _make_ode(cfg: JobConfig, mu: list[Fraction] | None):
     H = Hamiltonian.from_poly(parse_polynomial(cfg.hamiltonian))
+    dim = (H.degree - 1) ** 2  # the dimension of every system that assembles
+    if mu is not None and len(mu) != dim:
+        raise UsageError(f"mu must have {dim} entries")
     sysm = assemble_pf_system(H)
     try:
         if mu is not None:

@@ -77,7 +77,8 @@ class SingularSet:
         return [v.value for v in self.values]
 
     def is_near(self, z: complex) -> bool:
-        return any(abs(z - v.value) <= v.radius for v in self.values)
+        """Whether z lies in the disc of a critical value, of radius at least 1e-9."""
+        return any(abs(z - v.value) <= max(v.radius, 1e-9) for v in self.values)
 
 
 @dataclass(frozen=True)
@@ -137,12 +138,12 @@ def monomial_basis(H: Hamiltonian) -> MonomialBasis:
         raise NotRegularAtInfinity("top form has a repeated linear factor")
     d = H.degree
     hp = H.highest_part
-    gens = [hp.derive(v).extended(("x", "y")) for v in ("x", "y")]
+    gens = [hp.derive(v).terms for v in ("x", "y")]
     monos: list[tuple[int, int]] = []
     corners: list[tuple[int, int]] = []
     below: set[int] = set()  # pivot columns one degree lower
     for k in range(2 * d - 2):
-        rows = [{b + j: c for (_, b), c in g.items()} for g in gens for j in range(k - d + 2)]
+        rows = [{b + j: c for (_, b, _), c in g.items()} for g in gens for j in range(k - d + 2)]
         _, pivots = solve_sparse_exact(rows, k + 1)
         lead = set(pivots)
         for b in range(k + 1):
@@ -257,7 +258,7 @@ def merge_close_values(values: list[CriticalValue]) -> list[CriticalValue]:
 def _abs_poly(p: MultiPoly) -> MultiPoly:
     """p with every coefficient replaced by its absolute value: evaluated at
     (|x|, |y|) it gives the size of the terms of p at (x, y)."""
-    return MultiPoly(p.vars, {e: abs(c) for e, c in p.terms.items()})
+    return MultiPoly._of({e: abs(c) for e, c in p.terms.items()})
 
 
 def _numeric_critical_points(H: Hamiltonian, res_y: MultiPoly) -> list[tuple[complex, complex]]:

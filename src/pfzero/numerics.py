@@ -172,9 +172,8 @@ def trace_cycle(
     vanishing gradient), and NotCompactComponent when the branch escapes the
     tracing box.
     """
-    for v in singular.values:
-        if abs(complex(t) - v.value) <= max(v.radius, 1e-9):
-            raise NearCritical(f"t = {t} is within the isolation radius of a critical value")
+    if singular.is_near(complex(t)):
+        raise NearCritical(f"t = {t} is within the isolation radius of a critical value")
     scale = max(1.0, abs(t))
     tol = ON_CURVE_TOL * scale
     box = max(BBOX_FLOOR, 4.0 * (1.0 + abs(t)) ** (1.0 / H.degree))
@@ -480,7 +479,7 @@ def _richardson_periods(cycles, forms, rel_tol: float) -> tuple[list[list[comple
         X, Y = _refine_stack(H, t, X, Y)
     # ((i, j, k), coefficient) for each term c x^i y^j of P (k = 0), then of Q (k = 1)
     terms = [
-        [(e + (k,), float(c)) for k, p in enumerate((w.P, w.Q)) for e, c in p.extended("xy").items()] for w in forms
+        [((i, j, k), float(c)) for k, p in enumerate((w.P, w.Q)) for (i, j, _), c in p.terms.items()] for w in forms
     ]
     cols = [(c, f) for c in range(len(cycles)) for f in range(len(forms))]
     rows = [[None] * len(forms) for _ in cycles]  # the last row of each table
@@ -724,8 +723,11 @@ def make_cycle(H: Hamiltonian, t, singular: SingularSet) -> CyclePolyline:
     branch lift.
 
     Real tracing only applies at real levels; complex t goes straight to the
-    branch-point construction. singular is the critical-value set of H."""
+    branch-point construction. singular is the critical-value set of H;
+    raises NearCritical when t lies in one of its discs."""
     tc = complex(t)
+    if singular.is_near(tc):
+        raise NearCritical(f"t = {t} is a singular value")
     if abs(tc.imag) < 1e-12:
         cyc = _find_real_oval(H, tc.real, singular)
         if cyc is not None:
@@ -745,8 +747,6 @@ def residual_check(sys: PFSystem, t_samples: list[float]) -> list[ResidualReport
     coefs = _coefficient_arrays(sys)
     reports = []
     for t in t_samples:
-        if sys.singular.is_near(complex(t)):
-            raise NearCritical(f"sample {t} is a singular value")
         base = make_cycle(sys.hamiltonian, t, sys.singular)
         h = FD_STEP * max(1.0, abs(t))
         vals, _errs = _richardson_periods(

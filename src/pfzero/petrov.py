@@ -45,25 +45,12 @@ class OneForm:
     def __add__(self, other: "OneForm") -> "OneForm":
         return OneForm(self.P + other.P, self.Q + other.Q)
 
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        return OneForm(self.P - other.P, self.Q - other.Q)
-
-    def __neg__(self) -> "OneForm":
-        return OneForm(-self.P, -self.Q)
-
     def scale(self, p) -> "OneForm":
         return OneForm(self.P * p, self.Q * p)
 
     def exterior_coeff(self) -> MultiPoly:
         """g with d(P dx + Q dy) = g dx ^ dy."""
         return self.Q.derive("x") - self.P.derive("y")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.P.is_zero and self.Q.is_zero
-
-    def to_text(self) -> str:
-        return f"({self.P.to_text()}) dx + ({self.Q.to_text()}) dy"
 
 
 @dataclass(frozen=True)
@@ -98,14 +85,14 @@ def _monomials_upto(deg: int) -> list[tuple[int, int]]:
 
 def _match_coefficients(columns: list[MultiPoly], rhss: list[MultiPoly]) -> list[list[Fraction]]:
     """Exact solutions s of sum_j s_j columns[j] = rhs, one per rhs, by
-    matching the coefficients of every monomial in x, y in one elimination;
+    matching the coefficients of every monomial in one elimination;
     raises Inconsistent when any rhs has none."""
     rows: dict[tuple, dict] = {}
     for j, col in enumerate(columns):
-        for e, c in col.extended(("x", "y")).items():
+        for e, c in col.terms.items():
             rows.setdefault(e, {})[j] = c
     for r, rhs in enumerate(rhss):
-        for e, c in rhs.extended(("x", "y")).items():
+        for e, c in rhs.terms.items():
             rows.setdefault(e, {})[RHS - r] = c
     sols, _pivots = solve_sparse_exact(list(rows.values()), len(columns), len(rhss))
     return sols

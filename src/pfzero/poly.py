@@ -2,10 +2,14 @@
 one variable.
 
 `MultiPoly` is the public type. Variables are drawn from the fixed alphabet
-x, y, t (in that order of precedence). Coefficients are `fractions.Fraction`;
-no floating point enters any symbolic path. Term order everywhere is graded
-reverse lexicographic with x > y > t, which also fixes the canonical text
-serialization.
+x, y, t (in that order of precedence), and every term is keyed by its
+exponent triple (i, j, k) of x^i y^j t^k, whatever variables occur: sums and
+products add keys directly, and `vars` (the variables that occur) is read off
+the keys. Coefficients are `fractions.Fraction`; no floating point enters any
+symbolic path. Term order everywhere is graded reverse lexicographic with
+x > y > t, which also fixes the canonical text serialization; an absent
+variable adds the same zero to every key, so the order over the triples is
+the order over the variables that occur.
 
 The private `_Dense` holds a polynomial in one variable as a Fraction content
 times a primitive integer coefficient tuple. Products and exact quotients go
@@ -83,49 +87,65 @@ def grevlex_key(expo: Sequence[int]):
 class MultiPoly:
     """Immutable sparse polynomial. Do not mutate `terms` after construction.
 
-    `_plan` holds the nested-Horner plan of `eval_complex`, built on first
-    use; it is derived from `terms` and takes no part in == or hash."""
+    `terms` maps the exponent triple (i, j, k) of x^i y^j t^k to its nonzero
+    coefficient, whatever variables occur. `_plan` holds the variables that
+    occur and the nested-Horner plan of `eval_complex`, built on first use;
+    it is derived from `terms` and takes no part in == or hash."""
 
-    __slots__ = ("vars", "terms", "_plan")
+    __slots__ = ("terms", "_plan")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Fraction]):
+        """Terms over the listed variables, in any order: each exponent
+        vector holds one power per variable and maps onto its triple by
+        name. Coefficients must be exact; zeros are dropped."""
         variables = tuple(variables)
         for v in variables:
             if v not in CANONICAL_VARS:
                 raise ValueError(f"unknown variable {v!r}")
-        if tuple(sorted(variables, key=CANONICAL_VARS.index)) != variables:
-            raise ValueError("variables must be listed in canonical order x, y, t")
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"a variable is listed twice in {variables!r}")
+        slots = [CANONICAL_VARS.index(v) for v in variables]
         clean = {}
         for expo, coef in terms.items():
             coef = _as_fraction(coef)
             if coef == 0:
                 continue
             expo = tuple(int(e) for e in expo)
-            if len(expo) != len(variables) or any(e < 0 for e in expo):
+            if len(expo) != len(slots) or any(e < 0 for e in expo):
                 raise ValueError("bad exponent vector")
-            clean[expo] = coef  # a mapping never repeats an exponent
-        # prune variables that never appear, so equal polynomials compare equal
-        used = [i for i in range(len(variables)) if any(e[i] for e in clean)]
-        if len(used) != len(variables):
-            variables = tuple(variables[i] for i in used)
-            clean = {tuple(e[i] for i in used): c for e, c in clean.items()}
-        object.__setattr__(self, "vars", variables)
+            triple = [0, 0, 0]
+            for i, e in zip(slots, expo):
+                triple[i] = e
+            clean[tuple(triple)] = coef  # distinct vectors give distinct triples
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_plan", None)
 
+    @staticmethod
+    def _of(terms: dict) -> "MultiPoly":
+        """A MultiPoly of exponent triples mapped to nonzero Fractions, as is."""
+        p = object.__new__(MultiPoly)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_plan", None)
+        return p
+
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
+
+    @property
+    def vars(self) -> tuple:
+        """The variables that occur, in the order x, y, t."""
+        return tuple(v for i, v in enumerate(CANONICAL_VARS) if any(e[i] for e in self.terms))
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "MultiPoly":
-        return MultiPoly((), {})
+        return MultiPoly._of({})
 
     @staticmethod
     def const(c) -> "MultiPoly":
         c = _as_fraction(c)
-        return MultiPoly((), {(): c} if c else {})
+        return MultiPoly._of({(0, 0, 0): c} if c else {})
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
@@ -133,52 +153,26 @@ class MultiPoly:
 
     @staticmethod
     def monomial(c, **powers) -> "MultiPoly":
-        names = tuple(v for v in CANONICAL_VARS if v in powers)
-        expo = tuple(int(powers[v]) for v in names)
-        return MultiPoly(names, {expo: _as_fraction(c)})
-
-    # -- context handling --------------------------------------------------
-
-    def _aligned(self, other: "MultiPoly"):
-        """Return (vars, terms_self, terms_other) over the union context."""
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        union = tuple(v for v in CANONICAL_VARS if v in self.vars or v in other.vars)
-
-        def lift(p):
-            idx = [p.vars.index(v) if v in p.vars else None for v in union]
-            out = {}
-            for e, c in p.terms.items():
-                out[tuple(e[i] if i is not None else 0 for i in idx)] = c
-            return out
-
-        return union, lift(self), lift(other)
-
-    def extended(self, variables: Sequence[str]) -> dict:
-        """Terms re-indexed over the given (super)context."""
-        variables = tuple(variables)
-        idx = [self.vars.index(v) if v in self.vars else None for v in variables]
-        return {tuple(e[i] if i is not None else 0 for i in idx): c for e, c in self.terms.items()}
+        return MultiPoly(tuple(powers), {tuple(powers.values()): c})
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
             other = MultiPoly.const(other)
-        union, a, b = self._aligned(other)
-        out = dict(a)
-        for e, c in b.items():
-            s = out.get(e, Fraction(0)) + c
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             elif e in out:
                 del out[e]
-        return MultiPoly(union, out)
+        return MultiPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -191,17 +185,17 @@ class MultiPoly:
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             other = MultiPoly.const(other)
-        union, a, b = self._aligned(other)
         out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(i + j for i, j in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
+        b = other.terms.items()
+        for (i, j, k), c1 in self.terms.items():
+            for (u, v, w), c2 in b:
+                e = (i + u, j + v, k + w)
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 elif e in out:
                     del out[e]
-        return MultiPoly(union, out)
+        return MultiPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -223,10 +217,10 @@ class MultiPoly:
                 other = MultiPoly.const(other)
             else:
                 return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)
@@ -247,12 +241,8 @@ class MultiPoly:
         return max(sum(e) for e in self.terms)
 
     def degree_in(self, var: str) -> int:
-        if var not in self.vars:
-            return 0 if self.terms else -1
-        if not self.terms:
-            return -1
-        i = self.vars.index(var)
-        return max(e[i] for e in self.terms)
+        i = CANONICAL_VARS.index(var)
+        return max((e[i] for e in self.terms), default=-1)
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
@@ -265,67 +255,36 @@ class MultiPoly:
         return next(iter(self.terms.values()))
 
     def homogeneous_part(self, deg: int) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: c for e, c in self.terms.items() if sum(e) == deg})
+        return MultiPoly._of({e: c for e, c in self.terms.items() if sum(e) == deg})
 
     def coeff_in_var(self, var: str, k: int) -> "MultiPoly":
         """Coefficient of var**k, a polynomial in the remaining variables."""
-        if var not in self.vars:
-            return self if k == 0 else MultiPoly.zero()
-        i = self.vars.index(var)
-        rest = tuple(v for v in self.vars if v != var)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                out[tuple(e[j] for j in range(len(e)) if j != i)] = c
-        return MultiPoly(rest, out)
+        i = CANONICAL_VARS.index(var)
+        return MultiPoly._of({e[:i] + (0,) + e[i + 1 :]: c for e, c in self.terms.items() if e[i] == k})
 
     def univariate_coeffs(self, var: str) -> list:
         """Dense coefficient list [c0, c1, ...]; requires all other vars absent."""
-        if any(v != var for v in self.vars):
+        i = CANONICAL_VARS.index(var)
+        if any(sum(e) != e[i] for e in self.terms):
             raise ValueError(f"polynomial is not univariate in {var}")
-        n = self.degree_in(var)
-        out = [Fraction(0)] * (max(n, 0) + 1)
-        if var in self.vars:
-            for e, c in self.terms.items():
-                out[e[0]] = c
-        elif self.terms:
-            out[0] = self.constant_value()
+        out = [Fraction(0)] * (max(self.degree_in(var), 0) + 1)
+        for e, c in self.terms.items():
+            out[e[i]] = c
         return out
 
     # -- calculus ------------------------------------------------------------
 
     def derive(self, var: str) -> "MultiPoly":
-        if var not in self.vars:
-            return MultiPoly.zero()
-        i = self.vars.index(var)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            out[tuple(ne)] = c * e[i]
-        return MultiPoly(self.vars, out)
+        i = CANONICAL_VARS.index(var)
+        return MultiPoly._of({e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in self.terms.items() if e[i]})
 
     def integrate(self, var: str) -> "MultiPoly":
         """Antiderivative in var with zero constant part."""
-        if var not in self.vars:
-            if not self.terms:
-                return self
-            return self * MultiPoly.var(var)
-        i = self.vars.index(var)
-        out = {}
-        for e, c in self.terms.items():
-            ne = list(e)
-            ne[i] += 1
-            out[tuple(ne)] = c / (e[i] + 1)
-        return MultiPoly(self.vars, out)
+        i = CANONICAL_VARS.index(var)
+        return MultiPoly._of({e[:i] + (e[i] + 1,) + e[i + 1 :]: c / (e[i] + 1) for e, c in self.terms.items()})
 
     def substitute(self, var: str, value: "MultiPoly") -> "MultiPoly":
         """Exact substitution var := value (value may involve any variables)."""
-        if var not in self.vars:
-            return self
-        i = self.vars.index(var)
         nmax = self.degree_in(var)
         powers = [MultiPoly.const(1)]
         for _ in range(nmax):
@@ -350,12 +309,13 @@ class MultiPoly:
         all-complex evaluation, up to the sign of a zero imaginary part.
         numpy may fuse the multiply-adds of a complex product, so a complex
         array can differ from the scalar results in the last bits."""
-        for v in self.vars:
+        if self._plan is None:
+            object.__setattr__(self, "_plan", (self.vars, _nested_plan(self)))
+        variables, plan = self._plan
+        for v in variables:
             if v not in point:
                 raise ValueError(f"unbound variable {v}")
-        if self._plan is None:
-            object.__setattr__(self, "_plan", _nested_plan(self))
-        return _eval_plan(self._plan, point)
+        return _eval_plan(plan, point)
 
     # -- serialization --------------------------------------------------------
 
@@ -366,7 +326,7 @@ class MultiPoly:
         pieces = []
         for e, c in items:
             mono = "*".join(
-                v if k == 1 else f"{v}^{k}" for v, k in zip(self.vars, e) if k
+                v if k == 1 else f"{v}^{k}" for v, k in zip(CANONICAL_VARS, e) if k
             )
             mag = abs(c)
             if mono and mag == 1:
@@ -701,8 +661,8 @@ class _Dense:
         return _Dense.of(Fraction(1, den), [c.numerator * (den // c.denominator) for c in coeffs])
 
     def to_poly(self, var: str) -> MultiPoly:
-        c = self.c
-        return MultiPoly((var,), {(i,): c * k for i, k in enumerate(self.p) if k})
+        c, v = self.c, CANONICAL_VARS.index(var)
+        return MultiPoly._of({(0,) * v + (i,) + (0,) * (2 - v): c * k for i, k in enumerate(self.p) if k})
 
     @property
     def is_zero(self) -> bool:
@@ -845,16 +805,22 @@ def _kronecker_det(rows: list[list[MultiPoly]]) -> MultiPoly:
     (Kronecker substitution; von zur Gathen & Gerhard, Modern Computer
     Algebra, ch. 8).
     """
-    names = tuple(v for v in CANONICAL_VARS if any(v in e.vars for row in rows for e in row))
-    if len(names) < 2:
+    used = [i for i in range(3) if any(e[i] for row in rows for p in row for e in p.terms)]
+    if len(used) < 2:
         return _bareiss_det_poly(rows)
-    if len(names) > 2:
-        raise ValueError(f"determinant in more than two variables: {names}")
-    u, w = names
-    D = 1 + sum(max(0, *(e.degree_in(u) for e in row)) for row in rows)
-    z = [[MultiPoly((u,), {(i + D * j,): c for (i, j), c in e.extended(names).items()}) for e in row] for row in rows]
+    if len(used) > 2:
+        raise ValueError("determinant in more than two variables: x, y, t")
+    u, w = used
+
+    def expo(i, j):  # the triple of u^i w^j
+        e = [0, 0, 0]
+        e[u], e[w] = i, j
+        return tuple(e)
+
+    D = 1 + sum(max((e[u] for p in row for e in p.terms), default=0) for row in rows)
+    z = [[MultiPoly._of({expo(e[u] + D * e[w], 0): c for e, c in p.terms.items()}) for p in row] for row in rows]
     det = _bareiss_det_poly(z)
-    return MultiPoly(names, {(k % D, k // D): c for (k,), c in det.terms.items()})
+    return MultiPoly._of({expo(e[u] % D, e[u] // D): c for e, c in det.terms.items()})
 
 
 def _reduce(r, pivots) -> tuple[list, "_Dense"]:

@@ -39,9 +39,22 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "scalar-ode")  # missing -H
         assert code == 1
 
-    def test_near_critical_is_3(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "-H", "x^2+y^2", "--t-samples", "0")
-        assert code == 3
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "-H", "x^2+y^2", "--t-samples", "0"),
+            # the saddle value 4/27 of the oval cubic, and a level inside the
+            # isolation disc of the circle's minimum
+            ("periods", "-H", "x^2 + y^2 + x^3 - 3*x*y^2", "--t-samples", "0.14814814814814814"),
+            ("periods", "-H", "x^2+y^2", "--t-samples", "1e-12"),
+            # outside that disc but within the 1e-9 floor of every disc
+            ("periods", "-H", "x^2+y^2", "--t-samples", "1e-9"),
+        ],
+        ids=["verify", "periods-saddle", "periods-minimum", "periods-floor"],
+    )
+    def test_near_critical_is_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
         assert "NearCritical" in err
 
     def test_cover_too_close_to_the_frame_is_3(self, capsys):
@@ -164,6 +177,15 @@ class TestExitCodes:
         assert code == 1
         assert err.splitlines() == ["error[InvalidRays]: one ray direction per singular point is required"]
 
+    def test_polygon_around_a_critical_value_is_1(self, capsys):
+        # the square holds the oval cubic's minimum value 0, so every ray
+        # from it meets the region
+        square = "poly:-0.05,-0.05;0.05,-0.05;0.05,0.05;-0.05,0.05"
+        argv = ["count-zeros", "-H", "x^2 + y^2 + x^3 - 3*x*y^2", "--domain", square, "--rho", "0.01"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.splitlines()[-1].startswith("error[InvalidRays]: ")
+
     @pytest.mark.parametrize(
         "domain, rays",
         [
@@ -245,13 +267,24 @@ class TestExitCodes:
         assert reports[0][0] == 0 and reports[1] == reports[0]
 
     @pytest.mark.parametrize("command", ["scalar-ode", "count-zeros"])
-    @pytest.mark.parametrize("mu", ["0", "0,0", "1/0"], ids=["zero", "zeros", "bad"])
-    def test_bad_mu_is_1_before_assembly(self, capsys, monkeypatch, command, mu):
+    @pytest.mark.parametrize(
+        "H, mu",
+        [
+            ("x^2+y^2", "0"),
+            ("x^2+y^2", "0,0"),
+            ("x^2+y^2", "1/0"),
+            # the wrong length: dim = (d - 1)^2 is 1 for the circle, 9 for the quartic
+            ("x^2+y^2", "1,0"),
+            ("x^4 + 2*x^2*y^2 + 2*y^4 + x - 2*y", "1,0"),
+        ],
+        ids=["zero", "zeros", "bad", "long", "short"],
+    )
+    def test_bad_mu_is_1_before_assembly(self, capsys, monkeypatch, command, H, mu):
         def no_assembly(H):
             raise RuntimeError("the system must not be assembled for an invalid mu")
 
         monkeypatch.setattr("pfzero.cli.assemble_pf_system", no_assembly)
-        argv = [command, "-H", "x^2+y^2", "--mu", mu]
+        argv = [command, "-H", H, "--mu", mu]
         if command == "count-zeros":
             argv += ["--domain", "disc:0.5,0,0.1", "--rho", "0.1", "--mode", "both"]
         code, _, err = run_cli(capsys, *argv)

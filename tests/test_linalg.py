@@ -41,18 +41,22 @@ def dense_rows(rows):
     return [[_Dense.from_poly(e) for e in row] for row in rows]
 
 
-tpolys = st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)), max_size=3).map(tpoly)
+nonzero = st.builds(Fraction, st.integers(1, 3) | st.integers(-3, -1), st.integers(1, 3))
+tpolys = st.lists(nonzero, min_size=1, max_size=3).map(tpoly)  # nonzero, degree <= 2
 
 
 @st.composite
 def tpoly_matrices(draw):
-    """Square 2x2 to 4x4 matrices over Q[t]; optionally with a zero first
-    pivot (a row swap) or a last row that combines the others (singular)."""
-    n = draw(st.integers(2, 4))
-    M = [[draw(tpolys) for _ in range(n)] for _ in range(n)]
+    """Square 2x2 to 4x4 matrices over Q[t], 2x2 one draw in seven, with t^3
+    added on the diagonal so that the diagonal product leads the
+    determinant: nonsingular, and in practice still so with the optional
+    zero first pivot (a row swap), unless the last row is replaced by a
+    combination of the others (singular, one draw in three)."""
+    n = draw(st.sampled_from([2, 3, 4, 3, 4, 3, 4]))
+    M = [[draw(tpolys) + (t**3 if i == j else 0) for j in range(n)] for i in range(n)]
     if draw(st.booleans()):
         M[0][0] = MultiPoly.zero()
-    if draw(st.booleans()):
+    if draw(st.integers(0, 2)) == 2:
         c = [draw(tpolys) for _ in range(n - 1)]
         M[-1] = [sum((c[i] * M[i][j] for i in range(n - 1)), MultiPoly.zero()) for j in range(n)]
     return M

@@ -320,17 +320,23 @@ def _mu_count(capsys, text, mu, domain, rho):
     return json.loads(capsys.readouterr().out)["numeric_count"]
 
 
-def _oracle_around(sysm, centre, radius):
-    """The 48-gon of count-zeros around the disc, and quadrature periods at
-    its vertices and chord midpoints (s = k/96) to PERIOD_REL_TOL, of the
-    cycle at the first vertex carried from level to level."""
-    path = [centre + radius * cmath.exp(2j * math.pi * k / 48) for k in range(49)]
+def _oracle_along(sysm, path):
+    """Quadrature periods at s = k/96 of the closed path as the continuation
+    parametrizes it (each segment an equal share of s), to PERIOD_REL_TOL, of
+    the cycle at the first vertex carried from level to level."""
+    n = len(path) - 1
     cycles = [make_cycle(sysm.hamiltonian, path[0], sysm.singular)]
     for k in range(1, 96):
-        t = path[k // 2] if k % 2 == 0 else (path[k // 2] + path[k // 2 + 1]) / 2
-        cycles.append(_at_level(cycles[-1], t))
+        j, r = divmod(k * n, 96)
+        cycles.append(_at_level(cycles[-1], path[j] + r / 96 * (path[j + 1] - path[j])))
     vals, _errs = _richardson_periods(cycles, sysm.forms, numerics.PERIOD_REL_TOL)
     return path, [np.array(v) for v in vals]
+
+
+def _oracle_around(sysm, centre, radius):
+    """The 48-gon of count-zeros around the disc, and `_oracle_along` it: at
+    its vertices and chord midpoints."""
+    return _oracle_along(sysm, [centre + radius * cmath.exp(2j * math.pi * k / 48) for k in range(49)])
 
 
 def _continued_periods(sysm, path, periods) -> float:
@@ -359,6 +365,11 @@ class TestPlantedZeros:
         sysm = assemble_pf_system(Hamiltonian.from_poly(P(OVAL_CUBIC)))
         return (sysm, *_oracle_around(sysm, 0.075, 0.03))
 
+    @pytest.fixture(scope="class")
+    def square_loop(self, oval_loop):
+        sysm = oval_loop[0]
+        return (sysm, *_oracle_along(sysm, [0.045 - 0.03j, 0.105 - 0.03j, 0.105 + 0.03j, 0.045 + 0.03j, 0.045 - 0.03j]))
+
     @pytest.mark.parametrize("mu, count", [("1,0,0,-47", 1), ("1,0,0,-30", 0)], ids=["planted", "control"])
     def test_oval_cubic_on_the_real_diameter(self, capsys, oval_loop, mu, count):
         # the oval periods are real on the real axis, and mu . I changes sign
@@ -374,6 +385,19 @@ class TestPlantedZeros:
         assert round(_winding([np.dot(weights, p) for p in periods])) == count
         assert _continued_periods(sysm, path, periods) <= 1e-10
         assert _mu_count(capsys, OVAL_CUBIC, mu, "disc:0.075,0,0.03", "0.01") == count
+
+    @pytest.mark.parametrize("mu, count", [("1,0,0,-47", 1), ("1,0,0,-30", 0)], ids=["planted", "control"])
+    def test_oval_cubic_on_the_square_around_the_disc(self, capsys, oval_loop, square_loop, mu, count):
+        # the polygon domain's contour is the square itself; its cycle starts
+        # at a complex corner and reaches the real midline, the diameter
+        # above, as the oval's cycle up to sign (s = 7/8 is t = 0.045)
+        sysm, path, periods = square_loop
+        weights = [int(m) for m in mu.split(",")]
+        oval = oval_loop[2][48]  # t = 0.075 - 0.03 = 0.045
+        assert min(np.max(np.abs(periods[84] - s * oval)) for s in (1, -1)) <= 1e-10 * np.max(np.abs(oval))
+        assert round(_winding([np.dot(weights, p) for p in periods])) == count
+        assert _continued_periods(sysm, path, periods) <= 1e-10
+        assert _mu_count(capsys, OVAL_CUBIC, mu, "poly:0.045,-0.03;0.105,-0.03;0.105,0.03;0.045,0.03", "0.01") == count
 
     def test_branch_cubic_zero_at_the_centre(self, capsys):
         # mu = (1, 0, m3, m4) rational and orthogonal to Re I and Im I at the

@@ -59,10 +59,34 @@ class TestArithmetic:
         )
         q = MultiPoly(("x", "y"), {(2, 0): Fraction(3), (0, 1): Fraction(-1, 2), (1, 0): Fraction(2)})
         assert p.vars == ("x", "y")
-        assert p.terms == {(2, 0): Fraction(3), (0, 1): Fraction(-1, 2), (1, 0): Fraction(2)}
+        assert p.terms == {(2, 0, 0): Fraction(3), (0, 1, 0): Fraction(-1, 2), (1, 0, 0): Fraction(2)}
         assert all(type(c) is Fraction for c in p.terms.values())
         assert p == q and hash(p) == hash(q) and p == 3 * x**2 - Fraction(1, 2) * y + 2 * x
         assert MultiPoly(("x",), {(1,): 0, (0,): Fraction(0)}).is_zero
+
+    def test_variables_map_by_name(self):
+        assert MultiPoly(("y", "x"), {(2, 1): 1}) == x * y**2
+        assert MultiPoly(("t", "y"), {(1, 0): 1}).terms == {(0, 0, 1): Fraction(1)}
+        for variables, expo in ((("x", "x"), (1, 1)), (("x", "z"), (1, 1)), (("x", "y"), (1,)), (("x",), (-1,))):
+            with pytest.raises(ValueError):
+                MultiPoly(variables, {expo: 1})
+
+    @given(
+        polys(variables=("x", "y", "t"), max_deg=3),
+        polys(variables=("t", "y"), max_deg=3),
+        st.sampled_from("xyt"),
+        st.integers(0, 3),
+    )
+    def test_results_are_what_the_checked_constructor_makes(self, a, b, var, k):
+        # arithmetic, calculus and queries build their results unchecked:
+        # exponent triples mapped to nonzero Fractions, term for term (and in
+        # the same order) what the public constructor makes of them
+        results = [a + b, a - b, a * b, b**2, a.derive(var), a.integrate(var)]
+        results += [a.coeff_in_var(var, k), a.substitute(var, b), a.homogeneous_part(k)]
+        for p in results:
+            assert all(len(e) == 3 and all(type(i) is int and i >= 0 for i in e) for e in p.terms)
+            assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+            assert list(MultiPoly(("x", "y", "t"), p.terms).terms.items()) == list(p.terms.items())
 
     @given(polys(), polys(), polys())
     def test_ring_axioms(self, a, b, c):
@@ -274,9 +298,9 @@ class TestEval:
         exact, size = (Fraction(0), Fraction(0)), 0.0
         for e, c in p.terms.items():
             term = (c, Fraction(0))
-            for v, k in zip(p.vars, e):
+            for v, k in enumerate(e):
                 for _ in range(k):
-                    term = mul(term, point["xyt".index(v)])
+                    term = mul(term, point[v])
             exact = (exact[0] + term[0], exact[1] + term[1])
             size += abs(complex(float(term[0]), float(term[1])))
         got = p.eval_complex({v: complex(float(re), float(im)) for v, (re, im) in zip("xyt", point)})
@@ -318,7 +342,7 @@ class TestEvalOnArrays:
                 # arithmetic to rounding, not bit for bit: each side's Horner
                 # error is a few ulp per level, at most ten levels here, of
                 # the evaluation of |p| at |x|, |y|
-                size = MultiPoly(p.vars, {e: abs(c) for e, c in p.terms.items()})
+                size = MultiPoly(("x", "y", "t"), {e: abs(c) for e, c in p.terms.items()})
                 bound = size.eval_complex({"x": np.abs(X), "y": np.abs(Y)}).real
                 assert np.all(np.abs(got - scalar) <= 128 * np.finfo(float).eps * bound)
 
