@@ -191,27 +191,44 @@ def yun_squarefree_decomposition(p: MultiPoly, var: str) -> list[tuple[MultiPoly
     return out
 
 
-def _newton_polish(coeffs: np.ndarray, z: complex) -> complex:
-    dcoeffs = np.array([k * coeffs[k] for k in range(1, len(coeffs))], dtype=complex)
+def _cabs(w: np.ndarray) -> np.ndarray:
+    """|w| elementwise, rounded as numpy's scalar abs rounds (hypot of the
+    parts); np.abs on arrays can differ from it in the last bit."""
+    return np.hypot(w.real, w.imag)
+
+
+def _newton_polish(coeffs: np.ndarray, dcoeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton's method on the roots z of the polynomial with coefficients
+    coeffs (derivative dcoeffs, both lowest degree first), all of them in one
+    pass of array operations: (the polished roots, which of them took a step).
+    Each root stops on its own, at a zero derivative or after a step below
+    1e-16 max(1, |z|), and every operation is elementwise, so it ends where a
+    polish of that root alone would."""
+    z = z.astype(complex)  # a copy; np.roots gives reals for a factor t
+    moved = np.zeros(len(z), dtype=bool)
+    live = np.arange(len(z))
     for _ in range(40):
-        pv = np.polyval(coeffs[::-1], z)
-        dv = np.polyval(dcoeffs[::-1], z)
-        if dv == 0:
-            break
+        pv = np.polyval(coeffs[::-1], z[live])
+        dv = np.polyval(dcoeffs[::-1], z[live])
+        sloped = dv != 0
+        live, pv, dv = live[sloped], pv[sloped], dv[sloped]
         step = pv / dv
-        z = z - step
-        if abs(step) < 1e-16 * max(1.0, abs(z)):
+        z[live] = z[live] - step
+        moved[live] = True
+        live = live[~(_cabs(step) < 1e-16 * np.maximum(1.0, _cabs(z[live])))]
+        if not live.size:
             break
-    return z
+    return z, moved
 
 
 def isolate_roots(p: MultiPoly, var: str = "t") -> list[CriticalValue]:
     """Numeric root isolation with per-root radii; overlapping discs merge.
 
     Roots of each squarefree factor come from the companion matrix, get a
-    Newton polish, and receive the radius deg * |p(z)/p'(z)| (a disc of that
-    radius around z always contains a root), floored at
-    DEFAULT_ISOLATION_RADIUS.
+    Newton polish together, and receive the radius deg * |p(z)/p'(z)| (a disc
+    of that radius around z always contains a root), floored at
+    DEFAULT_ISOLATION_RADIUS. A root that Newton moved is a numpy scalar, one
+    it left alone a complex.
     """
     if p.is_zero or p.is_constant():
         return []
@@ -221,16 +238,16 @@ def isolate_roots(p: MultiPoly, var: str = "t") -> list[CriticalValue]:
         if deg <= 0:
             continue
         coeffs = np.array([complex(c) for c in factor.univariate_coeffs(var)], dtype=complex)
-        roots = np.roots(coeffs[::-1])
         dcoeffs = np.array([k * coeffs[k] for k in range(1, len(coeffs))], dtype=complex)
-        for z in roots:
-            z = _newton_polish(coeffs, complex(z))
-            pv = np.polyval(coeffs[::-1], z)
-            dv = np.polyval(dcoeffs[::-1], z)
-            rad = DEFAULT_ISOLATION_RADIUS
-            if dv != 0:
-                rad = max(DEFAULT_ISOLATION_RADIUS, deg * abs(pv / dv))
-            found.append(CriticalValue(value=z, radius=rad, multiplicity=mult))
+        z, moved = _newton_polish(coeffs, dcoeffs, np.roots(coeffs[::-1]))
+        pv = np.polyval(coeffs[::-1], z)
+        dv = np.polyval(dcoeffs[::-1], z)
+        sloped = dv != 0
+        size = np.zeros(len(z))  # 0 where p' vanishes, so the floor applies
+        size[sloped] = deg * _cabs(pv[sloped] / dv[sloped])
+        for zi, moved_i, size_i in zip(z, moved, size):
+            value = zi if moved_i else complex(zi)
+            found.append(CriticalValue(value=value, radius=max(DEFAULT_ISOLATION_RADIUS, size_i), multiplicity=mult))
     return merge_close_values(found)
 
 

@@ -10,10 +10,12 @@ sides through the one elimination. Over Q[t], `PolyMatrix.determinant`,
 `PolyMatrix.adjugate` and `first_dependence` are one fraction-free (Bareiss)
 echelon, `poly._reduce` and `poly._add_pivot`, on the dense kernel
 `poly._Dense`; the adjugate and the dependence end in the one
-back-substitution `poly._back_substitute`. The two `PolyMatrix` methods take
-`MultiPoly` entries in one shared variable (ValueError otherwise) and hand
-back `MultiPoly`; `first_dependence` takes and returns `_Dense`. `RatFunc`
-reduces its parts on the dense kernel too.
+back-substitution `poly._back_substitute`. A matrix takes the echelon of its
+columns once and keeps it, so its determinant and its adjugate share one
+elimination. The two `PolyMatrix` methods take `MultiPoly` entries in one
+shared variable (ValueError otherwise) and hand back `MultiPoly`;
+`first_dependence` takes and returns `_Dense`. `RatFunc` reduces its parts on
+the dense kernel too.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .errors import CertificateFailed, DegenerateInput, DivisionByZeroPolynomial, Inconsistent
 from .poly import MultiPoly, _Dense, _kernel_rows, _zgcd
-from .poly import _add_pivot, _back_substitute, _bareiss_det_poly, _echelon, _reduce
+from .poly import _add_pivot, _back_substitute, _echelon, _reduce
 
 
 # -- sparse exact solver --------------------------------------------------------
@@ -134,9 +136,13 @@ def solve_sparse_exact(rows: list[dict], ncols: int, nrhs: int = 1):
 
 
 class PolyMatrix:
-    """Rectangular matrix of MultiPoly entries over a shared variable context."""
+    """Rectangular matrix of MultiPoly entries over a shared variable context.
 
-    __slots__ = ("rows", "cols", "entries")
+    `_columns` keeps the fraction-free echelon of the columns of a square
+    matrix once `determinant` or `adjugate` has taken it, so the two share it.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_columns")
 
     def __init__(self, entries: Sequence[Sequence[MultiPoly]]):
         entries = [list(r) for r in entries]
@@ -147,6 +153,7 @@ class PolyMatrix:
         object.__setattr__(self, "rows", len(entries))
         object.__setattr__(self, "cols", len(entries[0]) if entries else 0)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, *a):
         raise AttributeError("PolyMatrix is immutable")
@@ -162,10 +169,21 @@ class PolyMatrix:
         degs = [e.degree() for row in self.entries for e in row]
         return max(degs) if degs else -1
 
-    def determinant(self) -> MultiPoly:
+    def _column_echelon(self):
+        """(var, echelon) with echelon the `poly._echelon` of the columns,
+        None for a singular matrix; taken once per matrix. A non-square
+        matrix raises ValueError."""
         if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        return _bareiss_det_poly(self.entries)
+            raise ValueError("determinant or adjugate of a non-square matrix")
+        if self._columns is None:
+            var, m = _kernel_rows(self.entries)
+            object.__setattr__(self, "_columns", (var, _echelon(zip(*m))))
+        return self._columns
+
+    def determinant(self) -> MultiPoly:
+        """det(M), from the echelon of the columns; 1 for 0 x 0."""
+        var, echelon = self._column_echelon()
+        return MultiPoly.zero() if echelon is None else echelon[1].to_poly(var)
 
     def adjugate(self) -> "PolyMatrix":
         """Transposed cofactor matrix: adj(M) * M = det(M) * Id, exactly.
@@ -175,14 +193,11 @@ class PolyMatrix:
         det(M) e_j = sum_l c_l m_l, column j of adj(M). Requires
         det(M) != 0: a singular matrix raises DegenerateInput.
         """
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("adjugate of a non-square matrix")
-        var, m = _kernel_rows(self.entries)
-        echelon = _echelon(zip(*m))
+        var, echelon = self._column_echelon()
         if echelon is None:
             raise DegenerateInput("adjugate of a singular matrix")
         pivots, det = echelon
+        n = self.rows
         zero, one = _Dense.zero(), _Dense.const(1)
         units = ([one if i == j else zero for i in range(n)] for j in range(n))
         cols = [_back_substitute(_reduce(e, pivots)[0], det, pivots) for e in units]

@@ -11,22 +11,25 @@ polynomial identity K A = a (L - K').
 
 Every scalar equation comes from the iterated rows a^j y^(j) = r_j I of a
 combination y = r_0 I, generated lazily by the row recurrence
-r_{j+1} = a r_j' + r_j (A - j a' Id). One incremental fraction-free
-elimination stops at the first row that depends on the earlier ones over the
-rational functions and yields the monic equation. A component I_m starts at
+r_{j+1} = a r_j' + r_j (A - j a' Id). Each row is divided by the gcd of its
+entries, which keeps the pivots of the elimination small, and one incremental
+fraction-free elimination of these primitive rows stops at the first row that
+depends on the earlier ones over the rational functions; with the contents
+folded back in, it yields the monic equation. A component I_m starts at
 e_m. A combination I0 = mu . I starts at mu and drops that row, since the
 constants leave I0 free: the rows from r_1 on give the equation of I0', and
 raising every derivative by one gives that of I0.
 
 Everything after the Petrov solves is a polynomial in t alone, so it runs on
 the dense kernel `poly._Dense`: the product adj(K) (L - K'), the content
-cancellation, the certificate, the iterated rows, the dependence and the
-reduction of the coefficients. `MultiPoly` stays at the boundaries:
-`PFSystem.A/a/K/L` and `RatFunc.num/den`.
+cancellation, the certificate, the iterated rows and their contents, the
+dependence and the reduction of the coefficients. `MultiPoly` stays at the
+boundaries: `PFSystem.A/a/K/L` and `RatFunc.num/den`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -137,10 +140,11 @@ def assemble_pf_system(H: Hamiltonian) -> PFSystem:
 
     The K and L rows are one batch of Petrov decompositions, each certified
     by its reconstruction identity and degree bound. K^(-1) goes through the
-    exact adjugate over Q[t] (one fraction-free echelon of the columns of K
-    and a back-substitution per unit vector); the common polynomial content
-    of det K and the numerator matrix is cancelled and a(t) is made monic. The result is checked against
-    K A = a (L - K') and a failure raises CertificateFailed.
+    exact adjugate over Q[t] (one fraction-free echelon of the columns of K,
+    which also gives det K, and a back-substitution per unit vector); the
+    common polynomial content of det K and the numerator matrix is cancelled
+    and a(t) is made monic. The result is checked against K A = a (L - K')
+    and a failure raises CertificateFailed.
     """
     basis = monomial_basis(H)
     forms = make_basis_forms(basis)
@@ -213,16 +217,41 @@ def _iterated_rows(A: PolyMatrix, a: MultiPoly, start: Sequence[Fraction]) -> It
         j += 1
 
 
+def _primitive_rows(rows: Iterator[list[_Dense]], contents: list) -> Iterator[list[_Dense]]:
+    """The rows r_j / g_j, lazily, with g_j the gcd of the entries of r_j
+    (their polynomial gcd times the rational gcd of their contents; 1 for a
+    zero row), appended to contents as its row is yielded."""
+    for r in rows:
+        nonzero = [e for e in r if not e.is_zero]
+        g = _Dense.const(1)
+        if nonzero:
+            p = nonzero[0].p
+            for e in nonzero[1:]:
+                if len(p) == 1:
+                    break
+                p = _zgcd(p, e.p)[0]
+            num = math.gcd(*(e.c.numerator for e in nonzero))
+            den = math.lcm(*(e.c.denominator for e in nonzero))
+            g = _Dense(Fraction(num, den), p)
+        contents.append(g)
+        yield [e.exact_div(g) for e in r]
+
+
 def _scalar_from_rows(rows: Iterator[list[_Dense]], a: MultiPoly) -> ScalarODE:
-    """The monic equation of z from rows a^(j+s) z^(j) = r_j I, any fixed s:
-    D r_k = sum_l num_l r_l, so z^(k) = sum_l (num_l / (D a^(k-l))) z^(l)."""
-    k, D, num = first_dependence(rows)
+    """The monic equation of z from rows a^(j+s) z^(j) = r_j I, any fixed s.
+
+    The elimination runs on the primitive rows p_j = r_j / g_j, whose
+    entries share no factor: `first_dependence` gives D p_k = sum_l num_l p_l,
+    so r_k = sum_l (num_l g_k / (D g_l)) r_l and
+    z^(k) = sum_l (num_l g_k / (D g_l a^(k-l))) z^(l)."""
+    contents: list[_Dense] = []
+    k, D, num = first_dependence(_primitive_rows(rows, contents))
     ad = _Dense.from_poly(a)
     coeffs = []
     a_power = ad
     pole_poly = ad.monic()
     for l in range(k - 1, -1, -1):
-        c_num, c_den = _reduced(-num[l], D * a_power)
+        c_num, c_den = _reduced(-(num[l] * contents[k]), D * contents[l] * a_power)
         coeffs.append(RatFunc._of_reduced(c_num.to_poly("t"), c_den.to_poly("t")))
         if not c_num.is_zero:
             pole_poly = _lcm(pole_poly, c_den)

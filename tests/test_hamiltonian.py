@@ -1,16 +1,21 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from pfzero import hamiltonian
 from pfzero.errors import NonIsolatedCritical, NotRegularAtInfinity, UnsupportedDegree
 from pfzero.hamiltonian import (
+    DEFAULT_ISOLATION_RADIUS,
+    CriticalValue,
     Hamiltonian,
     critical_values,
     highest_part,
     is_regular_at_infinity,
     isolate_roots,
+    merge_close_values,
     monomial_basis,
     yun_squarefree_decomposition,
 )
@@ -205,3 +210,110 @@ class TestRootIsolation:
         roots = sorted(isolate_roots(tvar**2 * (tvar - c)), key=lambda r: r.value.real)
         assert [r.multiplicity for r in roots] == [2, 1]
         assert abs(roots[1].value - 2**k) <= 1e-6 * 2**k
+
+
+def polish_one_root(coeffs, z):
+    """Newton on one root alone with 0-d polyval, the reference the batched
+    polish must match bit for bit: (the polished root, the steps taken)."""
+    dcoeffs = np.array([k * coeffs[k] for k in range(1, len(coeffs))], dtype=complex)
+    steps = 0
+    for _ in range(40):
+        pv = np.polyval(coeffs[::-1], z)
+        dv = np.polyval(dcoeffs[::-1], z)
+        if dv == 0:
+            break
+        step = pv / dv
+        z = z - step
+        steps += 1
+        if abs(step) < 1e-16 * max(1.0, abs(z)):
+            break
+    return z, steps
+
+
+def isolate_one_root_at_a_time(p, var="t"):
+    """isolate_roots with the per-root polish: (the merged values, the step
+    counts of the roots)."""
+    found, steps = [], []
+    for factor, mult in yun_squarefree_decomposition(p, var):
+        deg = factor.degree_in(var)
+        coeffs = np.array([complex(c) for c in factor.univariate_coeffs(var)], dtype=complex)
+        dcoeffs = np.array([k * coeffs[k] for k in range(1, len(coeffs))], dtype=complex)
+        for z in np.roots(coeffs[::-1]):
+            z, n = polish_one_root(coeffs, complex(z))
+            steps.append(n)
+            pv = np.polyval(coeffs[::-1], z)
+            dv = np.polyval(dcoeffs[::-1], z)
+            rad = DEFAULT_ISOLATION_RADIUS
+            if dv != 0:
+                rad = max(DEFAULT_ISOLATION_RADIUS, deg * abs(pv / dv))
+            found.append(CriticalValue(value=z, radius=rad, multiplicity=mult))
+    return merge_close_values(found), steps
+
+
+def reprs(values):
+    return [(repr(v.value), repr(v.radius), v.multiplicity) for v in values]
+
+
+def random_tpoly(rng, deg):
+    tvar = MultiPoly.var("t")
+    p = MultiPoly.const(rng.randint(1, 9))
+    for k in range(1, deg + 1):
+        p = p + MultiPoly.const(Fraction(rng.randint(-30, 30), rng.randint(1, 7))) * tvar**k
+    return p
+
+
+class TestBatchedPolish:
+    # the roots of a factor are polished together, each with its own stop
+    # test; values and radii must be those of a polish one root at a time,
+    # bit for bit and type for type
+    tvar = MultiPoly.var("t")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_polynomials(self, seed):
+        rng = random.Random(seed)
+        for deg in (1, 2, 5, 9, 14):
+            p = random_tpoly(rng, deg)
+            if rng.random() < 0.5:  # a repeated factor and a degree-1 factor
+                p = p * random_tpoly(rng, 2) ** 2 * (self.tvar - MultiPoly.const(Fraction(1, 3)))
+            want, _ = isolate_one_root_at_a_time(p)
+            assert reprs(isolate_roots(p)) == reprs(want)
+
+    def test_roots_stop_at_different_steps(self):
+        p = MultiPoly.const(1)
+        for r in range(1, 11):
+            p = p * (self.tvar - MultiPoly.const(r))
+        p = p * (self.tvar**2 - MultiPoly.const(Fraction(1, 10**6)))
+        want, steps = isolate_one_root_at_a_time(p)
+        assert len(set(steps)) > 1
+        assert reprs(isolate_roots(p)) == reprs(want)
+
+    def test_radii_above_the_floor(self):
+        # the roots r +- i, r = 1..8, are ill-conditioned: their radii
+        # deg |p/p'| are above the floor and complex, so they show the last
+        # bit of |.| (np.abs on an array rounds differently from abs)
+        t = self.tvar
+        p = MultiPoly.const(1)
+        for r in range(1, 9):
+            p = p * (t**2 - MultiPoly.const(2 * r) * t + MultiPoly.const(r * r + 1))
+        want, _ = isolate_one_root_at_a_time(p)
+        assert sum(v.radius > DEFAULT_ISOLATION_RADIUS for v in want) > 8
+        assert reprs(isolate_roots(p)) == reprs(want)
+
+    def test_degree_one_factors(self):
+        t = self.tvar
+        p = (t - MultiPoly.const(Fraction(2, 7))) * (t + MultiPoly.const(5)) ** 3 * t**2
+        want, _ = isolate_one_root_at_a_time(p)
+        got = isolate_roots(p)
+        assert len(got) == 3 and reprs(got) == reprs(want)
+
+    def test_derivative_zero_at_the_start(self):
+        # t^4 + t^3 - 10^-700 t is squarefree, but in floats its coefficient
+        # of t is 0.0: the roots of t^4 + t^3 include 0 three times, where
+        # p' is 0, so Newton takes no step there
+        t = self.tvar
+        p = t**4 + t**3 - MultiPoly.const(Fraction(1, 10**700)) * t
+        want, steps = isolate_one_root_at_a_time(p)
+        assert 0 in steps and max(steps) > 0
+        got = isolate_roots(p)
+        assert reprs(got) == reprs(want)
+        assert {type(v.value) for v in got} == {complex, np.complex128}

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from pfzero import linalg
 from pfzero.errors import DegenerateInput, DivisionByZeroPolynomial, Inconsistent
 from pfzero.linalg import (
     RHS,
@@ -212,6 +213,30 @@ class TestPolyMatrix:
     def test_adjugate_of_singular_matrix_raises(self):
         with pytest.raises(DegenerateInput):
             PolyMatrix([[t, t + 1], [2 * t, 2 * t + 2]]).adjugate()
+
+    @pytest.mark.parametrize(
+        "entries, det",
+        [
+            ([[t, MultiPoly.const(1)], [MultiPoly.const(2), t]], t * t - 2),
+            ([[t, t + 1], [2 * t, 2 * t + 2]], MultiPoly.zero()),
+            ([], MultiPoly.const(1)),
+        ],
+        ids=["nonsingular", "singular", "0x0"],
+    )
+    def test_one_echelon_per_matrix(self, monkeypatch, entries, det):
+        # determinant and adjugate share the echelon of the columns
+        calls = []
+        echelon = linalg._echelon
+        monkeypatch.setattr(linalg, "_echelon", lambda vectors: calls.append(1) or echelon(vectors))
+        M = PolyMatrix(entries)
+        assert M.determinant() == det
+        if det.is_zero:
+            with pytest.raises(DegenerateInput):
+                M.adjugate()
+        else:
+            zero = MultiPoly.zero()
+            assert mat_mul(M.adjugate(), M) == [[det if i == j else zero for j in range(M.cols)] for i in range(M.rows)]
+        assert len(calls) == 1
 
     def test_determinant_in_two_variables_raises(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from pfzero import petrov
 from pfzero.errors import CertificateFailed, DegenerateK
 from pfzero.hamiltonian import Hamiltonian, monomial_basis
-from pfzero.linalg import PolyMatrix, RatFunc
+from pfzero.linalg import PolyMatrix, RatFunc, first_dependence
 from pfzero.petrov import OneForm
 from pfzero.pfsystem import (
     assemble_pf_system,
@@ -17,9 +18,10 @@ from pfzero.pfsystem import (
     make_basis_forms,
     _as_tpoly,
     _iterated_rows,
+    _primitive_rows,
     _scalar_from_rows,
 )
-from pfzero.poly import MultiPoly, parse_polynomial
+from pfzero.poly import MultiPoly, _Dense, _zgcd, parse_polynomial
 from tests.conftest import H4, Q4, random_regular_hamiltonian
 
 P = parse_polynomial
@@ -51,6 +53,11 @@ def d2():
 def d3():
     H = Hamiltonian.from_poly(P("x^3 - x*y^2 + y"))
     return H, assemble_pf_system(H)
+
+
+@pytest.fixture(scope="module")
+def q4():
+    return assemble_pf_system(Hamiltonian.from_poly(P(Q4)))
 
 
 class TestBasisForms:
@@ -178,15 +185,14 @@ class TestD3System:
 
 
 class TestD4System:
-    def test_quartic_system_and_component_1(self):
-        sys4 = assemble_pf_system(Hamiltonian.from_poly(P(Q4)))
-        K = sys4.K
-        assert sys4.dim == 9 and sys4.a.degree() == 9
+    def test_quartic_system_and_component_1(self, q4):
+        K = q4.K
+        assert q4.dim == 9 and q4.a.degree() == 9
         det, zero = K.determinant(), MultiPoly.zero()
         assert mat_mul(K.adjugate(), K) == [[det if i == j else zero for j in range(9)] for i in range(9)]
-        assert defining_identity_holds(sys4)
+        assert defining_identity_holds(q4)
         # component 1 (form x dy) has order 6 here, below (d-1)(d-2)+1 = 7
-        assert derive_scalar_ode(sys4, 1).order == 6
+        assert derive_scalar_ode(q4, 1).order == 6
 
     def test_assembly_solves_in_batches(self, monkeypatch):
         # one elimination for the K and L rows and one per cofactor degree of
@@ -249,7 +255,66 @@ class TestMuEquationMatchesTheAugmentedSystem:
         for mu in mus + [[Fraction(0)] * sysm.dim, [Fraction(1)] + [Fraction(0)] * (sysm.dim - 1)]:
             self.assert_same(augment_and_reduce(sysm, mu), augmented_reference(sysm, mu))
 
-    def test_quartic(self):
-        sysm = assemble_pf_system(Hamiltonian.from_poly(P(Q4)))
-        mu = [Fraction(1), Fraction(0), Fraction(-1, 2)] + [Fraction(0)] * (sysm.dim - 3)
-        self.assert_same(augment_and_reduce(sysm, mu), augmented_reference(sysm, mu))
+    def test_quartic(self, q4):
+        mu = [Fraction(1), Fraction(0), Fraction(-1, 2)] + [Fraction(0)] * (q4.dim - 3)
+        self.assert_same(augment_and_reduce(q4, mu), augmented_reference(q4, mu))
+
+
+def unstripped_coeffs(rows, a):
+    """The coefficients the long way: first_dependence on the rows as they
+    come, D r_k = sum_l num_l r_l, then -num_l / (D a^(k-l)) in lowest terms."""
+    k, D, num = first_dependence(rows)
+    ad = _Dense.from_poly(a)
+    coeffs, a_power = [], ad
+    for l in range(k - 1, -1, -1):
+        coeffs.append(RatFunc((-num[l]).to_poly("t"), (D * a_power).to_poly("t")))
+        a_power = a_power * ad
+    return tuple(coeffs)
+
+
+def unit(n, m):
+    return [1 if i == m else 0 for i in range(n)]
+
+
+class TestPrimitiveRows:
+    # the elimination runs on the rows divided by their contents; the
+    # equation must be the one the rows as they come give
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_quartic_components(self, q4, m):
+        got = _scalar_from_rows(_iterated_rows(q4.A, q4.a, unit(9, m - 1)), q4.a)
+        assert got.coeffs == unstripped_coeffs(_iterated_rows(q4.A, q4.a, unit(9, m - 1)), q4.a)
+
+    def test_quartic_mu_equation(self, q4):
+        mu = [Fraction(1), Fraction(0), Fraction(-1, 2)] + [Fraction(0)] * 6
+        rows, raw = _iterated_rows(q4.A, q4.a, mu), _iterated_rows(q4.A, q4.a, mu)
+        next(rows), next(raw)  # I0 starts at r_1, as in augment_and_reduce
+        assert _scalar_from_rows(rows, q4.a).coeffs == unstripped_coeffs(raw, q4.a)
+
+    def test_random_cubic(self, rng):
+        sysm = assemble_pf_system(random_regular_hamiltonian(rng, 3))
+        for m in range(sysm.dim):
+            got = _scalar_from_rows(_iterated_rows(sysm.A, sysm.a, unit(sysm.dim, m)), sysm.a)
+            assert got.coeffs == unstripped_coeffs(_iterated_rows(sysm.A, sysm.a, unit(sysm.dim, m)), sysm.a)
+
+    def test_rows_are_primitive_and_give_back_the_rows(self, q4):
+        rows = list(itertools.islice(_iterated_rows(q4.A, q4.a, unit(9, 0)), 8))
+        contents = []
+        prims = list(_primitive_rows(iter(rows), contents))
+        assert len(contents) == len(prims) == 8
+        assert max(g.degree() for g in contents) > 0  # there is something to strip
+        for g, prim, row in zip(contents, prims, rows):
+            entries = [e for e in prim if not e.is_zero]
+            poly_gcd = entries[0].p
+            for e in entries[1:]:
+                poly_gcd = _zgcd(poly_gcd, e.p)[0]
+            assert poly_gcd == (1,)
+            assert all(e.c.denominator == 1 for e in entries)
+            assert math.gcd(*(e.c.numerator for e in entries)) == 1
+            assert [g * e for e in prim] == row
+
+    def test_zero_row_has_content_one(self):
+        contents = []
+        zero = _Dense.zero()
+        assert list(_primitive_rows(iter([[zero, zero]]), contents)) == [[zero, zero]]
+        assert contents == [_Dense.const(1)]
