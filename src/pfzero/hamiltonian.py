@@ -221,7 +221,7 @@ def _newton_polish(coeffs: np.ndarray, dcoeffs: np.ndarray, z: np.ndarray) -> tu
     return z, moved
 
 
-def isolate_roots(p: MultiPoly, var: str = "t") -> list[CriticalValue]:
+def isolate_roots(p: MultiPoly, var: str) -> list[CriticalValue]:
     """Numeric root isolation with per-root radii; overlapping discs merge.
 
     Roots of each squarefree factor come from the companion matrix, get a

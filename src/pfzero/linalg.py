@@ -1,21 +1,22 @@
 """Exact linear algebra: the sparse rational solver, polynomial matrices,
 rational functions in t.
 
-`solve_sparse_exact` is an integer cross-multiplication eliminator with
-row-content stripping for the large, very sparse coefficient-matching systems
-that the decomposition routines produce and for the Macaulay matrices of the
-staircase; it is exact and deterministic, sweeps the columns in a fixed order
-and chooses each pivot row by fill, and it carries any number of right-hand
-sides through the one elimination. Over Q[t], `PolyMatrix.determinant`,
-`PolyMatrix.adjugate` and `first_dependence` are one fraction-free (Bareiss)
-echelon, `poly._reduce` and `poly._add_pivot`, on the dense kernel
-`poly._Dense`; the adjugate and the dependence end in the one
-back-substitution `poly._back_substitute`. A matrix takes the echelon of its
-columns once and keeps it, so its determinant and its adjugate share one
-elimination. The two `PolyMatrix` methods take `MultiPoly` entries in one
-shared variable (ValueError otherwise) and hand back `MultiPoly`;
-`first_dependence` takes and returns `_Dense`. `RatFunc` reduces its parts on
-the dense kernel too.
+`solve_sparse_exact` is one incremental sparse echelon, with integer
+cross-multiplication and row-content stripping, for the large, very sparse
+coefficient-matching systems that the decomposition routines produce and for
+the Macaulay matrices of the staircase: the rows arrive sparsest first and
+each is reduced on arrival by the pivot rows so far, like `poly._reduce`
+over Q[t]. It is exact and deterministic, and it carries any number of
+right-hand sides through the one elimination. Over Q[t],
+`PolyMatrix.determinant`, `PolyMatrix.adjugate` and `first_dependence` are
+one fraction-free (Bareiss) echelon, `poly._reduce` and `poly._add_pivot`,
+on the dense kernel `poly._Dense`; the adjugate and the dependence end in
+the one back-substitution `poly._back_substitute`. A matrix takes the
+echelon of its columns once and keeps it, so its determinant and its
+adjugate share one elimination. The two `PolyMatrix` methods take
+`MultiPoly` entries in one shared variable (ValueError otherwise) and hand
+back `MultiPoly`; `first_dependence` takes and returns `_Dense`. `RatFunc`
+reduces its parts on the dense kernel too.
 """
 
 from __future__ import annotations
@@ -50,78 +51,48 @@ def solve_sparse_exact(rows: list[dict], ncols: int, nrhs: int = 1):
 
     Each row is {col: Fraction, RHS - r: Fraction}: columns 0..ncols-1 and
     right-hand side r < nrhs at key RHS - r (absent keys are zero).
-    Pivoting prefers sparse rows and sweeps the columns 0..ncols-1 in order;
-    unpivoted columns are free and set to zero. Row updates are integer
+    One incremental echelon: the rows arrive sparsest first, and each is
+    reduced at its leading column (its smallest column key) by the pivot
+    row of that column until it leads a column without a pivot, whose pivot
+    it becomes, or has no column left. Row updates are integer
     cross-multiplications with content stripping, so everything stays exact.
     The pivot columns are the leading columns of the row space, and with the
     free columns at zero each solution is unique, so neither depends on the
-    pivot rows chosen or on the other right-hand sides: one solve with k
+    order of the rows or on the other right-hand sides: one solve with k
     right-hand sides returns what k solves with one would. Returns
-    (one solution list per right-hand side, pivot columns in sweep order);
-    the count of pivot columns is the rank. Raises Inconsistent when any
+    (one solution list per right-hand side, pivot columns ascending); the
+    count of pivot columns is the rank. Raises Inconsistent when any
     right-hand side has no solution.
     """
-    work = []
-    for row in rows:
+    pivots: dict[int, dict] = {}  # leading column -> pivot row
+    # Sparsest rows first: the pivots they leave are short, so the rows
+    # reduced by them fill in less; in the order given, H4's solves take
+    # twice as long.
+    for row in sorted(rows, key=len):
         den = math.lcm(*(c.denominator for c in row.values()))
-        introw = {j: c.numerator * (den // c.denominator) for j, c in row.items() if c}
-        if introw:
-            work.append(_strip_row(introw))
-    col_index: dict[int, set[int]] = {}
-    for i, row in enumerate(work):
-        for j in row:
-            if j >= 0:
-                col_index.setdefault(j, set()).add(i)
-    active = set(range(len(work)))
-    pivots: list[tuple[int, int]] = []  # (row id, col)
-    for col in range(ncols):
-        cand = [i for i in col_index.get(col, ()) if i in active]
-        if not cand:
-            continue
-        piv = min(cand, key=lambda i: (len(work[i]), i))
-        active.discard(piv)
-        pr = work[piv]
-        pc = pr[col]
-        for i in list(col_index.get(col, ())):
-            if i == piv or i not in active:
-                continue
-            ri = work[i]
-            f = ri[col]
-            new = {}
-            for j, c in ri.items():
-                new[j] = pc * c
+        row = _strip_row({j: c.numerator * (den // c.denominator) for j, c in row.items() if c})
+        while True:
+            col = min((j for j in row if j >= 0), default=None)
+            if col is None:
+                if row:
+                    raise Inconsistent("no solution")
+                break
+            pr = pivots.get(col)
+            if pr is None:
+                pivots[col] = row
+                break
+            pc, f = pr[col], row[col]
+            new = {j: pc * c for j, c in row.items()}
             for j, c in pr.items():
                 s = new.get(j, 0) - f * c
                 if s:
                     new[j] = s
                 elif j in new:
                     del new[j]
-            new.pop(col, None)
-            new = _strip_row(new)
-            # update the column index
-            for j in ri:
-                if j >= 0 and j != col and j not in new:
-                    col_index[j].discard(i)
-            for j in new:
-                if j >= 0:
-                    col_index.setdefault(j, set()).add(i)
-            col_index[col].discard(i)
-            work[i] = new
-            if max(new, default=RHS) < 0:
-                if new:
-                    raise Inconsistent("no solution")
-                active.discard(i)
-        pivots.append((piv, col))
-    for i in active:
-        row = work[i]
-        if max(row, default=RHS) < 0:
-            if row:
-                raise Inconsistent("no solution")
-        else:
-            raise CertificateFailed("unswept column left nonzero")
+            row = _strip_row(new)
     sols = [[Fraction(0)] * ncols for _ in range(nrhs)]
-    for piv, col in reversed(pivots):
-        row = work[piv]
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
         rest = [(j, c) for j, c in row.items() if j > col]
         for r, sol in enumerate(sols):
             acc = Fraction(row.get(RHS - r, 0))
@@ -129,7 +100,7 @@ def solve_sparse_exact(rows: list[dict], ncols: int, nrhs: int = 1):
                 if sol[j]:
                     acc -= c * sol[j]
             sol[col] = acc / row[col]
-    return sols, [col for _, col in pivots]
+    return sols, sorted(pivots)
 
 
 # -- polynomial matrices ---------------------------------------------------------

@@ -6,7 +6,11 @@ array of points (columns x and y). Two constructors exist:
 * `trace_cycle` follows a compact real oval with a predictor-corrector
   marcher (points have zero imaginary part). A compact oval bounds a disc
   holding a local extremum of H, so `make_cycle` seeds it on the horizontal
-  line through each real extremum.
+  line through each real extremum. The trace closes when a step lands near
+  the start: the landing point is dropped, and the closing edge back to the
+  start must lie within 2 TURN_TARGET of the tangents at both its ends, as
+  the chord of a step at the marcher's turn limit does, or the step is
+  taken again, shorter.
 * `branch_point_cycle` builds a genuinely complex cycle for Hamiltonians of
   y-degree two, by lifting a closed x-plane contour that encircles exactly
   two branch points of the y-projection. This covers level curves without
@@ -200,24 +204,33 @@ def trace_cycle(
         if turn > 4.0 * TURN_TARGET and h > H_MIN:
             h = max(H_MIN, h * 0.4)
             continue
+        if abs(xn) > box or abs(yn) > box:
+            raise NotCompactComponent("level-curve branch escaped the tracing box")
         step = math.hypot(xn - x, yn - y)
+        # closure: crossed the section through the start, close to the start
+        if (
+            arc + step > 6 * h
+            and math.hypot(xn - x0, yn - y0) < 1.5 * h
+            and abs((xn - x0) * tx0 + (yn - y0) * ty0) < h
+        ):
+            # The landing point duplicates the start and is dropped, so the
+            # closing edge runs from (x, y) to the start. It must lie within
+            # 2 TURN_TARGET of the tangents at both its ends, as the chord of
+            # a step at the marcher's turn limit does; if not, the step is
+            # taken again, shorter.
+            ex, ey = x0 - x, y0 - y
+            bend = max(abs(math.atan2(ux * ey - uy * ex, ux * ex + uy * ey)) for ux, uy in ((tx, ty), (tx0, ty0)))
+            if bend > 2.0 * TURN_TARGET and h > H_MIN:
+                h = max(H_MIN, h * 0.4)
+                continue
+            if _closure_gap(H, t, (xn, yn), (x0, y0), (tx0, ty0), tol) > 1e-9 * scale:
+                raise NumericFailure("oval failed to close within tolerance")
+            xy = np.array(pts)
+            cyc = CyclePolyline(points=_polyline(xy[:, 0], xy[:, 1]), level=complex(t), hamiltonian=H)
+            return _orient_ccw(cyc)
         arc += step
         x, y, tx, ty = xn, yn, txn, tyn
         pts.append((x, y))
-        if abs(x) > box or abs(y) > box:
-            raise NotCompactComponent("level-curve branch escaped the tracing box")
-        # closure: crossed the section through the start, close to the start
-        if arc > 6 * h:
-            d = math.hypot(x - x0, y - y0)
-            if d < 1.5 * h:
-                s = (x - x0) * tx0 + (y - y0) * ty0
-                if abs(s) < h:
-                    if _closure_gap(H, t, (x, y), (x0, y0), (tx0, ty0), tol) > 1e-9 * scale:
-                        raise NumericFailure("oval failed to close within tolerance")
-                    pts.pop()  # the landing point duplicates the start
-                    xy = np.array(pts)
-                    cyc = CyclePolyline(points=_polyline(xy[:, 0], xy[:, 1]), level=complex(t), hamiltonian=H)
-                    return _orient_ccw(cyc)
         h = min(H_MAX, max(H_MIN, h * min(2.0, max(0.3, TURN_TARGET / max(turn, 1e-12)))))
     raise NotCompactComponent("tracing budget exhausted before the oval closed")
 
@@ -460,7 +473,7 @@ def _refine_stack(H: Hamiltonian, t, X, Y):
     return out
 
 
-def _richardson_periods(cycles, forms, rel_tol: float) -> tuple[list[list[complex]], list[list[float]]]:
+def _richardson_periods(cycles, forms) -> tuple[list[list[complex]], list[list[float]]]:
     """Curve integrals of the forms over each cycle, with their error
     estimates: one list of values and one of errors per cycle.
 
@@ -468,9 +481,9 @@ def _richardson_periods(cycles, forms, rel_tol: float) -> tuple[list[list[comple
     in real arithmetic. The polygon value has an even-power error expansion
     in the mesh size, so each dyadic refinement cancels another order. Each
     (cycle, form) column whose extrapolated increment still exceeds
-    max(rel_tol |value|, ABS_TOL) gets one more row of its Richardson table;
-    a column that meets the tolerance keeps the value of that level, and a
-    cycle leaves the stack once all its columns have.
+    max(PERIOD_REL_TOL |value|, ABS_TOL) gets one more row of its Richardson
+    table; a column that meets the tolerance keeps the value of that level,
+    and a cycle leaves the stack once all its columns have.
     """
     H = cycles[0].hamiltonian
     X, Y = (np.array([c.points[:, k] for c in cycles]) for k in (0, 1))
@@ -500,7 +513,7 @@ def _richardson_periods(cycles, forms, rel_tol: float) -> tuple[list[list[comple
             if level:
                 err[c][f] = abs(row[-1] - best[c][f])
             best[c][f] = row[-1]
-            if err[c][f] > max(rel_tol * abs(best[c][f]), ABS_TOL):
+            if err[c][f] > max(PERIOD_REL_TOL * abs(best[c][f]), ABS_TOL):
                 still_open.append((c, f))
         cols = still_open
         keep = [r for r, c in enumerate(live) if any(o == c for o, _ in cols)]
@@ -515,7 +528,7 @@ def periods_of_system(sys: PFSystem, cycle: CyclePolyline) -> PeriodSample:
     """All basis periods on one shared refinement of the cycle, to relative
     tolerance PERIOD_REL_TOL; the error estimate is the largest over the
     forms."""
-    (vals,), (errs,) = _richardson_periods([cycle], sys.forms, PERIOD_REL_TOL)
+    (vals,), (errs,) = _richardson_periods([cycle], sys.forms)
     return PeriodSample(t=cycle.level, periods=tuple(vals), error_estimate=max([0.0, *errs]))
 
 
@@ -696,19 +709,15 @@ class ResidualReport:
 
 def _find_real_oval(H: Hamiltonian, t: float, singular: SingularSet) -> CyclePolyline | None:
     """A compact real oval of {H = t}, traced from the nearest root of
-    H(x, y_p) = t on either side of each real extremum p of H; None when no
-    extremum yields one.
-
-    The nearer of the two roots is tried first: an oval stretches toward the
-    saddles that bound it and curves most there, and a trace that starts and
-    closes in a sharp bend slows the Richardson convergence of its periods."""
+    H(x, y_p) = t on either side of each real extremum p of H, the left one
+    first; None when no extremum yields one."""
     for px, py in singular.extrema:
         coeffs = np.array([c.eval_complex({"y": py}) for c in _x_coefficients(H.poly)]).real
         coeffs[-1] -= t
         roots = np.roots(coeffs)
         xs = roots.real[np.abs(roots.imag) < 1e-9]
         sides = (xs[xs < px].max(initial=-np.inf), xs[xs > px].min(initial=np.inf))
-        for x in sorted(sides, key=lambda x: abs(x - px)):
+        for x in sides:
             if not np.isfinite(x):
                 continue
             try:
@@ -749,9 +758,7 @@ def residual_check(sys: PFSystem, t_samples: list[float]) -> list[ResidualReport
     for t in t_samples:
         base = make_cycle(sys.hamiltonian, t, sys.singular)
         h = FD_STEP * max(1.0, abs(t))
-        vals, _errs = _richardson_periods(
-            [base, _at_level(base, t + h), _at_level(base, t - h)], sys.forms, PERIOD_REL_TOL
-        )
+        vals, _errs = _richardson_periods([base, _at_level(base, t + h), _at_level(base, t - h)], sys.forms)
         I, I_p, I_m = (np.array(v) for v in vals)
         Ip = (I_p - I_m) / (2 * h)
         v = _horner(coefs, t)

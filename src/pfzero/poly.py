@@ -668,10 +668,6 @@ class _Dense:
     def is_zero(self) -> bool:
         return not self.p
 
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.p) - 1
-
     def is_constant(self) -> bool:
         return len(self.p) <= 1
 
@@ -806,20 +802,25 @@ def _kronecker_det(rows: list[list[MultiPoly]]) -> MultiPoly:
     Algebra, ch. 8).
     """
     used = [i for i in range(3) if any(e[i] for row in rows for p in row for e in p.terms)]
-    if len(used) < 2:
-        return _bareiss_det_poly(rows)
     if len(used) > 2:
         raise ValueError("determinant in more than two variables: x, y, t")
-    u, w = used
+    if len(used) == 2:
+        u, w = used
 
-    def expo(i, j):  # the triple of u^i w^j
-        e = [0, 0, 0]
-        e[u], e[w] = i, j
-        return tuple(e)
+        def expo(i, j):  # the triple of u^i w^j
+            e = [0, 0, 0]
+            e[u], e[w] = i, j
+            return tuple(e)
 
-    D = 1 + sum(max((e[u] for p in row for e in p.terms), default=0) for row in rows)
-    z = [[MultiPoly._of({expo(e[u] + D * e[w], 0): c for e, c in p.terms.items()}) for p in row] for row in rows]
-    det = _bareiss_det_poly(z)
+        D = 1 + sum(max((e[u] for p in row for e in p.terms), default=0) for row in rows)
+        rows = [
+            [MultiPoly._of({expo(e[u] + D * e[w], 0): c for e, c in p.terms.items()}) for p in row] for row in rows
+        ]
+    var, m = _kernel_rows(rows)
+    echelon = _echelon(m)
+    det = MultiPoly.zero() if echelon is None else echelon[1].to_poly(var)
+    if len(used) < 2:
+        return det
     return MultiPoly._of({expo(e[u] % D, e[u] // D): c for e, c in det.terms.items()})
 
 
@@ -885,11 +886,3 @@ def _echelon(vectors) -> tuple[list, "_Dense"] | None:
     det = pivots[-1][0][pos[-1]] if pivots else _Dense.const(1)
     odd = sum(a > b for i, a in enumerate(pos) for b in pos[i + 1 :]) % 2
     return pivots, -det if odd else det
-
-
-def _bareiss_det_poly(rows: list[list[MultiPoly]]) -> MultiPoly:
-    """Fraction-free determinant on the dense kernel of a matrix whose
-    entries share one variable (ValueError otherwise); 1 for 0 x 0."""
-    var, m = _kernel_rows(rows)
-    echelon = _echelon(m)
-    return MultiPoly.zero() if echelon is None else echelon[1].to_poly(var)

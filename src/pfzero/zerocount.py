@@ -141,7 +141,7 @@ def simple_domain(
     ray_directions,
     region,
     rho: float,
-    relaxed_bounds: bool = False,
+    relaxed_bounds: bool,
 ) -> SimpleDomain:
     """Validated constructor; see the class invariants. The region must lie
     in the closed unit disc unless relaxed_bounds is set.
@@ -393,7 +393,7 @@ _U = 2.0**-53  # unit roundoff of float64
 _SUB = 2.0**-1021  # 2^-1074 / u: absorbs the rounding of subnormal intermediates
 
 
-def coefficient_sup(ode: ScalarODE, a: complex, b: complex, tol: float = 1e-6) -> float:
+def coefficient_sup(ode: ScalarODE, a: complex, b: complex, tol: float) -> float:
     """Rigorous upper bound for max over the segment [a, b] and the
     coefficients of |coefficient(t)|, by a centred form on bisected
     sub-segments until the enclosure is within the relative tolerance. The
@@ -604,21 +604,16 @@ _MAX_REFINE = 28  # densification rounds of winding_count
 _ZERO_FLOOR = 1e-280  # a sample this small counts as a zero on the contour
 
 
-def winding_count(
-    values,
-    refine=None,
-    params=None,
-) -> int:
+def winding_count(values, refine, params) -> int:
     """Winding number of a sampled nonvanishing closed path around 0.
 
     Phase increments are summed and the sampling is densified through the
     callback, at most _MAX_REFINE times, until every consecutive increment is
     below pi/2; the total over 2 pi must land within 0.25 of an integer.
-    refine(s) evaluates the path at an arbitrary parameter in [0, 1). A
-    sample below _ZERO_FLOOR in magnitude raises ZeroOnContour."""
+    values are the path at the parameters params in [0, 1), and refine(s)
+    evaluates it at any other. A sample below _ZERO_FLOOR in magnitude
+    raises ZeroOnContour."""
     vals = [complex(v) for v in values]
-    if params is None:
-        params = [k / len(vals) for k in range(len(vals))]
     params = list(params)
     if len(params) != len(vals):
         raise UsageError("params and values must align")
@@ -642,7 +637,7 @@ def winding_count(
             if abs(w - k) >= 0.25:
                 raise Inconclusive(f"winding total {w} not close to an integer")
             return int(k)
-        if refine is None or _round == _MAX_REFINE:
+        if _round == _MAX_REFINE:
             raise Inconclusive("phase increments stay above pi/2 after refinement")
         news = []
         for k in bad:
@@ -781,8 +776,8 @@ def zero_count_bound(
     ode: ScalarODE,
     dom: SimpleDomain,
     degree: int,
-    tol: float = 1e-6,
-    numeric_fn=None,
+    tol: float,
+    numeric_fn,
 ) -> ZeroBoundReport:
     """Upper bound for the number of zeros of solutions in the domain.
 

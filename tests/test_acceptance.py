@@ -129,11 +129,12 @@ def test_criterion_4_monomial_basis(rng):
 def test_criterion_5_zero_counting_soundness(rng):
     # the d=2 integral I(t) = pi t on disc(1, 0.4)
     f = lambda s: math.pi * (1 + 0.4 * cmath.exp(2j * math.pi * s))
-    w = winding_count([f(k / 64) for k in range(64)], refine=f)
+    ss = [k / 64 for k in range(64)]
+    w = winding_count([f(s) for s in ss], refine=f, params=ss)
     origin = SingularSet(values=(CriticalValue(0j, 1e-10, 1),), count_with_multiplicity=1)
     d2_ode = ScalarODE(coeffs=(RatFunc(MultiPoly.const(-1), t),), pole_set=(CriticalValue(0j, 1e-10, 1),))
     dom = simple_domain(origin, [-1.0], Disc(1 + 0j, 0.4), 0.5, relaxed_bounds=True)
-    rep = zero_count_bound(d2_ode, dom, degree=2)
+    rep = zero_count_bound(d2_ode, dom, degree=2, tol=1e-6, numeric_fn=None)
     ok = w == 0 and rep.total_bound >= 0 and rep.total_bound >= w
 
     empty = SingularSet(values=(), count_with_multiplicity=0)
@@ -148,7 +149,7 @@ def test_criterion_5_zero_counting_soundness(rng):
                 p = p * (t - MultiPoly.const(rr))
             elif p.degree_in("t") + 2 <= deg:
                 p = p * (t * t - MultiPoly.const(2 * rr) * t + MultiPoly.const(rr * rr + ri * ri))
-        roots = isolate_roots(p)
+        roots = isolate_roots(p, "t")
         center, radius = 1 + 0j, 0.4
         if any(abs(abs(cv.value - center) - radius) < 0.05 for cv in roots):
             continue

@@ -187,7 +187,7 @@ class TestRootIsolation:
     def test_multiplicity(self):
         tvar = MultiPoly.var("t")
         p = (tvar - 1) ** 2 * (tvar + 3)
-        roots = isolate_roots(p)
+        roots = isolate_roots(p, "t")
         roots = sorted(roots, key=lambda r: r.value.real)
         assert abs(roots[0].value + 3) < 1e-8 and roots[0].multiplicity == 1
         assert abs(roots[1].value - 1) < 1e-8 and roots[1].multiplicity == 2
@@ -207,7 +207,7 @@ class TestRootIsolation:
         c = MultiPoly.const(2**k)
         factors = yun_squarefree_decomposition(tvar**2 * (tvar - c), "t")
         assert sorted(factors, key=lambda f: f[1]) == [(tvar - c, 1), (tvar, 2)]
-        roots = sorted(isolate_roots(tvar**2 * (tvar - c)), key=lambda r: r.value.real)
+        roots = sorted(isolate_roots(tvar**2 * (tvar - c), "t"), key=lambda r: r.value.real)
         assert [r.multiplicity for r in roots] == [2, 1]
         assert abs(roots[1].value - 2**k) <= 1e-6 * 2**k
 
@@ -276,7 +276,7 @@ class TestBatchedPolish:
             if rng.random() < 0.5:  # a repeated factor and a degree-1 factor
                 p = p * random_tpoly(rng, 2) ** 2 * (self.tvar - MultiPoly.const(Fraction(1, 3)))
             want, _ = isolate_one_root_at_a_time(p)
-            assert reprs(isolate_roots(p)) == reprs(want)
+            assert reprs(isolate_roots(p, "t")) == reprs(want)
 
     def test_roots_stop_at_different_steps(self):
         p = MultiPoly.const(1)
@@ -285,7 +285,7 @@ class TestBatchedPolish:
         p = p * (self.tvar**2 - MultiPoly.const(Fraction(1, 10**6)))
         want, steps = isolate_one_root_at_a_time(p)
         assert len(set(steps)) > 1
-        assert reprs(isolate_roots(p)) == reprs(want)
+        assert reprs(isolate_roots(p, "t")) == reprs(want)
 
     def test_radii_above_the_floor(self):
         # the roots r +- i, r = 1..8, are ill-conditioned: their radii
@@ -297,13 +297,13 @@ class TestBatchedPolish:
             p = p * (t**2 - MultiPoly.const(2 * r) * t + MultiPoly.const(r * r + 1))
         want, _ = isolate_one_root_at_a_time(p)
         assert sum(v.radius > DEFAULT_ISOLATION_RADIUS for v in want) > 8
-        assert reprs(isolate_roots(p)) == reprs(want)
+        assert reprs(isolate_roots(p, "t")) == reprs(want)
 
     def test_degree_one_factors(self):
         t = self.tvar
         p = (t - MultiPoly.const(Fraction(2, 7))) * (t + MultiPoly.const(5)) ** 3 * t**2
         want, _ = isolate_one_root_at_a_time(p)
-        got = isolate_roots(p)
+        got = isolate_roots(p, "t")
         assert len(got) == 3 and reprs(got) == reprs(want)
 
     def test_derivative_zero_at_the_start(self):
@@ -314,6 +314,6 @@ class TestBatchedPolish:
         p = t**4 + t**3 - MultiPoly.const(Fraction(1, 10**700)) * t
         want, steps = isolate_one_root_at_a_time(p)
         assert 0 in steps and max(steps) > 0
-        got = isolate_roots(p)
+        got = isolate_roots(p, "t")
         assert reprs(got) == reprs(want)
         assert {type(v.value) for v in got} == {complex, np.complex128}

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pfzero import linalg
 from pfzero.errors import DegenerateInput, DivisionByZeroPolynomial, Inconsistent
@@ -61,6 +61,68 @@ def tpoly_matrices(draw):
         c = [draw(tpolys) for _ in range(n - 1)]
         M[-1] = [sum((c[i] * M[i][j] for i in range(n - 1)), MultiPoly.zero()) for j in range(n)]
     return M
+
+
+@st.composite
+def sparse_systems(draw):
+    """(rows, ncols, nrhs): small sparse rational systems with 1-4
+    right-hand sides, each consistent by construction or drawn freely, and
+    with optional rank-deficient rows and columns, a duplicate row, an empty
+    row, a row of right-hand-side keys only and explicit zero entries."""
+    n = draw(st.integers(1, 5))
+    nrhs = draw(st.integers(1, 4))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))  # zero one draw in nine
+    M = draw(st.lists(st.dictionaries(st.integers(0, n - 1), entry, max_size=n), max_size=7))
+    if len(M) > 1 and draw(st.booleans()):  # a row that combines two others
+        a, b = M[0], M[-1]
+        M.append({j: 2 * a.get(j, 0) - b.get(j, 0) for j in a.keys() | b.keys()})
+    if n > 1 and draw(st.booleans()):  # a column that combines two others
+        for row in M:
+            row[n - 1] = row.get(0, 0) + row.get(1, 0)
+    rhss = []
+    for _ in range(nrhs):
+        if draw(st.integers(0, 4)):  # consistent four draws in five
+            u = [draw(entry) for _ in range(n)]
+            rhss.append([sum(c * u[j] for j, c in row.items()) for row in M])
+        else:
+            rhss.append([draw(entry) for _ in M])
+    rows = [row | {RHS - r: v[i] for r, v in enumerate(rhss)} for i, row in enumerate(M)]
+    if rows and draw(st.booleans()):
+        rows.append(dict(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.append({})
+    if draw(st.booleans()):  # right-hand-side keys only: vanishes if all are zero, else inconsistent
+        rows.append({RHS - r: draw(st.sampled_from([Fraction(0), Fraction(r + 1, 2)])) for r in range(nrhs)})
+    return rows, n, nrhs
+
+
+def gauss_jordan(rows, ncols, nrhs):
+    """Dense reference for solve_sparse_exact: the reduced row echelon form
+    of [M | B] over Fraction, columns swept left to right; the free columns
+    are zero. (solutions, pivot columns), or None when a right-hand side has
+    no solution."""
+    width = ncols + nrhs
+    keys = list(range(ncols)) + [RHS - r for r in range(nrhs)]
+    A = [[Fraction(row.get(k, 0)) for k in keys] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        i = next((i for i in range(len(pivots), len(A)) if A[i][col]), None)
+        if i is None:
+            continue
+        k = len(pivots)
+        A[k], A[i] = A[i], A[k]
+        A[k] = [c / A[k][col] for c in A[k]]
+        for i, row in enumerate(A):
+            if i != k and row[col]:
+                A[i] = [a - row[col] * b for a, b in zip(row, A[k])]
+        pivots.append(col)
+    if any(A[i][j] for i in range(len(pivots), len(A)) for j in range(ncols, width)):
+        return None
+    sols = [[Fraction(0)] * ncols for _ in range(nrhs)]
+    for k, col in enumerate(pivots):
+        for r, sol in enumerate(sols):
+            sol[col] = A[k][ncols + r]
+    return sols, pivots
 
 
 class TestExactSolve:
@@ -151,6 +213,22 @@ class TestSparseSolver:
         for sol, v in zip(sols, rhss):
             for row, b in zip(M, v):
                 assert sum(c * s for c, s in zip(row, sol)) == b
+
+    @settings(max_examples=200)
+    @given(sparse_systems(), st.randoms(use_true_random=False))
+    def test_row_order_and_dense_reference(self, system, rnd):
+        # the echelon takes the rows in its own order; neither the order
+        # given nor a shuffle of it may change the solutions or the pivots
+        rows, n, nrhs = system
+        expected = gauss_jordan(rows, n, nrhs)
+        shuffled = list(rows)
+        rnd.shuffle(shuffled)
+        for order in (rows, shuffled):
+            if expected is None:
+                with pytest.raises(Inconsistent):
+                    solve_sparse_exact(order, n, nrhs)
+            else:
+                assert solve_sparse_exact(order, n, nrhs) == expected
 
 
 class TestRatFunc:

@@ -32,7 +32,7 @@ from pfzero.numerics import (
 from pfzero.petrov import OneForm, petrov_decompose
 from pfzero.pfsystem import PFSystem, assemble_pf_system
 from pfzero.poly import MultiPoly, parse_polynomial
-from tests.conftest import random_poly
+from tests.conftest import Q4, random_poly
 
 P = parse_polynomial
 ZERO = MultiPoly.zero()
@@ -40,9 +40,9 @@ X_DY = OneForm(ZERO, P("x"))
 BRANCH_CUBIC = "x^3 - x*y^2 + y"
 
 
-def period(cycle, omega, rel_tol=numerics.PERIOD_REL_TOL):
+def period(cycle, omega):
     """The period of one form over one cycle, with its error estimate."""
-    ((value,),), ((err,),) = _richardson_periods([cycle], [omega], rel_tol)
+    ((value,),), ((err,),) = _richardson_periods([cycle], [omega])
     return value, err
 
 
@@ -82,6 +82,23 @@ class TestTraceCycle:
         with pytest.raises(NotCompactComponent):
             trace_cycle(H, 0.0, (-2.5, 1.0), critical_values(H))
 
+    def test_closing_edge_in_a_bend_costs_no_refinement(self, monkeypatch):
+        # the seed on the left starts the oval in the bend beside the saddle
+        # (-2/3, 0); a closing edge that cuts that bend made its periods
+        # converge late (23296 nodes against 7040 from the right seed)
+        sysm = assemble_pf_system(Hamiltonian.from_poly(P(OVAL_CUBIC)))
+        nodes = []
+        moments = numerics._moments
+        monkeypatch.setattr(numerics, "_moments", lambda X, Y, m: nodes.append(X.shape[-1]) or moments(X, Y, m))
+        counts, periods = [], []
+        for seed in ((-0.4626, 0.0), (0.2977, 0.0)):
+            nodes.clear()
+            cyc = trace_cycle(sysm.hamiltonian, 0.115, seed, sysm.singular)
+            periods.append(np.array(periods_of_system(sysm, cyc).periods))
+            counts.append(max(nodes))
+        assert max(counts) <= 1.25 * min(counts)
+        assert np.max(np.abs(periods[0] - periods[1])) <= 1e-12 * np.max(np.abs(periods[1]))
+
 
 class TestPeriodQuadrature:
     def test_area_period(self, circle, circle_sing):
@@ -98,10 +115,11 @@ class TestPeriodQuadrature:
         v = period(cyc, OneForm(P("y"), ZERO))[0]
         assert abs(v + math.pi) <= 1e-9
 
-    def test_refinement_convergence(self, circle, circle_sing):
+    def test_refinement_convergence(self, circle, circle_sing, monkeypatch):
         cyc = trace_cycle(circle, 1.0, (1.0, 0.0), circle_sing)
-        v1, _ = period(cyc, X_DY, rel_tol=1e-9)
-        v2, _ = period(cyc, X_DY, rel_tol=1e-12)
+        v2, _ = period(cyc, X_DY)
+        monkeypatch.setattr(numerics, "PERIOD_REL_TOL", 1e-9)
+        v1, _ = period(cyc, X_DY)
         assert abs(v1 - v2) <= 1e-10 * max(1.0, abs(v2))
 
     def test_orientation_reversal_negates(self, circle, circle_sing):
@@ -329,7 +347,7 @@ def _oracle_along(sysm, path):
     for k in range(1, 96):
         j, r = divmod(k * n, 96)
         cycles.append(_at_level(cycles[-1], path[j] + r / 96 * (path[j + 1] - path[j])))
-    vals, _errs = _richardson_periods(cycles, sysm.forms, numerics.PERIOD_REL_TOL)
+    vals, _errs = _richardson_periods(cycles, sysm.forms)
     return path, [np.array(v) for v in vals]
 
 
@@ -398,6 +416,33 @@ class TestPlantedZeros:
         assert round(_winding([np.dot(weights, p) for p in periods])) == count
         assert _continued_periods(sysm, path, periods) <= 1e-10
         assert _mu_count(capsys, OVAL_CUBIC, mu, "poly:0.045,-0.03;0.105,-0.03;0.105,0.03;0.045,0.03", "0.01") == count
+
+    @pytest.fixture(scope="class")
+    def quartic_loop(self):
+        sysm = assemble_pf_system(Hamiltonian.from_poly(P(Q4)))
+        return (sysm, *_oracle_around(sysm, 0.5, 0.2))
+
+    # Q4's one real critical value is its minimum, -1.2067, so every real
+    # level of the disc has a real oval. The planted mu is (1, -I_1 / I_2, 0,
+    # ..., 0) at the centre t = 0.5, rounded to a denominator below 1000, so
+    # mu . I vanishes there; the control moves its second entry off that
+    @pytest.mark.parametrize(
+        "mu, count", [("1,2332/611,0,0,0,0,0,0,0", 1), ("1,3,0,0,0,0,0,0,0", 0)], ids=["planted", "control"]
+    )
+    def test_quartic_on_the_real_diameter(self, capsys, quartic_loop, mu, count):
+        sysm, path, periods = quartic_loop
+        H = sysm.hamiltonian
+        weights = [float(Fraction(m)) for m in mu.split(",")]
+        real_periods = [
+            np.array(periods_of_system(sysm, make_cycle(H, float(t), sysm.singular)).periods)
+            for t in np.linspace(0.3, 0.7, 17)
+        ]
+        centre = real_periods[8]
+        assert (abs(np.dot(weights, centre)) <= 1e-6 * np.max(np.abs(centre))) == (count == 1)
+        assert np.count_nonzero(np.diff([np.sign(np.dot(weights, I).real) for I in real_periods])) == count
+        assert round(_winding([np.dot(weights, p) for p in periods])) == count
+        assert _continued_periods(sysm, path, periods) <= 1e-10
+        assert _mu_count(capsys, Q4, mu, "disc:0.5,0,0.2", "0.1") == count
 
     def test_branch_cubic_zero_at_the_centre(self, capsys):
         # mu = (1, 0, m3, m4) rational and orthogonal to Re I and Im I at the
@@ -563,9 +608,9 @@ class TestMomentKernel:
         assert base.kind == kind
         h = numerics.FD_STEP * max(1.0, abs(t))
         cycles = [base, _at_level(base, t + h), _at_level(base, t - h)]
-        stacked, _errs = _richardson_periods(cycles, sysm.forms, numerics.PERIOD_REL_TOL)
+        stacked, _errs = _richardson_periods(cycles, sysm.forms)
         for cyc, values in zip(cycles, stacked):
-            (alone,), _ = _richardson_periods([cyc], sysm.forms, numerics.PERIOD_REL_TOL)
+            (alone,), _ = _richardson_periods([cyc], sysm.forms)
             assert len(values) == len(alone) == sysm.dim
             for got, want in zip(values, alone):
                 assert abs(got - want) <= max(1e-12 * abs(want), 1e-15)
@@ -585,10 +630,10 @@ class TestMomentKernel:
             return refine(H, t, X, Y)
 
         monkeypatch.setattr(numerics, "_refine_stack", counted)
-        stacked, _errs = _richardson_periods(cycles, sysm.forms, numerics.PERIOD_REL_TOL)
+        stacked, _errs = _richardson_periods(cycles, sysm.forms)
         assert stack_rows == [3, 3, 3, 3, 2, 1]
         for cyc, values in zip(cycles, stacked):
-            (alone,), _ = _richardson_periods([cyc], sysm.forms, numerics.PERIOD_REL_TOL)
+            (alone,), _ = _richardson_periods([cyc], sysm.forms)
             for got, want in zip(values, alone):
                 assert abs(got - want) <= max(1e-12 * abs(want), 1e-15)
 

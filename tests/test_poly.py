@@ -412,7 +412,7 @@ class TestDenseKernel:
     def test_round_trip(self, a):
         d = dense(a)
         assert d.to_poly("t") == a
-        assert d.degree() == a.degree()
+        assert len(d.p) - 1 == a.degree()
         assert d.is_zero == a.is_zero
         assert not d.p or (d.p[-1] > 0 and _primitive(list(d.p))[0] == 1)
 

@@ -74,14 +74,20 @@ def test_every_parameter_is_read():
     assert SOURCES and not found
 
 
+def _code_trees():
+    """The parsed modules of src/, scripts/ and perfbench/."""
+    root = Path(pfzero.__file__).parents[2]
+    for path in sorted(p for d in ("src", "scripts", "perfbench") for p in (root / d).rglob("*.py")):
+        yield ast.parse(path.read_text(), filename=str(path))
+
+
 def _referenced_names() -> set[str]:
     """Every name that code in src/, scripts/ or perfbench/ reads, calls,
     imports or looks up as an attribute; a definition or an assignment to a
     bare name is no reference."""
-    root = Path(pfzero.__file__).parents[2]
     names = set()
-    for path in sorted(p for d in ("src", "scripts", "perfbench") for p in (root / d).rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for tree in _code_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -128,6 +134,59 @@ def test_every_definition_is_referenced():
             dunder = name.startswith("__") and name.endswith("__")
             if not dunder and name not in referenced and name not in exempt:
                 found.append(f"{path.name}:{line} {name}")
+    assert SOURCES and not found
+
+
+def _call_shapes() -> dict[str, list]:
+    """For each name that code in src/, scripts/ or perfbench/ calls, bare
+    or as an attribute: the (count of positional arguments, keyword names)
+    of each call. Starred arguments are not counted, so a call through
+    *args or **kwargs may leave any later parameter at its default."""
+    shapes = {}
+    for tree in _code_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                npos = sum(not isinstance(a, ast.Starred) for a in node.args)
+                shapes.setdefault(name, []).append((npos, {k.arg for k in node.keywords}))
+    return shapes
+
+
+def _defaults(body, cls=None):
+    """(name its callers use, function, parameter, position, line) for each
+    parameter with a default of the functions and methods in body. The
+    position does not count self or cls and is None for a keyword-only
+    parameter; a class's __init__ is called by the class name."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _defaults(node.body, node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            pos = a.posonlyargs + a.args
+            bound = int(bool(cls and pos and pos[0].arg in ("self", "cls")))
+            caller = cls if node.name == "__init__" else node.name
+            first = len(pos) - len(a.defaults)
+            for i, arg in enumerate(pos[first:], first - bound):
+                yield caller, node.name, arg.arg, i, node.lineno
+            for arg, d in zip(a.kwonlyargs, a.kw_defaults):
+                if d is not None:
+                    yield caller, node.name, arg.arg, None, node.lineno
+            yield from _defaults(node.body)
+
+
+def test_every_default_is_relied_on():
+    # a default that every call overrides is an option no code takes, kept
+    # for tests alone; tests pass the value they need. Calls count by name,
+    # as in the reference rule
+    shapes = _call_shapes()
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exempt = set(_overrides(importlib.import_module(f"pfzero.{path.stem}"), tree))
+        for caller, fn, param, i, line in _defaults(tree.body):
+            relied = any((i is None or npos <= i) and param not in kws for npos, kws in shapes.get(caller, ()))
+            if not relied and fn not in exempt:
+                found.append(f"{path.name}:{line} {fn}({param})")
     assert SOURCES and not found
 
 

@@ -47,7 +47,7 @@ def ode_from_poly(p: MultiPoly) -> ScalarODE:
     from pfzero.hamiltonian import isolate_roots
 
     coeff = RatFunc(-p.derive("t"), p)
-    return ScalarODE(coeffs=(coeff,), pole_set=tuple(isolate_roots(p)))
+    return ScalarODE(coeffs=(coeff,), pole_set=tuple(isolate_roots(p, "t")))
 
 
 D2_ODE = ScalarODE(coeffs=(RatFunc(MultiPoly.const(-1), t),), pole_set=(CriticalValue(0j, 1e-10, 1),))
@@ -68,7 +68,7 @@ def branch_mu():
 
 class TestDomains:
     def test_empty_sigma_square(self):
-        dom = simple_domain(EMPTY, [], Disc(0j, 0.5), 0.1)
+        dom = simple_domain(EMPTY, [], Disc(0j, 0.5), 0.1, False)
         segs = decompose_simple_domain(dom, [])
         assert len(segs.segments) == 4
 
@@ -91,21 +91,21 @@ class TestDomains:
             simple_domain(ORIGIN, [1.0], Disc(1 + 0j, 0.4), 0.5, relaxed_bounds=True)
 
     def test_auto_rays_without_singular_values(self):
-        assert simple_domain(EMPTY, None, Disc(0.2 + 0j, 0.3), 0.1).ray_directions == ()
+        assert simple_domain(EMPTY, None, Disc(0.2 + 0j, 0.3), 0.1, False).ray_directions == ()
 
     def test_auto_rays_on_the_branch_disc(self, branch_mu):
         # the golden-angle sweep's pick, recorded before the sweep moved
         # from the command line into simple_domain
-        dom = simple_domain(branch_mu[0].singular, None, HEAVY_BRANCH_DISC, 0.1)
+        dom = simple_domain(branch_mu[0].singular, None, HEAVY_BRANCH_DISC, 0.1, False)
         assert dom.ray_directions == (0.8812868452186609 + 0.4725817351998912j,) * 4
 
     def test_unit_disc_guard(self):
         with pytest.raises(UsageError):
-            simple_domain(EMPTY, [], Disc(1 + 0j, 0.4), 0.1)
+            simple_domain(EMPTY, [], Disc(1 + 0j, 0.4), 0.1, False)
 
     def test_polygon_region(self):
         tri = Polygon((0.1 + 0.1j, 0.5 + 0.1j, 0.3 + 0.45j))
-        dom = simple_domain(EMPTY, [], tri, 0.05)
+        dom = simple_domain(EMPTY, [], tri, 0.05, False)
         segs = decompose_simple_domain(dom, [2 + 2j])
         assert len(segs.segments) == 4  # bounding rectangle of the triangle
 
@@ -192,7 +192,7 @@ class TestCoefficientSup:
             # reject segments passing near a zero of the denominator
             from pfzero.hamiltonian import isolate_roots
 
-            if any(_dist(r.value, a, b) < 0.15 for r in isolate_roots(coeff.den)):
+            if any(_dist(r.value, a, b) < 0.15 for r in isolate_roots(coeff.den, "t")):
                 continue
             C = coefficient_sup(ode, a, b, 1e-6)
             import numpy as np
@@ -282,7 +282,7 @@ class TestCoefficientSup:
         # one vectorised pass per bisection level: a per-box evaluation
         # would show here as hundreds of calls per segment
         sysm, ode = branch_mu
-        dom = simple_domain(sysm.singular, None, HEAVY_BRANCH_DISC, 0.1)
+        dom = simple_domain(sysm.singular, None, HEAVY_BRANCH_DISC, 0.1, False)
         segs = decompose_simple_domain(dom, [cv.value for cv in ode.pole_set])
         calls = []
         real_pass = zerocount._sup_pass
@@ -384,27 +384,33 @@ class TestVarBound:
         assert yakovenko_varbound(1, 1, 0.2) == yakovenko_varbound(1, 1, 1.0)
 
 
+def _winding_of(f, n):
+    """winding_count of the closed path f sampled at s = k / n."""
+    ss = [k / n for k in range(n)]
+    return winding_count([f(s) for s in ss], refine=f, params=ss)
+
+
 class TestWinding:
     def test_double_zero(self):
         f = lambda s: (0.5 * cmath.exp(2j * math.pi * s)) ** 2
-        assert winding_count([f(k / 64) for k in range(64)], refine=f) == 2
+        assert _winding_of(f, 64) == 2
 
     def test_zero_outside(self):
         f = lambda s: math.pi * (1 + 0.4 * cmath.exp(2j * math.pi * s))
-        assert winding_count([f(k / 64) for k in range(64)], refine=f) == 0
+        assert _winding_of(f, 64) == 0
 
     def test_simple_zero(self):
         f = lambda s: cmath.exp(2j * math.pi * s)
-        assert winding_count([f(k / 64) for k in range(64)], refine=f) == 1
+        assert _winding_of(f, 64) == 1
 
     def test_zero_on_contour(self):
         with pytest.raises(ZeroOnContour):
-            winding_count([1 + 0j, 0j, -1 + 0j, -1j])
+            _winding_of(lambda s: 1 - cmath.exp(2j * math.pi * s), 8)
 
-    def test_inconclusive_without_refine(self):
-        f = lambda s: cmath.exp(2j * math.pi * 5 * s)
+    def test_inconclusive_at_a_jump(self):
+        # the phase jumps by pi at s = 1/2 however finely it is sampled
         with pytest.raises(Inconclusive):
-            winding_count([f(k / 8) for k in range(8)], refine=None)
+            _winding_of(lambda s: 1.0 if s < 0.5 else -1.0, 8)
 
     def test_stability_under_halving(self, rng):
         done = 0
@@ -422,8 +428,8 @@ class TestWinding:
                 return out
 
             inside = sum(1 for r in roots if abs(r) < 1)
-            coarse = winding_count([f(k / 128) for k in range(128)], refine=f)
-            fine = winding_count([f(k / 256) for k in range(256)], refine=f)
+            coarse = _winding_of(f, 128)
+            fine = _winding_of(f, 256)
             assert coarse == fine == inside
             done += 1
 
@@ -511,7 +517,7 @@ class TestCalculators:
 class TestBoundPipeline:
     def test_d2_disc(self):
         dom = simple_domain(ORIGIN, [-1.0], Disc(1 + 0j, 0.4), 0.5, relaxed_bounds=True)
-        report = zero_count_bound(D2_ODE, dom, degree=2)
+        report = zero_count_bound(D2_ODE, dom, degree=2, tol=1e-6, numeric_fn=None)
         assert report.total_bound >= 0
         assert report.total_bound == int(
             math.floor(math.fsum(report.per_segment_varbound) / (2 * math.pi))
